@@ -10,7 +10,7 @@
 // baseline:
 //
 //   baseline::Qsm is a faithful copy of today's QsmMachine commit
-//   pipeline (same KeyHistogram accounting, CellStore memory,
+//   pipeline (same PhaseScan accounting, CellStore memory,
 //   InboxTable delivery, same clash/EREW branches) minus ONLY the
 //   observer and phase_hook calls. Paired runs replay the SAME
 //   deterministic op stream through the engine and the replica; model
@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "core/commit_tail.hpp"
 #include "core/qsm.hpp"
 #include "harness.hpp"
 #include "obs/metrics.hpp"
@@ -81,8 +82,9 @@ std::vector<Op> make_ops(pb::Rng& rng) {
 
 namespace baseline {
 
-// Copy of QsmMachine's phase protocol as of the obs PR with the
-// observer slot and obs::phase_hook removed — nothing else. Every
+// Copy of QsmMachine's phase protocol with the observer slot and
+// obs::phase_hook removed — nothing else (its parallel write-apply pass
+// never runs on this bench's one-shard phases). Every
 // accounting pass, branch (clash, EREW, record_detail, write
 // resolution), container, and throw site matches the engine, and
 // noinline keeps the whole protocol outlined calls the way the library
@@ -124,33 +126,25 @@ class Qsm {
     st.reads = reads_.size();
     st.writes = writes_.size();
 
-    proc_hist_.reset();
-    for (const auto& r : reads_) proc_hist_.add(r.proc);
-    st.m_rw = std::max(st.m_rw, proc_hist_.max_run());
-    proc_hist_.reset();
-    for (const auto& w : writes_) proc_hist_.add(w.proc);
-    st.m_rw = std::max(st.m_rw, proc_hist_.max_run());
+    const unsigned shards =
+        pb::detail::commit_shard_count(st.reads + st.writes);
+    if (shards > 1) ph.commit_shards = shards;
+    proc_.scan(shards, st.writes,
+               [this](std::uint64_t i) { return writes_[i].proc; });
+    st.m_rw = std::max(st.m_rw, proc_.max_run());
+    proc_.scan(shards, st.reads,
+               [this](std::uint64_t i) { return reads_[i].proc; });
+    st.m_rw = std::max(st.m_rw, proc_.max_run());
+    raddr_.scan(shards, st.reads,
+                [this](std::uint64_t i) { return reads_[i].addr; });
+    waddr_.scan(shards, st.writes,
+                [this](std::uint64_t i) { return writes_[i].addr; });
+    st.kappa_r = std::max(st.kappa_r, raddr_.max_run());
+    st.kappa_w = std::max(st.kappa_w, waddr_.max_run());
+    const std::optional<pb::Addr> clash =
+        pb::detail::PhaseScan::min_common(raddr_, waddr_);
+    pb::detail::charge_local_ops(locals_, st);
 
-    local_scratch_.clear();
-    for (const auto& l : locals_) local_scratch_.push_back({l.proc, l.ops});
-    const auto locals = pb::detail::sort_max_run_sum(local_scratch_);
-    st.m_op = std::max(st.m_op, locals.max_run);
-    st.ops += locals.total;
-
-    raddr_hist_.reset();
-    for (const auto& r : reads_) raddr_hist_.add(r.addr);
-    st.kappa_r = std::max(st.kappa_r, raddr_hist_.max_run());
-    waddr_hist_.reset();
-    std::optional<pb::Addr> clash;
-    for (const auto& w : writes_) {
-      if (raddr_hist_.count(w.addr) > 0 && (!clash || w.addr < *clash))
-        clash = w.addr;
-      waddr_hist_.add(w.addr);
-    }
-    st.kappa_w = std::max(st.kappa_w, waddr_hist_.max_run());
-    if (const auto spill_clash = pb::detail::first_common(
-            raddr_hist_.spill(), waddr_hist_.spill()))
-      if (!clash || *spill_clash < *clash) clash = *spill_clash;
     if (clash)
       throw pb::ModelViolation("cell " + std::to_string(*clash) +
                                " both read and written in one phase");
@@ -162,13 +156,11 @@ class Qsm {
     ph.cost = pb::phase_cost(cfg_.model, cfg_.g, st, cfg_.d);
     time_ += ph.cost;
 
-    inboxes_.begin_phase();
-    for (const auto& r : reads_) {
-      const pb::Word* cell = mem_.find(r.addr);
-      const pb::Word v = (cell == nullptr) ? 0 : *cell;
-      inboxes_.box(r.proc).push_back(v);
-      if (cfg_.record_detail) ph.events.push_back({r.proc, r.addr, v, false});
-    }
+    auto& pool = pb::runtime::ParallelFor::pool();
+    const bool par_apply =
+        shards > 1 && !cfg_.record_detail && pool.threads() > 1;
+    pb::detail::deliver_word_reads(reads_, mem_, inboxes_, proc_, par_apply,
+                                   cfg_.record_detail ? &ph.events : nullptr);
 
     if (cfg_.writes == pb::WriteResolution::LastQueued) {
       for (const auto& w : writes_) {
@@ -212,10 +204,6 @@ class Qsm {
     pb::Addr addr;
     pb::Word value;
   };
-  struct LocalReq {
-    pb::ProcId proc;
-    std::uint64_t ops;
-  };
 
   pb::QsmConfig cfg_;
   pb::Rng rng_;
@@ -226,13 +214,12 @@ class Qsm {
 
   std::vector<ReadReq> reads_;
   std::vector<WriteReq> writes_;
-  std::vector<LocalReq> locals_;
+  std::vector<std::pair<pb::ProcId, std::uint64_t>> locals_;
   pb::InboxTable<std::vector<pb::Word>> inboxes_;
 
-  pb::detail::KeyHistogram proc_hist_{pb::detail::kProcHistogramLimit};
-  pb::detail::KeyHistogram raddr_hist_{pb::detail::kAddrHistogramLimit};
-  pb::detail::KeyHistogram waddr_hist_{pb::detail::kAddrHistogramLimit};
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> local_scratch_;
+  pb::detail::PhaseScan proc_{pb::detail::kProcHistogramLimit};
+  pb::detail::PhaseScan raddr_{pb::detail::kAddrHistogramLimit};
+  pb::detail::PhaseScan waddr_{pb::detail::kAddrHistogramLimit};
   std::vector<std::pair<pb::Addr, std::uint32_t>> wgroup_scratch_;
 };
 

@@ -4,8 +4,8 @@
 // Every number this reproduction reports rests on source discipline
 // the engines cannot check at runtime: shard boundaries must be pure
 // functions of n, merges must be commutative exact-integer ops, and
-// wall-clock/RNG must never leak into committed state (commit.merge_ns
-// being the one documented telemetry exception — docs/PERF.md).
+// wall-clock/RNG must never leak into committed state or the metrics
+// block (commit timing lives in spans only — docs/PERF.md).
 // parlint (analysis/parlint.hpp) certifies execution traces after the
 // fact; detlint closes the gap *before* execution by scanning the
 // sources themselves. The rules are lexical (analysis/static/

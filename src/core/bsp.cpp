@@ -1,9 +1,8 @@
 #include "core/bsp.hpp"
 
 #include <algorithm>
-#include <chrono>
 
-#include "obs/telemetry.hpp"
+#include "core/commit_tail.hpp"
 #include "runtime/parallel_for.hpp"
 
 namespace parbounds {
@@ -17,8 +16,6 @@ BspMachine::BspMachine(BspConfig cfg) : cfg_(cfg) {
   trace_.g = cfg_.g;
   trace_.L = cfg_.L;
   inboxes_.resize(cfg_.p);
-  send_cnt_.assign(cfg_.p, 0);
-  recv_cnt_.assign(cfg_.p, 0);
   work_cnt_.assign(cfg_.p, 0);
 }
 
@@ -49,42 +46,16 @@ const PhaseTrace& BspMachine::commit_superstep() {
   PhaseTrace ph;
   PhaseStats& st = ph.stats;
 
-  // Dense per-processor tallies (endpoints are range-checked at issue
-  // time). Maxima are tracked as the counters rise, and the counters are
-  // re-zeroed by a second pass over the same requests, so a superstep's
-  // accounting costs O(#requests) with no hashing and no O(p) sweep.
-  // Large supersteps take the sharded scans over the same send stream
-  // (path picked by size alone; see phase_scan.hpp).
-  std::uint64_t h = 0;
-  std::uint64_t fan_in = 0;
-  const bool sharded =
-      sends_.size() >= detail::commit_shard_min_requests();
-  if (sharded) {
-    ph.commit_shards = detail::kCommitShards;
-    ssrc_.scan(sends_.size(),
-               [this](std::uint64_t i) { return sends_[i].src; });
-    sdst_.scan(sends_.size(),
-               [this](std::uint64_t i) { return sends_[i].dst; });
-    // DETLINT(det.wall-clock): merge_ns telemetry exception (docs/PERF.md)
-    const auto merge_t0 = std::chrono::steady_clock::now();
-    fan_in = sdst_.max_run();
-    h = std::max(ssrc_.max_run(), fan_in);
-    ph.commit_merge_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            // DETLINT(det.wall-clock): merge_ns telemetry exception (docs/PERF.md)
-            std::chrono::steady_clock::now() - merge_t0)
-            .count());
-  } else {
-    for (const auto& s : sends_) {
-      h = std::max(h, ++send_cnt_[s.src]);
-      fan_in = std::max(fan_in, ++recv_cnt_[s.dst]);
-    }
-    h = std::max(h, fan_in);
-    for (const auto& s : sends_) {
-      send_cnt_[s.src] = 0;
-      recv_cnt_[s.dst] = 0;
-    }
-  }
+  // Per-processor send and receive counts (endpoints are range-checked
+  // at issue time); h is the larger of the two maxima.
+  const unsigned shards = detail::commit_shard_count(sends_.size());
+  if (shards > 1) ph.commit_shards = shards;
+  src_.scan(shards, sends_.size(),
+            [this](std::uint64_t i) { return sends_[i].src; });
+  dst_.scan(shards, sends_.size(),
+            [this](std::uint64_t i) { return sends_[i].dst; });
+  const std::uint64_t fan_in = dst_.max_run();
+  const std::uint64_t h = std::max(src_.max_run(), fan_in);
   for (const auto& [proc, ops] : locals_) {
     work_cnt_[proc] += ops;
     st.m_op = std::max(st.m_op, work_cnt_[proc]);
@@ -110,7 +81,7 @@ const PhaseTrace& BspMachine::commit_superstep() {
   // box is cleared and appended to by exactly one shard — the delivered
   // state is identical to the serial loop.
   auto& pool = runtime::ParallelFor::pool();
-  if (sharded && !cfg_.record_detail && pool.threads() > 1) {
+  if (shards > 1 && !cfg_.record_detail && pool.threads() > 1) {
     pool.for_shards(cfg_.p, detail::kCommitShards,
                     [&](unsigned s, std::uint64_t plo, std::uint64_t phi) {
                       obs::Span span(obs::process_tracer(), "commit.shard", s);
@@ -129,11 +100,7 @@ const PhaseTrace& BspMachine::commit_superstep() {
     }
   }
 
-  trace_.phases.push_back(std::move(ph));
-  if (observer_ != nullptr)
-    observer_->on_phase_committed(trace_, trace_.phases.size() - 1);
-  obs::phase_hook(trace_, trace_.phases.size() - 1);
-  return trace_.phases.back();
+  return detail::publish_phase(trace_, std::move(ph), observer_);
 }
 
 std::span<const Message> BspMachine::inbox(ProcId proc) const {

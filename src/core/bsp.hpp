@@ -96,16 +96,12 @@ class BspMachine {
   std::vector<std::pair<ProcId, std::uint64_t>> locals_;
   std::vector<std::vector<Message>> inboxes_;
 
-  // Dense per-processor counters (p is fixed at construction). They are
-  // zero between supersteps: commit_superstep re-zeroes exactly the
-  // entries it touched, so accounting is O(#requests), not O(p).
-  std::vector<std::uint64_t> send_cnt_;
-  std::vector<std::uint64_t> recv_cnt_;
+  // Reusable accounting scratch for commit_superstep: per-processor
+  // send/receive scans and dense local-work counters (p is fixed at
+  // construction), zero between supersteps.
+  detail::PhaseScan src_{detail::kProcHistogramLimit};
+  detail::PhaseScan dst_{detail::kProcHistogramLimit};
   std::vector<std::uint64_t> work_cnt_;
-
-  // Sharded counterparts for large supersteps (see phase_scan.hpp).
-  detail::ShardedScan ssrc_{detail::kProcHistogramLimit};
-  detail::ShardedScan sdst_{detail::kProcHistogramLimit};
 };
 
 }  // namespace parbounds

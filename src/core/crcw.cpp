@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <optional>
 #include <string>
 
-#include "core/phase_scan.hpp"
-#include "obs/telemetry.hpp"
+#include "core/commit_tail.hpp"
 #include "runtime/parallel_for.hpp"
 
 namespace parbounds {
@@ -65,83 +63,35 @@ const PhaseTrace& CrcwMachine::commit_step() {
   st.reads = reads_.size();
   st.writes = writes_.size();
 
-  // The PRAM charges reads and writes jointly per processor. Large
-  // steps take the sharded scans (path picked by size alone; see
-  // phase_scan.hpp for the bit-identical merge argument).
-  const std::uint64_t nr = reads_.size();
-  const bool sharded =
-      nr + writes_.size() >= detail::commit_shard_min_requests();
-  if (sharded) {
-    ph.commit_shards = detail::kCommitShards;
-    sproc_.scan(nr + writes_.size(), [&](std::uint64_t i) {
-      return i < nr ? reads_[i].proc : writes_[i - nr].proc;
-    });
-    sraddr_.scan(nr, [this](std::uint64_t i) { return reads_[i].addr; });
-    swaddr_.scan(writes_.size(),
-                 [this](std::uint64_t i) { return writes_[i].addr; });
-    // DETLINT(det.wall-clock): merge_ns telemetry exception (docs/PERF.md)
-    const auto merge_t0 = std::chrono::steady_clock::now();
-    st.m_rw = std::max(st.m_rw, sproc_.max_run());
-    st.kappa_r = std::max(st.kappa_r, sraddr_.max_run());
-    st.kappa_w = std::max(st.kappa_w, swaddr_.max_run());
-    ph.commit_merge_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            // DETLINT(det.wall-clock): merge_ns telemetry exception (docs/PERF.md)
-            std::chrono::steady_clock::now() - merge_t0)
-            .count());
-  } else {
-    proc_hist_.reset();
-    for (const auto& r : reads_) proc_hist_.add(r.proc);
-    for (const auto& w : writes_) proc_hist_.add(w.proc);
-    st.m_rw = std::max(st.m_rw, proc_hist_.max_run());
-
-    // Contention is recorded (for comparisons) but NOT charged. One
-    // histogram serves both directions, reset in between.
-    addr_hist_.reset();
-    for (const auto& r : reads_) addr_hist_.add(r.addr);
-    st.kappa_r = std::max(st.kappa_r, addr_hist_.max_run());
-    addr_hist_.reset();
-    for (const auto& w : writes_) addr_hist_.add(w.addr);
-    st.kappa_w = std::max(st.kappa_w, addr_hist_.max_run());
-  }
-
-  local_scratch_.assign(locals_.begin(), locals_.end());
-  const auto local_agg = detail::sort_max_run_sum(local_scratch_);
-  st.m_op = std::max(st.m_op, local_agg.max_run);
-  st.ops += local_agg.total;
+  // The PRAM charges reads and writes jointly per processor. Contention
+  // is recorded (for comparisons) but NOT charged.
+  const std::uint64_t nr = st.reads;
+  const unsigned shards = detail::commit_shard_count(nr + st.writes);
+  if (shards > 1) ph.commit_shards = shards;
+  proc_.scan(shards, nr + st.writes, [&](std::uint64_t i) {
+    return i < nr ? reads_[i].proc : writes_[i - nr].proc;
+  });
+  st.m_rw = std::max(st.m_rw, proc_.max_run());
+  // One address scan serves both directions, writes last so the write
+  // resolution below can partition by it.
+  addr_.scan(shards, nr, [this](std::uint64_t i) { return reads_[i].addr; });
+  st.kappa_r = std::max(st.kappa_r, addr_.max_run());
+  addr_.scan(shards, st.writes,
+             [this](std::uint64_t i) { return writes_[i].addr; });
+  st.kappa_w = std::max(st.kappa_w, addr_.max_run());
+  detail::charge_local_ops(locals_, st);
 
   // A PRAM step: every processor does O(1) work; charging max(1, m_op)
   // keeps heavy local computation visible.
   ph.cost = std::max<std::uint64_t>(1, st.m_op);
   time_ += ph.cost;
 
-  // Reads see the pre-step memory. The parallel path partitions
-  // processors into ranges (each box is appended to by exactly one
-  // shard, in issue order — identical delivered state); strategy, not
-  // results, depends on the pool size.
+  // Reads see the pre-step memory. Strategy, not results, depends on the
+  // pool size.
   auto& pool = runtime::ParallelFor::pool();
-  const bool par_apply = sharded && pool.threads() > 1;
-  inboxes_.begin_phase();
-  bool delivered = false;
-  if (par_apply && sproc_.all_dense() &&
-      inboxes_.reserve_dense(sproc_.dense_extent())) {
-    pool.for_shards(sproc_.dense_extent(), detail::kCommitShards,
-                    [&](unsigned s, std::uint64_t plo, std::uint64_t phi) {
-                      obs::Span span(obs::process_tracer(), "commit.shard", s);
-                      for (const auto& r : reads_) {
-                        if (r.proc < plo || r.proc >= phi) continue;
-                        const Word* cell = mem_.find(r.addr);
-                        inboxes_.box(r.proc).push_back(cell ? *cell : 0);
-                      }
-                    });
-    delivered = true;
-  }
-  if (!delivered) {
-    for (const auto& r : reads_) {
-      const Word* cell = mem_.find(r.addr);
-      inboxes_.box(r.proc).push_back(cell == nullptr ? 0 : *cell);
-    }
-  }
+  const bool par_apply = shards > 1 && pool.threads() > 1;
+  detail::deliver_word_reads(reads_, mem_, inboxes_, proc_, par_apply,
+                             nullptr);
 
   // Resolve writes per rule over addr-sorted groups; within a group the
   // index component keeps issue order, so "last queued" and
@@ -192,9 +142,9 @@ const PhaseTrace& CrcwMachine::commit_step() {
   };
 
   bool resolved = false;
-  if (par_apply && swaddr_.all_dense() &&
-      mem_.reserve_dense(swaddr_.dense_extent())) {
-    const std::uint64_t extent = swaddr_.dense_extent();
+  if (par_apply && addr_.all_dense() &&
+      mem_.reserve_dense(addr_.dense_extent())) {
+    const std::uint64_t extent = addr_.dense_extent();
     std::array<std::optional<Addr>, detail::kCommitShards> conflict{};
     pool.for_shards(extent, detail::kCommitShards,
                     [&](unsigned s, std::uint64_t alo, std::uint64_t ahi) {
@@ -226,11 +176,7 @@ const PhaseTrace& CrcwMachine::commit_step() {
                            std::to_string(*c));
   }
 
-  trace_.phases.push_back(std::move(ph));
-  if (observer_ != nullptr)
-    observer_->on_phase_committed(trace_, trace_.phases.size() - 1);
-  obs::phase_hook(trace_, trace_.phases.size() - 1);
-  return trace_.phases.back();
+  return detail::publish_phase(trace_, std::move(ph), observer_);
 }
 
 std::span<const Word> CrcwMachine::inbox(ProcId p) const {

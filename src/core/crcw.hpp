@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/observer.hpp"
+#include "core/phase_scan.hpp"
 #include "core/qsm.hpp"  // ModelViolation
 #include "core/storage.hpp"
 #include "core/trace.hpp"
@@ -89,15 +90,9 @@ class CrcwMachine {
   InboxTable<std::vector<Word>> inboxes_;
 
   // Reusable accounting scratch for commit_step.
-  detail::KeyHistogram proc_hist_{detail::kProcHistogramLimit};
-  detail::KeyHistogram addr_hist_{detail::kAddrHistogramLimit};
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> local_scratch_;
+  detail::PhaseScan proc_{detail::kProcHistogramLimit};
+  detail::PhaseScan addr_{detail::kAddrHistogramLimit};
   std::vector<std::pair<Addr, std::uint32_t>> wgroup_scratch_;
-
-  // Sharded counterparts for large steps (see phase_scan.hpp).
-  detail::ShardedScan sproc_{detail::kProcHistogramLimit};
-  detail::ShardedScan sraddr_{detail::kAddrHistogramLimit};
-  detail::ShardedScan swaddr_{detail::kAddrHistogramLimit};
 
   static const std::vector<Word> kEmptyInbox;
 };

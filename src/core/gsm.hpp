@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "core/observer.hpp"
+#include "core/phase_scan.hpp"
 #include "core/qsm.hpp"  // ModelViolation
 #include "core/storage.hpp"
 #include "core/trace.hpp"
@@ -129,14 +130,9 @@ class GsmMachine {
   InboxTable<std::vector<std::vector<Word>>> inboxes_;
 
   // Reusable accounting scratch for commit_phase.
-  detail::KeyHistogram proc_hist_{detail::kProcHistogramLimit};
-  detail::KeyHistogram raddr_hist_{detail::kAddrHistogramLimit};
-  detail::KeyHistogram waddr_hist_{detail::kAddrHistogramLimit};
-
-  // Sharded counterparts for large phases (see phase_scan.hpp).
-  detail::ShardedScan sproc_{detail::kProcHistogramLimit};
-  detail::ShardedScan sraddr_{detail::kAddrHistogramLimit};
-  detail::ShardedScan swaddr_{detail::kAddrHistogramLimit};
+  detail::PhaseScan proc_{detail::kProcHistogramLimit};
+  detail::PhaseScan raddr_{detail::kAddrHistogramLimit};
+  detail::PhaseScan waddr_{detail::kAddrHistogramLimit};
 
   static const std::vector<std::vector<Word>> kEmpty;
   static const std::vector<Word> kEmptyCell;

@@ -7,12 +7,13 @@
 // engines used to build four `unordered_map`s per phase for this. Two
 // replacements live here:
 //
-//  * KeyHistogram — a dense counter array for small keys (processor ids,
-//    arena addresses) with an O(touched) reset and a sorted-spill
-//    fallback for keys above the dense limit. Multiplicity maxima and
-//    membership probes are O(1) per request, and the counters persist
-//    across phases, so a steady-state commit allocates nothing and
-//    never pays O(key-space).
+//  * PhaseScan — multiplicity counting over one request stream, split
+//    into a shard count that depends on the phase size alone. Each shard
+//    counts into a KeyHistogram: a dense counter array for small keys
+//    (processor ids, arena addresses) with an O(touched) reset and a
+//    sorted-spill fallback for keys above the dense limit. The counters
+//    persist across phases, so a steady-state commit allocates nothing
+//    and never pays O(key-space).
 //  * sort_max_run / sort_max_run_sum / first_common — sorted-run
 //    scanning over reusable key buffers, used for the spill path, for
 //    weighted local-op accounting, and for the ascending-address write
@@ -22,6 +23,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -98,8 +100,8 @@ inline std::optional<std::uint64_t> first_common(
 /// Reusable multiplicity counter over integer keys. Keys below the dense
 /// limit are counted in a flat array that grows geometrically to the
 /// largest key seen (never beyond the limit); keys at or above it spill
-/// into a vector that is sorted on demand. reset() zeroes only the slots
-/// the previous round touched.
+/// into a plain list. reset() zeroes only the slots the previous round
+/// touched.
 ///
 /// Counts are 32-bit: a phase holding 2^32 requests for one key would
 /// exceed memory in the request buffers long before the counter wraps.
@@ -108,36 +110,53 @@ class KeyHistogram {
   explicit KeyHistogram(std::uint64_t dense_limit)
       : dense_limit_(dense_limit) {}
 
-  /// Count one occurrence of `key`.
-  void add(std::uint64_t key) {
-    if (key >= dense_limit_) {
-      spill_.push_back(key);
-      return;
+  /// Count key(i) for every i in [lo, hi). The counter array and its
+  /// extent stay in locals across the loop (they change only when the
+  /// array grows), so an add is one increment plus, for a key new this
+  /// round, one append.
+  template <class KeyFn>
+  void add_range(std::uint64_t lo, std::uint64_t hi, KeyFn&& key) {
+    std::uint32_t* cnt = cnt_.data();
+    std::uint64_t extent = cnt_.size();
+    for (; lo < hi; ++lo) {
+      const std::uint64_t k = key(lo);
+      // The array never outgrows the dense limit, so one bounds check
+      // covers both growth and spilling.
+      if (k >= extent) [[unlikely]] {
+        if (k >= dense_limit_) {
+          spill_.push_back(k);
+          continue;
+        }
+        cnt_.resize(std::min(std::max(k + 1, extent * 2), dense_limit_));
+        cnt = cnt_.data();
+        extent = cnt_.size();
+      }
+      if (cnt[k]++ == 0) touched_.push_back(k);
     }
-    if (key >= cnt_.size())
-      cnt_.resize(std::min(std::max(key + 1, cnt_.size() * 2), dense_limit_));
-    const std::uint32_t c = ++cnt_[key];
-    if (c == 1) touched_.push_back(key);
-    dense_max_ = std::max<std::uint64_t>(dense_max_, c);
   }
 
   /// Multiplicity of a dense key so far this round (always 0 for spilled
-  /// keys — probe the sorted spill() for those).
+  /// keys — those are in spill()).
   std::uint64_t count(std::uint64_t key) const {
     return (key < cnt_.size()) ? cnt_[key] : 0;
   }
 
   /// Extent of the dense counter array (largest key counted is below
-  /// this). Lets ShardedScan bound its key-range aggregation passes.
+  /// this). Lets PhaseScan bound its key-range aggregation passes.
   std::uint64_t dense_size() const { return cnt_.size(); }
 
-  /// Max multiplicity over all keys. Sorts the spill, so call it after
-  /// the round's add() calls.
-  std::uint64_t max_run() {
-    return std::max(dense_max_, sort_max_run(spill_));
+  /// Distinct dense keys counted this round, in first-seen order.
+  const std::vector<std::uint64_t>& touched() const { return touched_; }
+
+  /// Max multiplicity over the dense keys counted this round, in
+  /// O(distinct keys).
+  std::uint64_t dense_max() const {
+    std::uint32_t m = 0;
+    for (const std::uint64_t k : touched_) m = std::max(m, cnt_[k]);
+    return m;
   }
 
-  /// Spilled (>= dense_limit) keys; ascending once max_run() has run.
+  /// Spilled (>= dense_limit) keys, in the order counted.
   const std::vector<std::uint64_t>& spill() const { return spill_; }
 
   /// Forget this round: zero the touched dense slots, drop the spill.
@@ -146,7 +165,6 @@ class KeyHistogram {
     for (const std::uint64_t k : touched_) cnt_[k] = 0;
     touched_.clear();
     spill_.clear();
-    dense_max_ = 0;
   }
 
  private:
@@ -154,7 +172,6 @@ class KeyHistogram {
   std::vector<std::uint32_t> cnt_;
   std::vector<std::uint64_t> touched_;
   std::vector<std::uint64_t> spill_;
-  std::uint64_t dense_max_ = 0;
 };
 
 /// Dense-key bound for processor ids (matches InboxTable::kDenseLimit).
@@ -162,28 +179,33 @@ inline constexpr std::uint64_t kProcHistogramLimit = std::uint64_t{1} << 20;
 /// Dense-key bound for cell addresses (matches the CellStore default).
 inline constexpr std::uint64_t kAddrHistogramLimit = std::uint64_t{1} << 22;
 
-/// Shard count of every sharded commit scan. A fixed constant (not a
-/// thread-count function) so the request-slice boundaries — and with
+/// Shard count of every multi-shard commit scan. A fixed constant (not
+/// a thread-count function) so the request-slice boundaries — and with
 /// them every per-shard histogram — are identical in every pool
 /// configuration.
 inline constexpr unsigned kCommitShards = 8;
 
-/// Request-count floor below which a commit takes the serial scan path;
-/// at or above it the sharded path runs (at any thread count — with one
-/// thread the shards execute inline over the same boundaries, so the
-/// two paths are exercised by size, not by pool size). Mutable so tests
-/// and the bench_hotpath oracle can force either path; written only
-/// between runs, never during a commit.
+/// Request-count floor at which a commit scan splits into kCommitShards
+/// shards; below it the scan is one inline histogram pass. Mutable so
+/// tests and the bench_hotpath oracle can force either shard count;
+/// written only between runs, never during a commit.
 inline std::uint64_t& commit_shard_min_requests() {
   static std::uint64_t v = std::uint64_t{1} << 16;
   return v;
 }
 
-/// Sharded multiplicity counting: the parallel counterpart of one
-/// KeyHistogram pass. scan() slices the request index range [0, n) at
-/// the fixed kCommitShards boundaries and counts each slice into a
-/// private KeyHistogram; the aggregates then *merge* the shards with
-/// commutative operations only —
+/// Shard count for a phase of `requests` requests: 1 below
+/// commit_shard_min_requests(), kCommitShards at or above it — a pure
+/// function of the phase size, never of the thread count (with one
+/// thread the shards execute inline over the same boundaries).
+inline unsigned commit_shard_count(std::uint64_t requests) {
+  return requests >= commit_shard_min_requests() ? kCommitShards : 1;
+}
+
+/// Multiplicity counting over one request stream. scan() slices the
+/// request index range [0, n) into `shards` fixed slices and counts
+/// each into a private KeyHistogram; the aggregates then merge the
+/// shards with commutative operations only —
 ///
 ///   * per-key totals are the SUM of the per-shard counts (addition is
 ///     commutative, so the total never depends on which worker counted
@@ -194,42 +216,45 @@ inline std::uint64_t& commit_shard_min_requests() {
 ///   * min_common() is the MIN key counted by both of two scans (the
 ///     queue-rule clash), again over summed counts.
 ///
-/// Every aggregate is therefore bit-identical to the serial
-/// KeyHistogram result at any thread count. The per-shard histograms
-/// persist across phases exactly like the serial ones (reset is
-/// O(touched)).
-class ShardedScan {
+/// Every aggregate is therefore independent of the shard count and of
+/// the thread count. A one-shard scan runs inline — no pool dispatch,
+/// no span — and its aggregates cost O(keys touched), so a small phase
+/// pays what a single histogram pass costs.
+class PhaseScan {
  public:
-  explicit ShardedScan(std::uint64_t dense_limit)
-      : dense_limit_(dense_limit) {}
+  explicit PhaseScan(std::uint64_t dense_limit) : dense_limit_(dense_limit) {}
 
-  /// Count key(i) for every i in [0, n) across kCommitShards private
-  /// histograms. KeyFn must be safe to call concurrently (a pure read
-  /// of the request buffers).
+  /// Count key(i) for every i in [0, n) over `shards` histograms. KeyFn
+  /// must be safe to call concurrently (a pure read of the request
+  /// buffers). reset() leads each scan, so a phase aborted by a
+  /// violation cannot leak counts into the next one.
   template <class KeyFn>
-  void scan(std::uint64_t n, KeyFn&& key) {
-    if (shards_.empty())
-      shards_.assign(kCommitShards, KeyHistogram(dense_limit_));
-    for (auto& h : shards_) h.reset();
-    spill_all_.clear();
+  void scan(unsigned shards, std::uint64_t n, KeyFn&& key) {
+    if (shards_.size() < shards)
+      shards_.resize(shards, KeyHistogram(dense_limit_));
+    for (KeyHistogram& h : used()) h.reset();
+    used_ = shards;
     spill_sorted_ = false;
-    auto& pool = runtime::ParallelFor::pool();
-    pool.for_shards(n, kCommitShards,
-                    [&](unsigned s, std::uint64_t lo, std::uint64_t hi) {
-                      obs::Span span(obs::process_tracer(), "commit.shard", s);
-                      KeyHistogram& h = shards_[s];
-                      for (std::uint64_t i = lo; i < hi; ++i) h.add(key(i));
-                    });
+    if (shards == 1) {
+      shards_.front().add_range(0, n, key);
+      return;
+    }
+    runtime::ParallelFor::pool().for_shards(
+        n, shards, [&](unsigned s, std::uint64_t lo, std::uint64_t hi) {
+          obs::Span span(obs::process_tracer(), "commit.shard", s);
+          shards_[s].add_range(lo, hi, key);
+        });
   }
 
-  /// Max over all keys of the summed multiplicity. Runs one key-range
-  /// partitioned parallel pass over the dense arrays (partition bounds
-  /// derive from the data extent, not the thread count) plus a sorted
-  /// pass over the concatenated spills.
+  /// Max over all keys of the summed multiplicity. Several shards take
+  /// one key-range partitioned parallel pass over the dense arrays
+  /// (partition bounds derive from the data extent, not the thread
+  /// count); every scan adds a sorted pass over the spilled keys.
   std::uint64_t max_run() {
-    const std::uint64_t extent = dense_extent();
     std::uint64_t best = 0;
-    if (extent > 0) {
+    if (used_ == 1) {
+      best = shards_.front().dense_max();
+    } else if (const std::uint64_t extent = dense_extent(); extent > 0) {
       const unsigned parts = runtime::ParallelFor::shard_count(
           extent, std::uint64_t{1} << 15, kCommitShards);
       std::array<std::uint64_t, kCommitShards> part_max{};
@@ -238,25 +263,28 @@ class ShardedScan {
             std::uint64_t m = 0;
             for (std::uint64_t k = lo; k < hi; ++k) {
               std::uint64_t tot = 0;
-              for (const auto& h : shards_) tot += h.count(k);
+              for (const KeyHistogram& h : used()) tot += h.count(k);
               m = std::max(m, tot);
             }
             part_max[s] = m;
           });
       for (unsigned s = 0; s < parts; ++s) best = std::max(best, part_max[s]);
     }
-    sort_spill();
-    return std::max(best, sort_max_run(spill_all_));
+    return std::max(best, sort_max_run(sorted_spill()));
   }
 
   /// Smallest key counted by both scans, or nullopt — the read-xor-write
-  /// queue-rule clash, identical to the serial probe-plus-spill result.
-  static std::optional<std::uint64_t> min_common(ShardedScan& reads,
-                                                 ShardedScan& writes) {
+  /// queue-rule clash. "Smallest" keeps the violation deterministic.
+  static std::optional<std::uint64_t> min_common(PhaseScan& reads,
+                                                 PhaseScan& writes) {
     std::optional<std::uint64_t> clash;
-    const std::uint64_t extent =
-        std::min(reads.dense_extent(), writes.dense_extent());
-    if (extent > 0) {
+    if (reads.used_ == 1 && writes.used_ == 1) {
+      const KeyHistogram& r = reads.shards_.front();
+      for (const std::uint64_t k : writes.shards_.front().touched())
+        if (r.count(k) > 0 && (!clash || k < *clash)) clash = k;
+    } else if (const std::uint64_t extent = std::min(reads.dense_extent(),
+                                                     writes.dense_extent());
+               extent > 0) {
       const unsigned parts = runtime::ParallelFor::shard_count(
           extent, std::uint64_t{1} << 15, kCommitShards);
       std::array<std::optional<std::uint64_t>, kCommitShards> part_min{};
@@ -264,9 +292,9 @@ class ShardedScan {
           extent, parts, [&](unsigned s, std::uint64_t lo, std::uint64_t hi) {
             for (std::uint64_t k = lo; k < hi; ++k) {
               std::uint64_t r = 0, w = 0;
-              for (const auto& h : reads.shards_) r += h.count(k);
+              for (const KeyHistogram& h : reads.used()) r += h.count(k);
               if (r == 0) continue;
-              for (const auto& h : writes.shards_) w += h.count(k);
+              for (const KeyHistogram& h : writes.used()) w += h.count(k);
               if (w == 0) continue;
               part_min[s] = k;  // first hit in an ascending range = min
               return;
@@ -276,9 +304,8 @@ class ShardedScan {
         if (part_min[s] && (!clash || *part_min[s] < *clash))
           clash = part_min[s];
     }
-    reads.sort_spill();
-    writes.sort_spill();
-    if (const auto sp = first_common(reads.spill_all_, writes.spill_all_))
+    if (const auto sp =
+            first_common(reads.sorted_spill(), writes.sorted_spill()))
       if (!clash || *sp < *clash) clash = *sp;
     return clash;
   }
@@ -286,29 +313,41 @@ class ShardedScan {
   /// Upper bound (exclusive) on the dense keys counted this round.
   std::uint64_t dense_extent() const {
     std::uint64_t e = 0;
-    for (const auto& h : shards_) e = std::max(e, h.dense_size());
+    for (const KeyHistogram& h : used()) e = std::max(e, h.dense_size());
     return e;
   }
 
   /// True when every key this round was dense — the precondition the
   /// engines need before key-range-partitioning a parallel apply pass.
   bool all_dense() const {
-    for (const auto& h : shards_)
+    for (const KeyHistogram& h : used())
       if (!h.spill().empty()) return false;
     return true;
   }
 
  private:
-  void sort_spill() {
-    if (spill_sorted_) return;
-    for (const auto& h : shards_)
-      spill_all_.insert(spill_all_.end(), h.spill().begin(), h.spill().end());
-    std::sort(spill_all_.begin(), spill_all_.end());
-    spill_sorted_ = true;
+  std::span<KeyHistogram> used() { return {shards_.data(), used_}; }
+  std::span<const KeyHistogram> used() const {
+    return {shards_.data(), used_};
+  }
+
+  /// The spilled keys of every shard, concatenated and sorted once per
+  /// scan.
+  std::vector<std::uint64_t>& sorted_spill() {
+    if (!spill_sorted_) {
+      spill_all_.clear();
+      for (const KeyHistogram& h : used())
+        spill_all_.insert(spill_all_.end(), h.spill().begin(),
+                          h.spill().end());
+      std::sort(spill_all_.begin(), spill_all_.end());
+      spill_sorted_ = true;
+    }
+    return spill_all_;
   }
 
   std::uint64_t dense_limit_;
   std::vector<KeyHistogram> shards_;
+  unsigned used_ = 0;  ///< shards of the current scan (0 before the first)
   std::vector<std::uint64_t> spill_all_;
   bool spill_sorted_ = false;
 };

@@ -1,11 +1,9 @@
 #include "core/qsm.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <optional>
 
-#include "core/phase_scan.hpp"
-#include "obs/telemetry.hpp"
+#include "core/commit_tail.hpp"
 #include "runtime/parallel_for.hpp"
 
 namespace parbounds {
@@ -75,74 +73,29 @@ const PhaseTrace& QsmMachine::commit_phase() {
   st.reads = reads_.size();
   st.writes = writes_.size();
 
-  // Path choice is a pure function of the phase size, never of the
-  // thread count: at or above the floor the sharded scans run (inline
-  // on a 1-thread pool, over the same fixed shard boundaries), below it
-  // the serial histograms do. Aggregates are bit-identical either way.
-  const bool sharded =
-      reads_.size() + writes_.size() >= detail::commit_shard_min_requests();
-  std::optional<Addr> clash;
-  if (sharded) {
-    ph.commit_shards = detail::kCommitShards;
-    // Per-processor r_i / w_i, charged as separate maxima (a processor's
-    // reads and writes overlap in the pipeline, they do not add).
-    sproc_r_.scan(reads_.size(),
-                  [this](std::uint64_t i) { return reads_[i].proc; });
-    sproc_w_.scan(writes_.size(),
-                  [this](std::uint64_t i) { return writes_[i].proc; });
-    sraddr_.scan(reads_.size(),
-                 [this](std::uint64_t i) { return reads_[i].addr; });
-    swaddr_.scan(writes_.size(),
-                 [this](std::uint64_t i) { return writes_[i].addr; });
-    // DETLINT(det.wall-clock): merge_ns telemetry exception (docs/PERF.md)
-    const auto merge_t0 = std::chrono::steady_clock::now();
-    st.m_rw = std::max({st.m_rw, sproc_r_.max_run(), sproc_w_.max_run()});
-    st.kappa_r = std::max(st.kappa_r, sraddr_.max_run());
-    st.kappa_w = std::max(st.kappa_w, swaddr_.max_run());
-    clash = detail::ShardedScan::min_common(sraddr_, swaddr_);
-    ph.commit_merge_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            // DETLINT(det.wall-clock): merge_ns telemetry exception (docs/PERF.md)
-            std::chrono::steady_clock::now() - merge_t0)
-            .count());
-  } else {
-    // Per-processor r_i / w_i via one proc-keyed histogram used twice.
-    // reset() leads each use so a phase aborted by a violation cannot
-    // leak counts into the next one.
-    proc_hist_.reset();
-    for (const auto& r : reads_) proc_hist_.add(r.proc);
-    st.m_rw = std::max(st.m_rw, proc_hist_.max_run());
-    proc_hist_.reset();
-    for (const auto& w : writes_) proc_hist_.add(w.proc);
-    st.m_rw = std::max(st.m_rw, proc_hist_.max_run());
-
-    // Per-cell contention and the queue rule (reads XOR writes per
-    // cell). Dense addresses are counted in flat histograms; a write at
-    // a dense address probes the read counter directly, and the (rare)
-    // spilled addresses are cross-checked by a sorted two-pointer pass.
-    // The reported clash is the smallest conflicting address either
-    // way, so the violation stays deterministic.
-    raddr_hist_.reset();
-    for (const auto& r : reads_) raddr_hist_.add(r.addr);
-    st.kappa_r = std::max(st.kappa_r, raddr_hist_.max_run());
-    waddr_hist_.reset();
-    for (const auto& w : writes_) {
-      if (raddr_hist_.count(w.addr) > 0 && (!clash || w.addr < *clash))
-        clash = w.addr;
-      waddr_hist_.add(w.addr);
-    }
-    st.kappa_w = std::max(st.kappa_w, waddr_hist_.max_run());
-    if (const auto spill_clash =
-            detail::first_common(raddr_hist_.spill(), waddr_hist_.spill()))
-      if (!clash || *spill_clash < *clash) clash = *spill_clash;
-  }
-
-  // Per-processor c_i (weighted by ops per request).
-  local_scratch_.clear();
-  for (const auto& l : locals_) local_scratch_.push_back({l.proc, l.ops});
-  const auto locals = detail::sort_max_run_sum(local_scratch_);
-  st.m_op = std::max(st.m_op, locals.max_run);
-  st.ops += locals.total;
+  // Per-processor r_i / w_i, charged as separate maxima (a processor's
+  // reads and writes overlap in the pipeline, they do not add): one
+  // processor scan serves both, readers last so delivery can use it.
+  // Then per-cell contention and the queue rule (reads XOR writes per
+  // cell); the reported clash is the smallest conflicting address, so
+  // the violation stays deterministic.
+  const unsigned shards = detail::commit_shard_count(st.reads + st.writes);
+  if (shards > 1) ph.commit_shards = shards;
+  proc_.scan(shards, st.writes,
+             [this](std::uint64_t i) { return writes_[i].proc; });
+  st.m_rw = std::max(st.m_rw, proc_.max_run());
+  proc_.scan(shards, st.reads,
+             [this](std::uint64_t i) { return reads_[i].proc; });
+  st.m_rw = std::max(st.m_rw, proc_.max_run());
+  raddr_.scan(shards, st.reads,
+              [this](std::uint64_t i) { return reads_[i].addr; });
+  waddr_.scan(shards, st.writes,
+              [this](std::uint64_t i) { return writes_[i].addr; });
+  st.kappa_r = std::max(st.kappa_r, raddr_.max_run());
+  st.kappa_w = std::max(st.kappa_w, waddr_.max_run());
+  const std::optional<Addr> clash =
+      detail::PhaseScan::min_common(raddr_, waddr_);
+  detail::charge_local_ops(locals_, st);
 
   if (clash)
     throw ModelViolation("cell " + std::to_string(*clash) +
@@ -157,37 +110,14 @@ const PhaseTrace& QsmMachine::commit_phase() {
 
   // Deliver reads: values are the cell contents at the start of the phase
   // (writes below have not been applied yet), in issue order per processor.
-  // The parallel path partitions *processors* into ranges — every shard
-  // scans the full read stream but appends only to its own range's
-  // boxes, so each box still receives its values in issue order and the
-  // delivered state is identical to the serial loop. Strategy (not
-  // results) depends on the pool size: a 1-thread pool takes the serial
-  // loop rather than paying kCommitShards scans of the stream.
+  // Strategy (not results) depends on the pool size: a 1-thread pool
+  // takes the serial loops rather than paying kCommitShards scans of the
+  // request streams.
   auto& pool = runtime::ParallelFor::pool();
-  const bool par_apply = sharded && !cfg_.record_detail && pool.threads() > 1;
-  inboxes_.begin_phase();
-  bool delivered = false;
-  if (par_apply && sproc_r_.all_dense() &&
-      inboxes_.reserve_dense(sproc_r_.dense_extent())) {
-    pool.for_shards(sproc_r_.dense_extent(), detail::kCommitShards,
-                    [&](unsigned s, std::uint64_t plo, std::uint64_t phi) {
-                      obs::Span span(obs::process_tracer(), "commit.shard", s);
-                      for (const auto& r : reads_) {
-                        if (r.proc < plo || r.proc >= phi) continue;
-                        const Word* cell = mem_.find(r.addr);
-                        inboxes_.box(r.proc).push_back(cell ? *cell : 0);
-                      }
-                    });
-    delivered = true;
-  }
-  if (!delivered) {
-    for (const auto& r : reads_) {
-      const Word* cell = mem_.find(r.addr);
-      const Word v = (cell == nullptr) ? 0 : *cell;
-      inboxes_.box(r.proc).push_back(v);
-      if (cfg_.record_detail) ph.events.push_back({r.proc, r.addr, v, false});
-    }
-  }
+  const bool par_apply =
+      shards > 1 && !cfg_.record_detail && pool.threads() > 1;
+  detail::deliver_word_reads(reads_, mem_, inboxes_, proc_, par_apply,
+                             cfg_.record_detail ? &ph.events : nullptr);
 
   // Apply writes. With multiple writers to one cell, an arbitrary write
   // succeeds: LastQueued keeps the final request's value; Random picks a
@@ -199,9 +129,9 @@ const PhaseTrace& QsmMachine::commit_phase() {
     // the one shard owning its range, in issue order — the surviving
     // value is the last queued write, exactly as in the serial loop.
     bool applied = false;
-    if (par_apply && swaddr_.all_dense() &&
-        mem_.reserve_dense(swaddr_.dense_extent())) {
-      pool.for_shards(swaddr_.dense_extent(), detail::kCommitShards,
+    if (par_apply && waddr_.all_dense() &&
+        mem_.reserve_dense(waddr_.dense_extent())) {
+      pool.for_shards(waddr_.dense_extent(), detail::kCommitShards,
                       [&](unsigned s, std::uint64_t alo, std::uint64_t ahi) {
                         obs::Span span(obs::process_tracer(), "commit.shard",
                                        s);
@@ -245,11 +175,7 @@ const PhaseTrace& QsmMachine::commit_phase() {
     }
   }
 
-  trace_.phases.push_back(std::move(ph));
-  if (observer_ != nullptr)
-    observer_->on_phase_committed(trace_, trace_.phases.size() - 1);
-  obs::phase_hook(trace_, trace_.phases.size() - 1);
-  return trace_.phases.back();
+  return detail::publish_phase(trace_, std::move(ph), observer_);
 }
 
 std::span<const Word> QsmMachine::inbox(ProcId p) const {

@@ -110,10 +110,6 @@ class QsmMachine {
     Addr addr;
     Word value;
   };
-  struct LocalReq {
-    ProcId proc;
-    std::uint64_t ops;
-  };
 
   QsmConfig cfg_;
   Rng rng_;
@@ -126,25 +122,16 @@ class QsmMachine {
 
   std::vector<ReadReq> reads_;
   std::vector<WriteReq> writes_;
-  std::vector<LocalReq> locals_;
+  std::vector<std::pair<ProcId, std::uint64_t>> locals_;
   InboxTable<std::vector<Word>> inboxes_;
 
   // Reusable accounting scratch for commit_phase (counters and buffer
   // capacity persist across phases; a steady-state commit performs no
   // allocation).
-  detail::KeyHistogram proc_hist_{detail::kProcHistogramLimit};
-  detail::KeyHistogram raddr_hist_{detail::kAddrHistogramLimit};
-  detail::KeyHistogram waddr_hist_{detail::kAddrHistogramLimit};
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> local_scratch_;
+  detail::PhaseScan proc_{detail::kProcHistogramLimit};
+  detail::PhaseScan raddr_{detail::kAddrHistogramLimit};
+  detail::PhaseScan waddr_{detail::kAddrHistogramLimit};
   std::vector<std::pair<Addr, std::uint32_t>> wgroup_scratch_;
-
-  // Sharded counterparts, used when the phase holds at least
-  // commit_shard_min_requests() requests; aggregates are bit-identical
-  // to the serial histograms (see phase_scan.hpp).
-  detail::ShardedScan sproc_r_{detail::kProcHistogramLimit};
-  detail::ShardedScan sproc_w_{detail::kProcHistogramLimit};
-  detail::ShardedScan sraddr_{detail::kAddrHistogramLimit};
-  detail::ShardedScan swaddr_{detail::kAddrHistogramLimit};
 
   static const std::vector<Word> kEmptyInbox;
 };

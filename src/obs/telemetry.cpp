@@ -41,7 +41,6 @@ TelemetryObserver::TelemetryObserver(MetricsRegistry& reg) : reg_(&reg) {
     f.kappa_hist =
         reg.histogram(p + ".kappa", MetricsRegistry::pow2_bounds(0, 16));
     f.commit_shards = reg.counter(p + ".commit.shards");
-    f.commit_merge_ns = reg.counter(p + ".commit.merge_ns");
   }
 }
 
@@ -72,10 +71,7 @@ void TelemetryObserver::on_phase_committed(const ExecutionTrace& t,
   reg_->observe(f.phase_cost_hist, ph.cost);
   reg_->observe(f.kappa_hist, s.kappa());
 
-  if (ph.commit_shards != 0) {
-    reg_->add(f.commit_shards, ph.commit_shards);
-    reg_->add(f.commit_merge_ns, ph.commit_merge_ns);
-  }
+  if (ph.commit_shards != 0) reg_->add(f.commit_shards, ph.commit_shards);
 }
 
 void install_process_telemetry(AnalysisObserver* o) {

@@ -45,13 +45,11 @@ class TelemetryObserver final : public AnalysisObserver {
     MetricsRegistry::Id phases, cost, ops, reads, writes, traffic;
     MetricsRegistry::Id kappa_r_max, kappa_w_max, m_rw_max;
     MetricsRegistry::Id phase_cost_hist, kappa_hist;
-    // Sharded-commit telemetry (phase_scan.hpp): shards the scan ran
-    // over and wall-clock spent merging them. commit.shards is a model-
-    // independent but deterministic count (the path is a pure function
-    // of phase size); commit.merge_ns is wall-clock and therefore the
-    // one documented exception to snapshot bit-identity — it stays 0
-    // whenever no phase took the sharded path.
-    MetricsRegistry::Id commit_shards, commit_merge_ns;
+    // Shards the commit scans ran over (phase_scan.hpp), summed over
+    // the phases that split into more than one. Not a model quantity
+    // but deterministic: the shard count is a pure function of phase
+    // size. Commit wall time lives in the commit.shard spans only.
+    MetricsRegistry::Id commit_shards;
   };
 
   MetricsRegistry* reg_;
@@ -66,6 +64,22 @@ extern std::atomic<AnalysisObserver*> g_process_telemetry;
 /// Install after the observer is fully constructed and detach before it
 /// dies; engines on other threads may fire the hook at any moment.
 void install_process_telemetry(AnalysisObserver* o);
+
+/// Detaches the process-wide telemetry sink for one scope and restores
+/// it on exit: re-executions that exist only to be timed or
+/// cross-checked (a sweep's serial baseline) must not count twice.
+class TelemetryPause {
+ public:
+  TelemetryPause()
+      : saved_(detail::g_process_telemetry.exchange(
+            nullptr, std::memory_order_acq_rel)) {}
+  ~TelemetryPause() { install_process_telemetry(saved_); }
+  TelemetryPause(const TelemetryPause&) = delete;
+  TelemetryPause& operator=(const TelemetryPause&) = delete;
+
+ private:
+  AnalysisObserver* saved_;
+};
 
 /// The engines' per-commit hook. Detached cost: one relaxed-ish atomic
 /// load plus an untaken branch.

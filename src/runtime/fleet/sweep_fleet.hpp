@@ -16,10 +16,8 @@
 // snapshots with MetricsSnapshot::merge_from — commutative, associative
 // — reproduces the cumulative metrics block a single process would
 // have written, regardless of placement, retries, or cache hits. The
-// one caveat is the commit.merge_ns wall-clock exception (docs/PERF.md):
-// phases at or above the shard threshold feed measured nanoseconds into
-// that histogram, so metrics byte-identity holds for sub-threshold
-// phases only (docs/SERVICE.md#fleet).
+// metrics block holds no wall-clock quantity, so this holds at every
+// phase size (docs/SERVICE.md#fleet).
 
 #include <cstdint>
 #include <string>

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <utility>
 
+#include "obs/telemetry.hpp"
 #include "util/stats.hpp"
 
 namespace parbounds::runtime {
@@ -51,6 +52,9 @@ SweepResult run_sweep(const ExperimentRunner& runner, std::string title,
   out.wall_ms = ms_since(t0);
 
   if (serial_baseline) {
+    // The baseline re-executes every trial; the metrics block counts
+    // each trial once, as a --workers run does.
+    const obs::TelemetryPause no_double_count;
     const ExperimentRunner serial({.jobs = 1});
     const auto t1 = Clock::now();
     const auto again = run_all(serial, cells, cell_of, base_seed);

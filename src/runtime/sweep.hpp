@@ -86,7 +86,9 @@ std::vector<CellResult> aggregate_cells(const std::vector<SweepCell>& cells,
 
 /// Execute every (cell, repetition) trial through `runner`. When
 /// `serial_baseline` is set, the whole sweep is re-run on one thread to
-/// time the serial path and cross-check bit-identical results.
+/// time the serial path and cross-check bit-identical results; the
+/// process telemetry is detached for that re-run, so the metrics block
+/// counts every trial once.
 SweepResult run_sweep(const ExperimentRunner& runner, std::string title,
                       std::uint64_t base_seed, std::vector<SweepCell> cells,
                       bool serial_baseline = false);

@@ -50,9 +50,10 @@
 
 namespace parbounds::service {
 
-/// Bumped whenever a change makes previously cached costs stale (a cost
-/// model fix, a kernel change). Part of every cache key.
-inline constexpr const char* kCodeVersion = "parbounds-service-v1";
+/// Bumped whenever a change makes previously cached entries stale (a
+/// cost model fix, a kernel change, a change to the metrics a fleet
+/// cell entry stores). Part of every cache key.
+inline constexpr const char* kCodeVersion = "parbounds-service-v2";
 
 enum class Op : std::uint8_t { Run, Cell, Stats, Ping, Shutdown };
 
@@ -135,7 +136,7 @@ bool decode_response_binary(std::string_view payload, Response& out,
 
 // ----- cache keying ---------------------------------------------------------
 
-/// "parbounds-service-v1|engine=E|workload=W|k1=v1|...|seed=S" with the
+/// "parbounds-service-v2|engine=E|workload=W|k1=v1|...|seed=S" with the
 /// params sorted by name. Pure function of the request content.
 std::string canonical_request(const Request& req);
 

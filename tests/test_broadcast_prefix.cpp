@@ -70,9 +70,12 @@ TEST(BspBroadcast, SuperstepsCostL) {
 
 // ----- prefix sums -----------------------------------------------------------
 
+// gtest names each case after the parameter's raw bytes, so the struct has
+// no padding: padding bytes are indeterminate and would make the names vary
+// from run to run.
 struct PrefixCase {
   std::uint64_t n;
-  unsigned fanin;
+  std::uint64_t fanin;
 };
 
 class PrefixSweep : public ::testing::TestWithParam<PrefixCase> {};
@@ -86,7 +89,7 @@ TEST_P(PrefixSweep, MatchesExclusiveScan) {
   const Addr in = m.alloc(n);
   m.preload(in, input);
 
-  const Addr out = qsm_prefix(m, in, n, fanin);
+  const Addr out = qsm_prefix(m, in, n, static_cast<unsigned>(fanin));
   Word acc = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
     ASSERT_EQ(m.peek(out + i), acc) << "i=" << i << " fanin=" << fanin;

@@ -16,6 +16,7 @@
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -168,6 +169,8 @@ constexpr std::uint64_t kProcs = 512;
 constexpr std::uint64_t kCells = 2048;  // reads below kCells/2, writes above
 constexpr unsigned kPhases = 3;
 constexpr std::uint64_t kKnob = 64;  // every test phase takes the sharded path
+// First cell address past the dense histogram range: its counts spill.
+constexpr Addr kSpill = detail::kAddrHistogramLimit;
 
 struct EngineResult {
   std::vector<std::uint64_t> phase_costs;
@@ -175,6 +178,7 @@ struct EngineResult {
   std::uint64_t time = 0;
   std::uint64_t inbox_hash = 0;
   std::uint64_t mem_hash = 0;
+  std::uint64_t spill_kappa = 0;  // kappa of the spilled-address phase
 };
 
 template <class T>
@@ -204,7 +208,19 @@ EngineResult run_qsm(std::uint64_t seed, WriteResolution wr) {
     for (ProcId p = 0; p < kProcs; ++p)
       for (const Word w : m.inbox(p)) fold(out.inbox_hash, w);
   }
+  // A last phase whose contention maximum sits at a spilled address:
+  // every processor reads kSpill and writes one of four spilled cells.
+  m.begin_phase();
+  for (ProcId p = 0; p < kProcs; ++p) {
+    m.read(p, kSpill);
+    m.write(p, kSpill + 1 + p % 4, static_cast<Word>(p + 1));
+  }
+  const PhaseTrace& t = m.commit_phase();
+  out.phase_costs.push_back(t.cost);
+  out.commit_shards.push_back(t.commit_shards);
+  out.spill_kappa = t.stats.kappa();
   for (Addr a = 0; a < kCells; ++a) fold(out.mem_hash, m.peek(a));
+  for (Addr a = kSpill; a <= kSpill + 4; ++a) fold(out.mem_hash, m.peek(a));
   out.time = m.time();
   return out;
 }
@@ -215,6 +231,7 @@ void expect_equal(const EngineResult& a, const EngineResult& b,
   EXPECT_EQ(a.time, b.time) << what;
   EXPECT_EQ(a.inbox_hash, b.inbox_hash) << what;
   EXPECT_EQ(a.mem_hash, b.mem_hash) << what;
+  EXPECT_EQ(a.spill_kappa, b.spill_kappa) << what;
 }
 
 TEST(ShardedCommit, QsmBitIdenticalAcrossPathAndPoolSizes) {
@@ -229,6 +246,7 @@ TEST(ShardedCommit, QsmBitIdenticalAcrossPathAndPoolSizes) {
     EXPECT_TRUE(std::all_of(serial.commit_shards.begin(),
                             serial.commit_shards.end(),
                             [](std::uint64_t s) { return s == 0; }));
+    EXPECT_EQ(serial.spill_kappa, kProcs);
     for (const unsigned t : kPoolSizes) {
       KnobGuard kg(kKnob);
       PoolGuard pg(t);
@@ -260,6 +278,15 @@ EngineResult run_gsm(std::uint64_t seed) {
       for (const auto& cell : m.inbox(p))
         for (const Word w : cell) fold(out.inbox_hash, w);
   }
+  // The spilled-address phase, as for the QSM.
+  m.begin_phase();
+  for (ProcId p = 0; p < kProcs; ++p) {
+    m.read(p, kSpill);
+    m.write(p, kSpill + 1 + p % 4, static_cast<Word>(p + 1));
+  }
+  const PhaseTrace& t = m.commit_phase();
+  out.phase_costs.push_back(t.cost);
+  out.spill_kappa = t.stats.kappa();
   // Strong queuing appends; canonicalize the cell walk by address.
   std::vector<std::pair<Addr, std::uint64_t>> cells;
   m.for_each_cell([&](Addr a, const std::vector<Word>& c) {
@@ -283,6 +310,7 @@ TEST(ShardedCommit, GsmBitIdenticalAcrossPathAndPoolSizes) {
     PoolGuard pg(1);
     serial = run_gsm(11);
   }
+  EXPECT_EQ(serial.spill_kappa, kProcs);
   for (const unsigned t : kPoolSizes) {
     KnobGuard kg(kKnob);
     PoolGuard pg(t);
@@ -372,18 +400,17 @@ TEST(ShardedCommit, CrcwBitIdenticalAcrossPathAndPoolSizes) {
 
 // ----- sharded phase commit: violation reporting -----------------------------
 
-// A QSM phase reading and writing cells 120 and 37 must name the
-// smallest conflicting address — on the serial path and on every
-// sharded configuration.
-std::string qsm_clash_message() {
-  QsmMachine m({.g = 1});
+// One queue-rule probe: every processor reads each of `reads` and
+// writes each of `writes`.
+template <class Machine>
+std::string clash_message(const std::vector<Addr>& reads,
+                          const std::vector<Addr>& writes) {
+  Machine m;
   (void)m.alloc(kCells);
   m.begin_phase();
   for (ProcId p = 0; p < kProcs; ++p) {
-    m.read(p, 120);
-    m.read(p, 37);
-    m.write(p, 120, 1);
-    m.write(p, 37, 2);
+    for (const Addr a : reads) m.read(p, a);
+    for (const Addr a : writes) m.write(p, a, static_cast<Word>(a % 7 + 1));
   }
   try {
     m.commit_phase();
@@ -391,6 +418,37 @@ std::string qsm_clash_message() {
     return e.what();
   }
   return "(no violation)";
+}
+
+// Probes whose clashes (or non-clashes) sit at spilled addresses: the
+// violation text must be `expect` at one shard and at kCommitShards
+// shards, at every pool size.
+struct ClashCase {
+  std::vector<Addr> reads, writes;
+  std::string expect;
+};
+
+template <class Machine>
+void expect_stable_clashes(const std::vector<ClashCase>& cases) {
+  for (const ClashCase& c : cases)
+    for (const unsigned t : kPoolSizes)
+      for (const std::uint64_t knob : {kForceSerial, kKnob}) {
+        KnobGuard kg(knob);
+        PoolGuard pg(t);
+        EXPECT_EQ(clash_message<Machine>(c.reads, c.writes), c.expect)
+            << "threads=" << t << " knob=" << knob;
+      }
+}
+
+std::string qsm_clash_cell(Addr a) {
+  return "cell " + std::to_string(a) + " both read and written in one phase";
+}
+
+// A QSM phase reading and writing cells 120 and 37 must name the
+// smallest conflicting address — on the serial path and on every
+// sharded configuration.
+std::string qsm_clash_message() {
+  return clash_message<QsmMachine>({120, 37}, {120, 37});
 }
 
 TEST(ShardedCommit, QsmClashNamesSmallestAddressAtEveryPoolSize) {
@@ -406,22 +464,18 @@ TEST(ShardedCommit, QsmClashNamesSmallestAddressAtEveryPoolSize) {
     PoolGuard pg(t);
     EXPECT_EQ(qsm_clash_message(), serial) << "threads=" << t;
   }
+  expect_stable_clashes<QsmMachine>({
+      {{37, kSpill + 7}, {120, kSpill + 7}, qsm_clash_cell(kSpill + 7)},
+      {{kSpill + 9, 37, kSpill + 3},
+       {kSpill + 3, kSpill + 9},
+       qsm_clash_cell(kSpill + 3)},
+      {{kSpill + 9, 37}, {kSpill + 9, 37}, qsm_clash_cell(37)},
+      {{37, kSpill}, {120, kSpill + 1}, "(no violation)"},
+  });
 }
 
 std::string gsm_clash_message() {
-  GsmMachine m(GsmConfig{});
-  (void)m.alloc(kCells);
-  m.begin_phase();
-  for (ProcId p = 0; p < kProcs; ++p) {
-    m.read(p, 99);
-    m.write(p, 99, 1);
-  }
-  try {
-    m.commit_phase();
-  } catch (const ModelViolation& e) {
-    return e.what();
-  }
-  return "(no violation)";
+  return clash_message<GsmMachine>({99}, {99});
 }
 
 TEST(ShardedCommit, GsmClashMessageStableAtEveryPoolSize) {
@@ -437,6 +491,10 @@ TEST(ShardedCommit, GsmClashMessageStableAtEveryPoolSize) {
     PoolGuard pg(t);
     EXPECT_EQ(gsm_clash_message(), serial) << "threads=" << t;
   }
+  expect_stable_clashes<GsmMachine>({
+      {{37, kSpill + 7}, {120, kSpill + 7}, serial},
+      {{37, kSpill}, {120, kSpill + 1}, "(no violation)"},
+  });
 }
 
 // CRCW-Common: disagreeing writes to cells 300 and 41; the violation

@@ -9,16 +9,20 @@
 namespace parbounds {
 namespace {
 
+// gtest names each case after the parameter's raw bytes, so the tail that
+// would otherwise be padding is an explicit zeroed field: padding bytes are
+// indeterminate and would make the names vary from run to run.
 struct ReduceCase {
   std::uint64_t n;
   unsigned fanin;
   Combine op;
+  std::uint8_t zero_tail[3] = {};
 };
 
 class ReduceTree : public ::testing::TestWithParam<ReduceCase> {};
 
 TEST_P(ReduceTree, MatchesSequentialFold) {
-  const auto [n, fanin, op] = GetParam();
+  const auto& [n, fanin, op, zero_tail] = GetParam();
   QsmMachine m({.g = 2});
   Rng rng(n * 31 + fanin);
   std::vector<Word> input(n);

@@ -9,16 +9,20 @@
 namespace parbounds {
 namespace {
 
+// gtest names each case after the parameter's raw bytes, so the struct has
+// no padding: padding bytes are indeterminate and would make the names vary
+// from run to run.
 struct SpmdCase {
   std::uint64_t n;
-  unsigned fanin;
+  std::uint64_t fanin;
   std::uint64_t g;
 };
 
 class SpmdParity : public ::testing::TestWithParam<SpmdCase> {};
 
 TEST_P(SpmdParity, MatchesDriverResultAndCost) {
-  const auto [n, fanin, g] = GetParam();
+  const auto [n, wide_fanin, g] = GetParam();
+  const auto fanin = static_cast<unsigned>(wide_fanin);
   Rng rng(n + fanin);
   const auto input = bernoulli_array(n, 0.5, rng);
   Word want = 0;

@@ -67,6 +67,12 @@
 #      configuration and a pipeline_speedup floor that scales with the
 #      host (>=4 cores gates at 1.5x; 1-core CI boxes gate at 1.0 and
 #      lean on the oracle; see docs/PERF.md, "Fleet throughput").
+#  13. the determinism stage (full mode only): Release bench reports
+#      must be byte-identical, metrics block included, once the
+#      wall-clock fields, the host block and the --jobs/--threads echo
+#      are stripped — bench_table4_rounds twice at --jobs 2 and once at
+#      --jobs 1, bench_table1_qsm_time at --jobs 4 and at --workers 4.
+#      Both benches run phases above the 2^16-request shard threshold.
 #
 # Usage: tools/run_checks.sh [--quick] [--require-tidy] [build-dir]
 #
@@ -317,6 +323,51 @@ EOF
   rm -rf "${dir}"
 }
 
+# Determinism stage. $1 is a Release build dir holding the bench
+# binaries. Each report is normalized by a sed that drops only what may
+# legitimately differ between runs: the wall-clock fields (wall_ms,
+# serial_wall_ms, speedup_vs_serial), the host block, and the echo of
+# the --jobs/--threads setting under test. Everything else — every cell
+# cost and the whole metrics block — must match byte for byte.
+run_determinism_stage() {
+  local bench="$1/bench"
+  local dir
+  dir="$(mktemp -d)"
+  normalize() {
+    sed -E -e 's/,"(wall_ms|serial_wall_ms|speedup_vs_serial)":[^,}]*//g' \
+      -e 's/,"host":\{[^}]*\}//' \
+      -e 's/"(jobs|threads)":[0-9]+/"\1":_/g' "$1"
+  }
+  same() {
+    if ! diff <(normalize "$1") <(normalize "$2") >/dev/null; then
+      echo "determinism: $(basename "$1") and $(basename "$2") differ" >&2
+      diff <(normalize "$1") <(normalize "$2") | head -c 2000 >&2 || true
+      exit 1
+    fi
+  }
+  echo "==> determinism: bench_table4_rounds twice at --jobs 2, once at --jobs 1"
+  "${bench}/bench_table4_rounds" --jobs 2 --json "${dir}/t4_jobs2_a.json" \
+    >/dev/null 2>&1
+  "${bench}/bench_table4_rounds" --jobs 2 --json "${dir}/t4_jobs2_b.json" \
+    >/dev/null 2>&1
+  "${bench}/bench_table4_rounds" --jobs 1 --json "${dir}/t4_jobs1.json" \
+    >/dev/null 2>&1
+  same "${dir}/t4_jobs2_a.json" "${dir}/t4_jobs2_b.json"
+  same "${dir}/t4_jobs2_a.json" "${dir}/t4_jobs1.json"
+  echo "==> determinism: bench_table1_qsm_time at --jobs 4 and at --workers 4"
+  "${bench}/bench_table1_qsm_time" --jobs 4 --json "${dir}/t1_jobs4.json" \
+    >/dev/null 2>&1
+  "${bench}/bench_table1_qsm_time" --workers 4 \
+    --json "${dir}/t1_workers4.json" >/dev/null 2>&1
+  same "${dir}/t1_jobs4.json" "${dir}/t1_workers4.json"
+  if ! grep -q '"qsm.commit.shards":[1-9]' "${dir}/t1_jobs4.json"; then
+    echo "determinism: no phase crossed the shard threshold" >&2
+    exit 1
+  fi
+  echo "    reports byte-identical (wall-clock, host and jobs fields stripped)"
+  rm -rf "${dir}"
+}
+
 if [[ "${QUICK}" == 1 ]]; then
   BUILD_DIR="${BUILD_DIR:-build-quick}"
   echo "==> [quick] configure into ${BUILD_DIR}"
@@ -430,9 +481,10 @@ ctest --test-dir "${BUILD_DIR}-tsan" -L 'runtime|obs|intra|service|fleet' \
 echo "==> configure (Release, sanitizer-free) into ${BUILD_DIR}-bench"
 cmake -B "${BUILD_DIR}-bench" -S . -DCMAKE_BUILD_TYPE=Release
 
-echo "==> build bench_hotpath + bench_obs_overhead + bench_fleet_throughput"
+echo "==> build bench_hotpath + bench_obs_overhead + bench_fleet_throughput + the determinism benches"
 cmake --build "${BUILD_DIR}-bench" -j "${JOBS}" \
-  --target bench_hotpath bench_obs_overhead bench_fleet_throughput
+  --target bench_hotpath bench_obs_overhead bench_fleet_throughput \
+  bench_table4_rounds bench_table1_qsm_time
 
 echo "==> bench_hotpath smoke (self-verified, speedup floors)"
 # Shard floor per host size (see MIN_SHARD above); the dispatch and
@@ -452,5 +504,7 @@ echo "==> bench_fleet_throughput smoke (pipeline floor + identity oracle)"
 "${BUILD_DIR}-bench/bench/bench_fleet_throughput" --jobs 2 \
   --json "${BUILD_DIR}-bench/BENCH_fleet.json" \
   --min-pipeline-speedup="${MIN_PIPELINE}"
+
+run_determinism_stage "${BUILD_DIR}-bench"
 
 echo "==> all checks passed"
