@@ -7,14 +7,12 @@
 // the model spectrum of Section 2.1 made quantitative, and explains why
 // the paper's three tables differ only in their contention terms.
 //
-// Each program runs once in its own runner trial and is replayed under
-// all four policies from the recorded trace, so the comparison stays
-// "same phases, different charging" while the programs themselves fan
-// out across workers (see harness.hpp for --jobs / --json).
+// Each program is one sweep cell: it runs once and is replayed under all
+// four policies from the recorded trace, so the comparison stays "same
+// phases, different charging". The cell's cost is the QSM charge and
+// every policy's charge rides along as a named value (see harness.hpp
+// for --jobs / --json).
 
-#include <benchmark/benchmark.h>
-
-#include <array>
 #include <cstdio>
 
 #include "harness.hpp"
@@ -22,6 +20,8 @@
 namespace pb = parbounds;
 using parbounds::TextTable;
 using namespace parbounds::bench;
+using parbounds::runtime::CellResult;
+using parbounds::runtime::Trial;
 
 namespace {
 
@@ -38,22 +38,23 @@ double replay_cost(const pb::ExecutionTrace& t, pb::CostModel model,
   return total;
 }
 
-using PolicyCosts = std::array<double, std::size(kModels)>;
-
-PolicyCosts replay_all(const pb::ExecutionTrace& trace, std::uint64_t g) {
-  PolicyCosts costs{};
-  for (std::size_t i = 0; i < std::size(kModels); ++i)
-    costs[i] = replay_cost(trace, kModels[i], g);
-  return costs;
+/// The QSM charge as the cost, every policy's charge by model name.
+Trial replay_all(const pb::ExecutionTrace& trace, std::uint64_t g) {
+  Trial out(replay_cost(trace, kModels[0], g));  // kModels[0] is the QSM
+  for (const pb::CostModel model : kModels)
+    out.values.push_back(
+        {pb::cost_model_name(model), replay_cost(trace, model, g)});
+  return out;
 }
 
-void print_table(const char* title, const PolicyCosts& costs) {
+void print_table(const char* title, const CellResult& c) {
   std::printf("%s", pb::banner(title).c_str());
   TextTable t({"cost model", "total cost", "vs QSM"});
-  const double base = costs[0];  // kModels[0] is the QSM
-  for (std::size_t i = 0; i < std::size(kModels); ++i)
-    t.add_row({pb::cost_model_name(kModels[i]), TextTable::num(costs[i], 0),
-               TextTable::num(costs[i] / std::max(base, 1e-9), 2)});
+  for (const pb::CostModel model : kModels) {
+    const double cost = c.value(pb::cost_model_name(model));
+    t.add_row({pb::cost_model_name(model), TextTable::num(cost, 0),
+               TextTable::num(cost / std::max(c.mean, 1e-9), 2)});
+  }
   std::printf("%s\n", t.render().c_str());
 }
 
@@ -66,7 +67,7 @@ int main(int argc, char** argv) {
                         .c_str());
   const std::uint64_t n = 1 << 14, g = 16;
 
-  const std::function<PolicyCosts()> programs[] = {
+  const std::function<Trial()> programs[] = {
       [&] {
         pb::QsmMachine m({.g = g});
         pb::Rng rng(kSeed);
@@ -114,26 +115,15 @@ int main(int argc, char** argv) {
       "policies nearly coincide)",
       "Broadcast, fan-out g (read queues of width g per level)"};
 
-  const auto rows = parallel_trials<PolicyCosts>(
-      std::size(programs),
-      [&](std::uint64_t i, std::uint64_t) { return programs[i](); });
-  for (std::size_t i = 0; i < rows.size(); ++i)
-    print_table(titles[i], rows[i]);
+  std::vector<parbounds::runtime::SweepCell> cells;
+  for (std::size_t i = 0; i < std::size(programs); ++i) {
+    const std::string title = titles[i];
+    cells.push_back({.key = title.substr(0, title.find(',')),
+                     .run = [&, i](std::uint64_t) { return programs[i](); }});
+  }
+  const auto& res = sweep("contention charging", std::move(cells));
+  for (std::size_t i = 0; i < res.cells.size(); ++i)
+    print_table(titles[i], res.cells[i]);
 
-  benchmark::RegisterBenchmark("sim/contention_replay_probe",
-                               [](benchmark::State& st) {
-                                 pb::QsmMachine m({.g = 16});
-                                 const pb::Addr in = m.alloc(1 << 12);
-                                 pb::Rng rng(kSeed);
-                                 const auto v =
-                                     pb::boolean_array(1 << 12, 3, rng);
-                                 m.preload(in, v);
-                                 pb::or_fanin_qsm(m, in, 1 << 12);
-                                 for (auto _ : st)
-                                   benchmark::DoNotOptimize(replay_cost(
-                                       m.trace(), pb::CostModel::SQsm, 16));
-                               });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return session.finish();
 }

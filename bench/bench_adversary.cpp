@@ -9,11 +9,8 @@
 //     shapes (geometric vs tower) are visible.
 //
 // The exact adversary runs and the Theorem 7.1 success-probability
-// trials fan out through the ExperimentRunner (see harness.hpp for
-// --jobs / --json); the ladder and envelope prints are closed-form and
-// stay serial.
-
-#include <benchmark/benchmark.h>
+// trials are sweep cells (see harness.hpp for --jobs / --json); the
+// ladder and envelope prints are closed-form and stay print-only.
 
 #include <cstdio>
 
@@ -26,6 +23,7 @@ namespace pb = parbounds;
 using parbounds::TextTable;
 using namespace parbounds::bench;
 using parbounds::runtime::SweepCell;
+using parbounds::runtime::Trial;
 
 namespace {
 
@@ -41,37 +39,40 @@ void adversary_vs_or_tree() {
   };
   constexpr Combo combos[] = {{6, 2}, {6, 3}, {8, 2},
                               {8, 3}, {10, 2}, {10, 3}};
-  struct Row {
-    unsigned steps = 0;
-    double forced = 0, fixed = 0;
-    bool good = true;
-  };
-  // The adversary is deterministic given its seed (kSeed + n as before),
-  // so each (n, fanin) cell is an independent trial.
-  const auto rows = parallel_trials<Row>(
-      std::size(combos), [&](std::uint64_t ci, std::uint64_t) {
-        const auto [n, fanin] = combos[ci];
-        pb::RandomAdversary adv(or_tree_algo(fanin), pb::GsmConfig{}, n,
-                                pb::BitDistribution::uniform(n), kSeed + n);
-        pb::PartialInputMap f = pb::PartialInputMap::all_unset(n);
-        Row r;
-        std::uint64_t forced = 0, fixed = 0;
-        for (unsigned phase = 1; phase <= 6; ++phase) {
-          const auto step = adv.refine(phase, f);
-          if (step.forced_rw == 0 && step.forced_contention == 0) break;
-          f = step.f;
-          forced += step.x;
-          fixed += step.inputs_fixed;
-          ++r.steps;
-          const auto ta = adv.analyze(f);
-          const auto rep = pb::check_t_good_s5(
-              ta, std::min(phase, ta.phases()), 1.0, 1.0, n, fixed);
-          r.good = r.good && rep.ok;
-        }
-        r.forced = static_cast<double>(forced);
-        r.fixed = static_cast<double>(fixed);
-        return r;
-      });
+  // The adversary is deterministic given its seed (kSeed + n), so each
+  // (n, fanin) combination is one cell: big-steps forced as the cost,
+  // the step count, inputs fixed and the goodness verdict as values.
+  std::vector<SweepCell> cells;
+  for (const Combo& combo : combos)
+    cells.push_back(
+        {.key = "n=" + std::to_string(combo.n) +
+                ",fanin=" + std::to_string(combo.fanin),
+         .run = [n = combo.n, fanin = combo.fanin](std::uint64_t) {
+           pb::RandomAdversary adv(or_tree_algo(fanin), pb::GsmConfig{}, n,
+                                   pb::BitDistribution::uniform(n), kSeed + n);
+           pb::PartialInputMap f = pb::PartialInputMap::all_unset(n);
+           unsigned steps = 0;
+           bool good = true;
+           std::uint64_t forced = 0, fixed = 0;
+           for (unsigned phase = 1; phase <= 6; ++phase) {
+             const auto step = adv.refine(phase, f);
+             if (step.forced_rw == 0 && step.forced_contention == 0) break;
+             f = step.f;
+             forced += step.x;
+             fixed += step.inputs_fixed;
+             ++steps;
+             const auto ta = adv.analyze(f);
+             const auto rep = pb::check_t_good_s5(
+                 ta, std::min(phase, ta.phases()), 1.0, 1.0, n, fixed);
+             good = good && rep.ok;
+           }
+           return Trial(static_cast<double>(forced),
+                        {{"steps", static_cast<double>(steps)},
+                         {"inputs_fixed", static_cast<double>(fixed)},
+                         {"t_good", good ? 1.0 : 0.0}});
+         }});
+  const auto& res = sweep("Section 5 adversary vs GSM OR trees",
+                          std::move(cells));
 
   std::printf("%s", pb::banner("Section 5 adversary vs GSM OR trees: "
                                "forced work per phase, inputs fixed, "
@@ -79,11 +80,13 @@ void adversary_vs_or_tree() {
                         .c_str());
   TextTable t({"n", "fanin", "steps", "big-steps forced", "inputs fixed",
                "t-good all steps?"});
-  for (std::size_t i = 0; i < std::size(combos); ++i)
+  for (std::size_t i = 0; i < std::size(combos); ++i) {
+    const auto& c = res.cells[i];
     t.add_row({std::to_string(combos[i].n), std::to_string(combos[i].fanin),
-               std::to_string(rows[i].steps), TextTable::num(rows[i].forced, 0),
-               TextTable::num(rows[i].fixed, 0),
-               rows[i].good ? "yes" : "NO"});
+               TextTable::num(c.value("steps"), 0), TextTable::num(c.mean, 0),
+               TextTable::num(c.value("inputs_fixed"), 0),
+               c.value("t_good") != 0.0 ? "yes" : "NO"});
+  }
   std::printf("%s\n", t.render().c_str());
 }
 
@@ -155,25 +158,5 @@ int main(int argc, char** argv) {
   or_tradeoff();
   envelope_shapes();
 
-  benchmark::RegisterBenchmark("adversary/refine_n8", [](benchmark::State&
-                                                             st) {
-    for (auto _ : st) {
-      pb::RandomAdversary adv(or_tree_algo(2), pb::GsmConfig{}, 8,
-                              pb::BitDistribution::uniform(8), kSeed);
-      benchmark::DoNotOptimize(
-          adv.refine(1, pb::PartialInputMap::all_unset(8)));
-    }
-  });
-  benchmark::RegisterBenchmark("adversary/trace_analysis_n10",
-                               [](benchmark::State& st) {
-                                 for (auto _ : st) {
-                                   pb::TraceAnalysis ta(
-                                       or_tree_algo(2), pb::GsmConfig{}, 10,
-                                       pb::PartialInputMap::all_unset(10));
-                                   benchmark::DoNotOptimize(ta.phases());
-                                 }
-                               });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return session.finish();
 }

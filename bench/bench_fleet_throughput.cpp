@@ -22,13 +22,11 @@
 // per configuration and timing starts after a warmup sweep, so spawn
 // cost is excluded and the number is steady-state pipe throughput.
 //
-// Extra flag (stripped before google-benchmark sees argv):
+// Extra flag (stripped before the harness parses argv):
 //   --min-pipeline-speedup=X  fail (exit 1) if the workers=4 binary
 //                             wire speedup < X (default 1.0;
 //                             tools/run_checks.sh passes 1.5 on hosts
 //                             with >= 4 cores)
-
-#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
@@ -273,16 +271,5 @@ int main(int argc, char** argv) {
   std::printf("pipeline_speedup %.3fx (floor %.2fx) — ok\n", speedup_binary,
               min_speedup);
 
-  benchmark::RegisterBenchmark(
-      "fleet/sweep_inproc/jobs1", [base_seed](benchmark::State& st) {
-        pb::runtime::ExperimentRunner runner({.jobs = 1});
-        for (auto _ : st)
-          benchmark::DoNotOptimize(run_sweep(runner, "fleet throughput",
-                                             base_seed, tiny_cells(),
-                                             /*serial_baseline=*/false)
-                                       .cells.size());
-      });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return session.finish();
 }

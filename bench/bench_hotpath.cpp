@@ -37,7 +37,7 @@
 // timing pass then pins the word loops at portable and at the highest
 // supported tier and records the ratios ("simd_speedup" sweep).
 //
-// Extra flags (stripped before google-benchmark sees argv):
+// Extra flags (stripped before the harness parses argv):
 //   --min-phase-speedup=X   fail (exit 1) if the commit speedup < X
 //   --min-degree-speedup=X  fail (exit 1) if the degree speedup < X
 //   --min-shard-speedup=X   fail (exit 1) if the 8-thread sharded
@@ -50,8 +50,6 @@
 // tools/run_checks.sh passes conservative floors; BENCH_hotpath.json
 // records the actually measured ratios in the "speedup",
 // "shard_speedup" and "simd_speedup" sweeps.
-
-#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <bit>
@@ -620,8 +618,7 @@ bool same_costs(const pb::runtime::SweepResult& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip the speedup-floor flags before the harness and google-benchmark
-  // parse argv.
+  // Strip the speedup-floor flags before the harness parses argv.
   double min_phase = 0.0;
   double min_degree = 0.0;
   double min_shard = 0.0;
@@ -1037,15 +1034,5 @@ int main(int argc, char** argv) {
   }
   pool.set_threads(session_threads);
 
-  benchmark::RegisterBenchmark(
-      "sim/qsm_commit/p1024x64", [](benchmark::State& st) {
-        for (auto _ : st) benchmark::DoNotOptimize(qsm_commit_model(kSeed));
-      });
-  benchmark::RegisterBenchmark(
-      "sim/boolfn_degree/n20", [](benchmark::State& st) {
-        for (auto _ : st) benchmark::DoNotOptimize(degree_random20(kSeed));
-      });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return session.finish();
 }

@@ -22,12 +22,10 @@
 // scheduler noise. For reference, the bench also measures the hook with
 // a live TelemetryObserver attached — informational, not gated.
 //
-// Extra flag (stripped before google-benchmark sees argv):
+// Extra flag (stripped before the harness parses argv):
 //   --max-overhead=X  fail (exit 1) if detached/baseline wall ratio > X
 //                     (default 1.05; tools/run_checks.sh passes it
 //                     explicitly)
-
-#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
@@ -352,19 +350,5 @@ int main(int argc, char** argv) {
   std::printf("detached hook overhead %.3fx (limit %.2fx) — ok\n",
               detached_ratio, max_overhead);
 
-  benchmark::RegisterBenchmark("sim/qsm_commit/hook_detached",
-                               [](benchmark::State& st) {
-                                 for (auto _ : st)
-                                   benchmark::DoNotOptimize(
-                                       run_commits<pb::QsmMachine>(kSeed).cost);
-                               });
-  benchmark::RegisterBenchmark("sim/qsm_commit/replica",
-                               [](benchmark::State& st) {
-                                 for (auto _ : st)
-                                   benchmark::DoNotOptimize(
-                                       run_commits<baseline::Qsm>(kSeed).cost);
-                               });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return session.finish();
 }

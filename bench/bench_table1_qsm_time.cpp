@@ -13,8 +13,6 @@
 // All cells fan out through the ExperimentRunner; see harness.hpp for
 // the --jobs / --json flags.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "harness.hpp"
@@ -156,32 +154,5 @@ int main(int argc, char** argv) {
   print_or();
   print_lac();
 
-  // Simulator-throughput timers (wall time; model cost as a counter).
-  benchmark::RegisterBenchmark("sim/parity_circuit_qsm/n=4k/g=16",
-                               [](benchmark::State& st) {
-                                 double cost = 0;
-                                 for (auto _ : st)
-                                   cost = parity_circuit_cost(
-                                       pb::CostModel::Qsm, 4096, 16, kSeed);
-                                 st.counters["model_cost"] = cost;
-                               });
-  benchmark::RegisterBenchmark("sim/or_fanin_qsm/n=64k/g=16",
-                               [](benchmark::State& st) {
-                                 double cost = 0;
-                                 for (auto _ : st)
-                                   cost = or_fanin_cost(pb::CostModel::Qsm,
-                                                        1 << 16, 16, 1, kSeed);
-                                 st.counters["model_cost"] = cost;
-                               });
-  benchmark::RegisterBenchmark(
-      "sim/lac_dart_qsm/n=16k/g=16", [](benchmark::State& st) {
-        double cost = 0;
-        for (auto _ : st)
-          cost = lac_dart_cost(pb::CostModel::Qsm, 1 << 14, 16, 1 << 11,
-                               kSeed);
-        st.counters["model_cost"] = cost;
-      });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return session.finish();
 }

@@ -10,8 +10,6 @@
 // All cells fan out through the ExperimentRunner (see harness.hpp for
 // --jobs / --json).
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "harness.hpp"
@@ -140,24 +138,5 @@ int main(int argc, char** argv) {
   print_lac();
   print_broadcast();
 
-  benchmark::RegisterBenchmark("sim/parity_tree_sqsm/n=64k/g=8",
-                               [](benchmark::State& st) {
-                                 double cost = 0;
-                                 for (auto _ : st)
-                                   cost = parity_tree_cost(
-                                       pb::CostModel::SQsm, 1 << 16, 8, 2,
-                                       kSeed);
-                                 st.counters["model_cost"] = cost;
-                               });
-  benchmark::RegisterBenchmark(
-      "sim/lac_prefix_sqsm/n=16k/g=8", [](benchmark::State& st) {
-        double cost = 0;
-        for (auto _ : st)
-          cost = lac_prefix_cost(pb::CostModel::SQsm, 1 << 14, 8, 1 << 11,
-                                 kSeed, 2);
-        st.counters["model_cost"] = cost;
-      });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return session.finish();
 }

@@ -11,8 +11,6 @@
 // the q = min(n, p) saturation are both visible. All cells fan out
 // through the ExperimentRunner (see harness.hpp for --jobs / --json).
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "harness.hpp"
@@ -140,23 +138,5 @@ int main(int argc, char** argv) {
   print_lac();
   print_q_saturation();
 
-  benchmark::RegisterBenchmark("sim/parity_bsp/n=64k/p=1k",
-                               [](benchmark::State& st) {
-                                 double cost = 0;
-                                 for (auto _ : st)
-                                   cost = parity_bsp_cost(1 << 16, 1024, 2,
-                                                          32, kSeed);
-                                 st.counters["model_cost"] = cost;
-                               });
-  benchmark::RegisterBenchmark("sim/lac_bsp/n=64k/p=256",
-                               [](benchmark::State& st) {
-                                 double cost = 0;
-                                 for (auto _ : st)
-                                   cost = lac_bsp_cost(1 << 16, 256, 2, 32,
-                                                       1 << 13, kSeed);
-                                 st.counters["model_cost"] = cost;
-                               });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return session.finish();
 }

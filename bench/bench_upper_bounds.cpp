@@ -5,8 +5,6 @@
 // A least-squares slope of the ratio against log n is printed; |slope|
 // near 0 means the implementation achieves the claimed growth.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <functional>
 
@@ -17,6 +15,7 @@ namespace pb = parbounds;
 namespace bb = parbounds::bounds;
 using parbounds::TextTable;
 using namespace parbounds::bench;
+using parbounds::runtime::SweepCell;
 
 namespace {
 
@@ -26,16 +25,18 @@ struct Check {
   std::function<double(std::uint64_t n)> claimed;
 };
 
-void run_checks(const std::vector<Check>& checks,
+void run_checks(const std::string& title, const std::vector<Check>& checks,
                 const std::vector<std::uint64_t>& ns) {
-  // One runner trial per (check, n) pair; the measured/claimed ratios
-  // come back in trial order so the per-check fits below are unchanged.
-  const auto ratios = parallel_trials<double>(
-      checks.size() * ns.size(), [&](std::uint64_t trial, std::uint64_t) {
-        const auto& c = checks[trial / ns.size()];
-        const std::uint64_t n = ns[trial % ns.size()];
-        return c.measured(n) / std::max(c.claimed(n), 1e-9);
-      });
+  // One cell per (check, n) pair: the measured cost against the claimed
+  // growth term as its ub; cells come back in declaration order so the
+  // per-check fits below read the same at any --jobs.
+  std::vector<SweepCell> cells;
+  for (const auto& c : checks)
+    for (const std::uint64_t n : ns)
+      cells.push_back({.key = std::string(c.name) + " n=" + std::to_string(n),
+                       .ub = c.claimed(n),
+                       .run = [&c, n](std::uint64_t) { return c.measured(n); }});
+  const auto& res = sweep(title, std::move(cells));
 
   TextTable t({"algorithm", "ratio@min-n", "ratio@max-n", "slope vs log n",
                "verdict"});
@@ -44,7 +45,8 @@ void run_checks(const std::vector<Check>& checks,
     std::vector<double> logn, ratio;
     for (std::size_t ni = 0; ni < ns.size(); ++ni) {
       logn.push_back(pb::safe_log2(static_cast<double>(ns[ni])));
-      ratio.push_back(ratios[ci * ns.size() + ni]);
+      const auto& cell = res.cells[ci * ns.size() + ni];
+      ratio.push_back(cell.mean / std::max(cell.ub, 1e-9));
     }
     const auto fit = pb::linear_fit(logn, ratio);
     const double rel_slope =
@@ -71,10 +73,11 @@ int main(int argc, char** argv) {
   const std::vector<std::uint64_t> big{1u << 10, 1u << 12, 1u << 14,
                                        1u << 16, 1u << 18};
   const std::vector<std::uint64_t> mid{1u << 10, 1u << 12, 1u << 14};
-  const std::uint64_t g = 16, L = 128, p = 256;
+  const std::uint64_t g = 16, p = 256;
 
   std::printf("-- shared-memory algorithms (g = 16) --\n");
   run_checks(
+      "parity upper bounds (g = 16)",
       {
           {"parity tree (s-QSM) vs g log n",
            [&](std::uint64_t n) {
@@ -96,6 +99,7 @@ int main(int argc, char** argv) {
       mid);
 
   run_checks(
+      "OR, broadcast and LAC upper bounds (g = 16)",
       {
           {"OR fan-in g (QSM) vs (g/log g) log n",
            [&](std::uint64_t n) {
@@ -133,6 +137,7 @@ int main(int argc, char** argv) {
 
   std::printf("-- BSP algorithms (g = 2, L = 32, p = 256) --\n");
   run_checks(
+      "BSP upper bounds (g = 2, L = 32, p = 256)",
       {
           {"parity (BSP) vs n/p + L log p/log(L/g)",
            [&](std::uint64_t n) {
@@ -158,15 +163,5 @@ int main(int argc, char** argv) {
       },
       big);
 
-  (void)L;
-  benchmark::RegisterBenchmark("sim/upper_bound_probe/parity_sqsm_64k",
-                               [](benchmark::State& st) {
-                                 for (auto _ : st)
-                                   benchmark::DoNotOptimize(parity_tree_cost(
-                                       pb::CostModel::SQsm, 1 << 16, 16, 2,
-                                       kSeed));
-                               });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return session.finish();
 }

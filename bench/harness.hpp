@@ -4,57 +4,26 @@
 // Every helper builds a fresh machine, stages a workload, runs one
 // algorithm, and returns the MODEL cost (the paper's notion of time), not
 // wall-clock. Each bench binary prints a paper-style table next to the
-// corresponding lower-bound curve and also registers a few
-// google-benchmark timers so the simulator's own throughput is tracked.
+// corresponding lower-bound curve. Every table row that executes a
+// machine is a SweepCell run through sweep() below — the one way a row
+// is executed and reaches the --json report; rows that yield more than
+// a cost (rounds, verdicts, replays) return them as named values.
 //
-// Since the runtime PR, all repeated trials fan out through the
-// work-stealing ExperimentRunner (src/runtime) with deterministic
-// per-trial seeds, so every printed number is bit-identical for any
-// --jobs value. Every bench accepts:
-//
-//   --jobs N       worker threads (default: hardware concurrency)
-//   --threads N    intra-trial ParallelFor pool size (default: the
-//                  resolved --jobs value). Governs sharded phase commit
-//                  and the parallel BoolFn transforms; model costs are
-//                  bit-identical at any value (docs/PERF.md).
-//   --json [PATH]  machine-readable report (default BENCH_<name>.json):
-//                  per-trial costs, aggregates, wall time and the
-//                  speedup over a serial re-run of the same sweeps —
-//                  the re-run doubles as a bit-identity cross-check.
-//   --trace [PATH] Chrome trace-event export (default TRACE_<name>.json,
-//                  chrome://tracing / Perfetto-loadable) of the runner's
-//                  spans, plus a top-N span summary on stderr. --trace
-//                  implies --json, and any json/trace run installs the
-//                  process TelemetryObserver so the report carries a
-//                  per-model "metrics" block (docs/OBSERVABILITY.md).
-//   --via-service  route every sweep through an in-process SweepService
-//                  backed by a content-addressed result cache
-//                  (docs/SERVICE.md). Costs are identical to in-process
-//                  runs (same kernels, same derived seeds); reports are
-//                  written timing-free so a cold run, a warm-cache
-//                  replay and an in-process --jobs 1 run serialize to
-//                  identical bytes. --cache-dir / --cache-bytes tune
-//                  the cache (default CACHE_<name>/, 64 MiB).
-//   --workers N    execute every sweep across N worker PROCESSES — the
-//                  bench binary re-exec'd by a FleetCoordinator
-//                  (docs/SERVICE.md#fleet). The parent's runner and
-//                  pool are pinned to 1 and the merged report —
-//                  including the metrics block, reassembled from
-//                  per-cell worker snapshots — is byte-identical to an
-//                  in-process --jobs 1 run at any N, crashes and
-//                  retries included. Mutually exclusive with
-//                  --via-service. --cache-dir opts into a shared
-//                  cell cache across the fleet.
-//   --fleet-window K  per-worker credit window under --workers: each
-//                  worker holds up to K cells in flight (default 8;
-//                  1 = PR 9 lock-step). Window depth cannot change a
-//                  report byte — responses merge by placement index.
-//                  PARBOUNDS_FLEET_WIRE=text|binary picks the wire
-//                  codec (docs/SERVICE.md#wire-v2; default binary).
-//
-// All flags are stripped before benchmark::Initialize sees argv
-// (src/runtime/harness_flags.*). See docs/RUNTIME.md for the seeding
-// discipline.
+// All trials fan out through the work-stealing ExperimentRunner
+// (src/runtime) with deterministic per-trial seeds, so every printed
+// number is bit-identical for any --jobs value. The flags every bench
+// accepts — and the did-you-mean rejection of anything else — are
+// documented in src/runtime/harness_flags.hpp and docs/RUNTIME.md. The
+// session below gives them their bench meaning: --json defaults to
+// BENCH_<name>.json and --trace to TRACE_<name>.json (--trace implies
+// --json, and either installs the process TelemetryObserver so the
+// report carries a "metrics" block); --via-service routes sweeps of
+// ServiceSpec cells through an in-process SweepService (cache default
+// CACHE_<name>/), --workers across re-exec'd worker processes
+// (docs/SERVICE.md#fleet). Both write timing-free reports: a --workers
+// report is byte-identical to an in-process --jobs 1 run, a
+// via-service one also omits the metrics block (a warm replay executes
+// nothing).
 //
 // The PARBOUNDS_SIMD environment variable (portable|avx2|avx512) pins
 // the BoolFn kernel dispatch level for the whole run; unknown values or
@@ -68,6 +37,7 @@
 // literally the same functions, which is what makes a cached result
 // interchangeable with a local one.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -138,15 +108,14 @@ class BenchSession {
     return s;
   }
 
-  /// Parse and strip --jobs/--json/--trace from argv (call before
-  /// benchmark::Initialize). --json without a path defaults to
+  /// Parse the harness flags from argv. --json without a path defaults to
   /// BENCH_<name>.json, --trace to TRACE_<name>.json; --trace alone
   /// also turns the JSON report on so the trace always ships with its
   /// metrics block.
   void init(int& argc, char** argv, std::string name) {
     // Fleet front door: when this binary was re-exec'd as a fleet
-    // worker, serve requests and exit — before any flag parsing or
-    // google-benchmark setup touches argv.
+    // worker, serve requests and exit — before any flag parsing
+    // touches argv.
     fleet::maybe_run_worker(argc, argv);
     report_.bench = std::move(name);
     report_.seed = kSeed;
@@ -251,7 +220,7 @@ class BenchSession {
     report_.metrics_json = fleet_metrics_.to_json();
   }
 
-  /// Fresh base seed for the next sweep/fan-out, derived from the root
+  /// Fresh base seed for the next sweep, derived from the root
   /// seed and a per-binary ordinal (decouples sweeps from each other).
   std::uint64_t next_base_seed() {
     return runtime::derive_seed(kSeed, 0x5eedULL + sweep_ordinal_++);
@@ -263,10 +232,8 @@ class BenchSession {
     return report_.sweeps.back();
   }
 
-  /// Re-snapshot the registry into the report. Called after every
-  /// sweep/fan-out rather than in finish(): google-benchmark's adaptive
-  /// iteration counts also fire the phase hook, and folding those in
-  /// would make the metrics block wall-clock-dependent.
+  /// Re-snapshot the registry into the report after every sweep, so
+  /// the metrics block counts exactly the sweeps' executions.
   void capture_metrics() {
     if (telemetry_ != nullptr) report_.metrics_json = registry_.snapshot().to_json();
   }
@@ -367,14 +334,19 @@ inline BenchSession& session_init(int& argc, char** argv, std::string name) {
 
 /// Run a sweep through the session runner; the serial baseline (wall
 /// time + bit-identity cross-check) is measured when --json is active.
-/// Under --via-service every cell is routed through the sweep service,
-/// under --workers across the process fleet (same derived seeds, same
-/// kernels, same aggregation); a cell without a ServiceSpec is a hard
-/// error in both modes, not a silent fallback.
+/// Under --via-service a sweep of routable cells goes through the sweep
+/// service, under --workers across the process fleet (same derived
+/// seeds, same kernels, same aggregation). A sweep with no ServiceSpec
+/// at all (audits, multi-value replays) runs on the session runner
+/// under every route; one that mixes routable and closure-only cells
+/// is a hard error there, not a silent fallback.
 inline const runtime::SweepResult& sweep(
     std::string title, std::vector<runtime::SweepCell> cells) {
   auto& s = BenchSession::get();
-  if (s.via_fleet()) {
+  const bool routable =
+      std::any_of(cells.begin(), cells.end(),
+                  [](const runtime::SweepCell& c) { return c.spec.routable(); });
+  if (routable && s.via_fleet()) {
     try {
       obs::MetricsSnapshot snap;
       const auto& res = s.record(fleet::run_sweep_fleet(
@@ -387,7 +359,7 @@ inline const runtime::SweepResult& sweep(
       std::exit(2);
     }
   }
-  if (s.via_service()) {
+  if (routable && s.via_service()) {
     try {
       return s.record(service::run_sweep_via_service(
           s.service(), std::move(title), s.next_base_seed(),
@@ -397,25 +369,23 @@ inline const runtime::SweepResult& sweep(
       std::exit(2);
     }
   }
+  if (s.via_fleet() && s.json_enabled()) {
+    // The fleet's metrics block is merged from per-sweep snapshots, so a
+    // sweep run here contributes its own, observed on a fresh registry.
+    // The runner is pinned to one job, so a serial re-run would only
+    // repeat the run.
+    obs::MetricsRegistry registry;
+    obs::TelemetryObserver telemetry(registry);
+    obs::install_process_telemetry(&telemetry);
+    const auto& res = s.record(runtime::run_sweep(
+        s.runner(), std::move(title), s.next_base_seed(), std::move(cells)));
+    obs::install_process_telemetry(nullptr);
+    s.merge_fleet_metrics(registry.snapshot());
+    return res;
+  }
   return s.record(runtime::run_sweep(s.runner(), std::move(title),
                                      s.next_base_seed(), std::move(cells),
                                      s.json_enabled()));
-}
-
-/// Generic ordered fan-out for benches whose rows aren't plain cost
-/// cells (audits, multi-metric replays). Trial t gets
-/// derive_seed(base, t) for a per-call base seed.
-template <class T>
-std::vector<T> parallel_trials(
-    std::uint64_t count,
-    const std::function<T(std::uint64_t trial, std::uint64_t seed)>& fn) {
-  auto& s = BenchSession::get();
-  const std::uint64_t base = s.next_base_seed();
-  auto out = s.runner().map<T>(count, [&](std::uint64_t t) {
-    return fn(t, runtime::derive_seed(base, t));
-  });
-  s.capture_metrics();
-  return out;
 }
 
 // ----- cost kernels (src/algos/cost_kernels.hpp) ----------------------------

@@ -19,6 +19,15 @@ std::string num(double v) {
   return buf;
 }
 
+void append_array(std::string& out, const std::vector<double>& xs) {
+  out += '[';
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    if (i > 0) out += ',';
+    out += num(xs[i]);
+  }
+  out += ']';
+}
+
 void append_cell(std::string& out, const CellResult& c) {
   out += "{\"key\":\"" + json_escape(c.key) + "\"";
   out += ",\"trials\":" + std::to_string(c.costs.size());
@@ -27,12 +36,20 @@ void append_cell(std::string& out, const CellResult& c) {
   out += ",\"mean\":" + num(c.mean);
   out += ",\"p50\":" + num(c.p50);
   out += ",\"p99\":" + num(c.p99);
-  out += ",\"costs\":[";
-  for (std::size_t i = 0; i < c.costs.size(); ++i) {
-    if (i > 0) out += ',';
-    out += num(c.costs[i]);
+  out += ",\"costs\":";
+  append_array(out, c.costs);
+  if (!c.values.empty()) {
+    // Named per-trial values, only for cells that report them, so
+    // cost-only reports keep their bytes.
+    out += ",\"values\":{";
+    for (std::size_t i = 0; i < c.values.size(); ++i) {
+      if (i > 0) out += ',';
+      out += "\"" + json_escape(c.values[i].first) + "\":";
+      append_array(out, c.values[i].second);
+    }
+    out += '}';
   }
-  out += "]}";
+  out += '}';
 }
 
 void append_sweep(std::string& out, const SweepResult& s,

@@ -1,8 +1,9 @@
 #pragma once
 // Machine-readable bench output. Every bench binary can serialize its
 // executed sweeps as one JSON document (schema "parbounds-bench-v1"):
-// configuration, per-trial model costs, aggregates, wall times and the
-// speedup over the serial baseline. This is what turns BENCH_*.json
+// configuration, per-trial model costs, per-trial named values (only
+// on cells whose trials report them: rounds, phases, verdicts, ...),
+// aggregates, wall times and the speedup over the serial baseline. This is what turns BENCH_*.json
 // into a perf trajectory — model costs are bit-stable across runs and
 // thread counts, so any drift in them is a regression, while the wall
 // fields track the simulator's own throughput.

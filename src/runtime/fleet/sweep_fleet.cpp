@@ -40,7 +40,7 @@ runtime::SweepResult run_sweep_fleet(FleetCoordinator& fleet,
   const std::vector<service::Response> resps =
       fleet.run_requests(std::move(reqs));
 
-  std::vector<double> costs(total, 0.0);
+  std::vector<runtime::Trial> trials(total);
   bool have_snapshot = false;
   if (telemetry != nullptr) *telemetry = obs::MetricsSnapshot();
   for (std::size_t c = 0; c < cells.size(); ++c) {
@@ -53,7 +53,7 @@ runtime::SweepResult run_sweep_fleet(FleetCoordinator& fleet,
           std::to_string(cells[c].trials) + " costs, got " +
           std::to_string(resp.costs.size()));
     for (std::size_t r = 0; r < resp.costs.size(); ++r)
-      costs[trial0[c] + r] = resp.costs[r];
+      trials[trial0[c] + r] = resp.costs[r];
     if (telemetry != nullptr) {
       if (resp.telemetry.empty())
         throw std::runtime_error("cell '" + cells[c].key +
@@ -75,7 +75,7 @@ runtime::SweepResult run_sweep_fleet(FleetCoordinator& fleet,
   runtime::SweepResult out;
   out.title = std::move(title);
   out.base_seed = base_seed;
-  out.cells = aggregate_cells(cells, costs);
+  out.cells = aggregate_cells(cells, trials);
   return out;
 }
 

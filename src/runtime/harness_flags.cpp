@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
+#include <iterator>
+#include <utility>
 #include <vector>
 
 namespace parbounds::runtime {
@@ -23,108 +26,72 @@ std::size_t edit_distance(const std::string& a, const std::string& b) {
 
 namespace {
 
-/// The harness-owned flag namespaces. Tokens under --via-/--cache- that
-/// match none of these are typos, not google-benchmark flags.
-const char* const kServiceFlags[] = {"--via-service", "--cache-dir",
-                                     "--cache-bytes"};
+/// Every flag the harness accepts, in did-you-mean preference order.
+const char* const kFlags[] = {"--jobs",        "--threads",     "--json",
+                              "--trace",       "--via-service", "--cache-dir",
+                              "--cache-bytes", "--workers",     "--fleet-window"};
 
-void reject_unknown_service_flag(const std::string& arg, HarnessFlags& out) {
+/// Reject a token no branch of the parser recognised, naming the flag
+/// it most likely meant: the first flag that contains the token's name
+/// (`--worker`, `--window`), else the nearest by edit distance.
+void reject_unknown(const std::string& arg, HarnessFlags& out) {
   const std::string name = arg.substr(0, arg.find('='));
-  const char* best = kServiceFlags[0];
-  std::size_t best_dist = edit_distance(name, best);
-  for (const char* candidate : kServiceFlags) {
-    const std::size_t d = edit_distance(name, candidate);
-    if (d < best_dist) {
-      best = candidate;
-      best_dist = d;
+  const std::string bare =
+      name.substr(std::min(name.find_first_not_of('-'), name.size()));
+  const char* best = nullptr;
+  for (const char* flag : kFlags)
+    if (!bare.empty() && std::string(flag).find(bare) != std::string::npos) {
+      best = flag;
+      break;
+    }
+  if (best == nullptr) {
+    std::size_t best_dist = std::string::npos;
+    for (const char* flag : kFlags) {
+      const std::size_t d = edit_distance("--" + bare, flag);
+      if (d < best_dist) {
+        best = flag;
+        best_dist = d;
+      }
     }
   }
   out.error = true;
   out.error_message =
-      "unknown flag '" + name + "'; did you mean '" + best + "'?";
+      "unknown argument '" + name + "'; did you mean '" + best + "'?";
 }
 
-/// Parse the value of --cache-bytes, a byte count >= 1 (0 is spelled by
-/// omitting the flag, which takes the library default).
-void set_cache_bytes(const char* text, HarnessFlags& out) {
+/// Parse a positive integer flag value into `dst`. None of these flags
+/// has an "auto" spelling — the default is spelled by omitting the
+/// flag — so a literal 0 is always a mistake; `why` says what to do.
+template <class T>
+void set_positive(const std::string& flag, const char* text, const char* why,
+                  T& dst, HarnessFlags& out) {
   char* end = nullptr;
   const unsigned long long v = std::strtoull(text, &end, 10);
   if (end == text || *end != '\0' || v == 0) {
     out.error = true;
-    out.error_message = std::string("--cache-bytes ") + text +
-                        ": size bound must be a positive byte count";
+    out.error_message = flag + " " + text + ": " + why;
     return;
   }
-  out.cache_bytes = v;
+  dst = static_cast<T>(v);
 }
 
 /// Resolve the optional path after a bare --json/--trace at argv[i].
 /// Consumes argv[i + 1] when it is a plain path; keeps the default when
 /// the next token is another `--flag`; flags an error on a single-dash
 /// token, which the old parser silently swallowed as "no path".
-bool optional_path(const char* flag, int& i, int argc, char** argv,
+void optional_path(const std::string& flag, int& i, int argc, char** argv,
                    std::string& path, HarnessFlags& out) {
-  if (i + 1 >= argc) return true;
+  if (i + 1 >= argc) return;
   const std::string next = argv[i + 1];
   if (next.empty() || next[0] != '-') {
     path = argv[++i];
-    return true;
+    return;
   }
-  if (next.size() >= 2 && next[1] == '-') return true;  // another flag
+  if (next.size() >= 2 && next[1] == '-') return;  // another flag
   out.error = true;
-  out.error_message = std::string(flag) + " " + next +
+  out.error_message = flag + " " + next +
                       ": ambiguous path beginning with '-'; use " + flag +
                       "=" + next + " to force it";
-  return false;
-}
-
-/// Parse the value of --threads (from `text`), enforcing N >= 1. There
-/// is deliberately no --threads 0: "auto" is spelled by omitting the
-/// flag (which follows --jobs), so a literal 0 is always a mistake.
-void set_threads(const char* text, HarnessFlags& out) {
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(text, &end, 10);
-  if (end == text || *end != '\0' || v == 0) {
-    out.error = true;
-    out.error_message = std::string("--threads ") + text +
-                        ": pool size must be a positive integer "
-                        "(omit --threads to follow --jobs)";
-    return;
-  }
-  out.threads = static_cast<unsigned>(v);
-  out.threads_set = true;
-}
-
-/// Parse the value of --workers, enforcing N >= 1. As with --threads
-/// there is no "auto" spelling: fleet-off is spelled by omitting the
-/// flag, so a literal 0 is always a mistake.
-void set_workers(const char* text, HarnessFlags& out) {
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(text, &end, 10);
-  if (end == text || *end != '\0' || v == 0) {
-    out.error = true;
-    out.error_message = std::string("--workers ") + text +
-                        ": fleet width must be a positive integer "
-                        "(omit --workers for in-process execution)";
-    return;
-  }
-  out.workers = static_cast<unsigned>(v);
-}
-
-/// Parse the value of --fleet-window, enforcing K >= 1. There is no
-/// "auto" spelling: the default window is spelled by omitting the
-/// flag, and a window of 0 could never make progress anyway.
-void set_fleet_window(const char* text, HarnessFlags& out) {
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(text, &end, 10);
-  if (end == text || *end != '\0' || v == 0) {
-    out.error = true;
-    out.error_message = std::string("--fleet-window ") + text +
-                        ": credit window must be a positive integer "
-                        "(omit --fleet-window for the default of 8)";
-    return;
-  }
-  out.fleet_window = static_cast<unsigned>(v);
 }
 
 }  // namespace
@@ -133,110 +100,71 @@ HarnessFlags parse_harness_flags(int& argc, char** argv,
                                  const std::string& default_json_path,
                                  const std::string& default_trace_path) {
   HarnessFlags out;
-  int w = 1;
-  for (int i = 1; i < argc; ++i) {
+  // Flags that take a value, spelled `--flag V` or `--flag=V`.
+  const std::pair<const char*, std::function<void(const char*)>> valued[] = {
+      {"--jobs",
+       [&](const char* v) {
+         out.jobs = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+       }},
+      {"--threads",
+       [&](const char* v) {
+         set_positive("--threads", v,
+                      "pool size must be a positive integer "
+                      "(omit --threads to follow --jobs)",
+                      out.threads, out);
+         out.threads_set = !out.error;
+       }},
+      {"--cache-dir", [&](const char* v) { out.cache_dir = v; }},
+      {"--cache-bytes",
+       [&](const char* v) {
+         set_positive("--cache-bytes", v,
+                      "size bound must be a positive byte count",
+                      out.cache_bytes, out);
+       }},
+      {"--workers",
+       [&](const char* v) {
+         set_positive("--workers", v,
+                      "fleet width must be a positive integer "
+                      "(omit --workers for in-process execution)",
+                      out.workers, out);
+       }},
+      {"--fleet-window",
+       [&](const char* v) {
+         set_positive("--fleet-window", v,
+                      "credit window must be a positive integer "
+                      "(omit --fleet-window for the default of 8)",
+                      out.fleet_window, out);
+       }},
+  };
+  for (int i = 1; i < argc && !out.error; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--jobs") {
-      if (i + 1 >= argc) {
-        out.error = true;
-        out.error_message = "--jobs requires a value";
-        break;
-      }
-      out.jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      out.jobs =
-          static_cast<unsigned>(std::strtoul(arg.c_str() + 7, nullptr, 10));
-    } else if (arg == "--threads") {
-      if (i + 1 >= argc) {
-        out.error = true;
-        out.error_message = "--threads requires a value";
-        break;
-      }
-      set_threads(argv[++i], out);
-      if (out.error) break;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      set_threads(arg.c_str() + 10, out);
-      if (out.error) break;
-    } else if (arg == "--json") {
-      out.json_path = default_json_path;
-      if (!optional_path("--json", i, argc, argv, out.json_path, out)) break;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      out.json_path = arg.substr(7);
-    } else if (arg == "--trace") {
-      out.trace_path = default_trace_path;
-      if (!optional_path("--trace", i, argc, argv, out.trace_path, out)) break;
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      out.trace_path = arg.substr(8);
-    } else if (arg == "--via-service") {
+    const std::size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    if (arg == "--via-service") {
       out.via_service = true;
-    } else if (arg == "--cache-dir") {
-      if (i + 1 >= argc) {
-        out.error = true;
-        out.error_message = "--cache-dir requires a value";
-        break;
+    } else if (name == "--json" || name == "--trace") {
+      const bool json = name == "--json";
+      std::string& path = json ? out.json_path : out.trace_path;
+      if (eq != std::string::npos) {
+        path = arg.substr(eq + 1);
+      } else {
+        path = json ? default_json_path : default_trace_path;
+        optional_path(name, i, argc, argv, path, out);
       }
-      out.cache_dir = argv[++i];
-    } else if (arg.rfind("--cache-dir=", 0) == 0) {
-      out.cache_dir = arg.substr(12);
-    } else if (arg == "--cache-bytes") {
-      if (i + 1 >= argc) {
-        out.error = true;
-        out.error_message = "--cache-bytes requires a value";
-        break;
-      }
-      set_cache_bytes(argv[++i], out);
-      if (out.error) break;
-    } else if (arg.rfind("--cache-bytes=", 0) == 0) {
-      set_cache_bytes(arg.c_str() + 14, out);
-      if (out.error) break;
-    } else if (arg == "--workers") {
-      if (i + 1 >= argc) {
-        out.error = true;
-        out.error_message = "--workers requires a value";
-        break;
-      }
-      set_workers(argv[++i], out);
-      if (out.error) break;
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      set_workers(arg.c_str() + 10, out);
-      if (out.error) break;
-    } else if (arg == "--fleet-window") {
-      if (i + 1 >= argc) {
-        out.error = true;
-        out.error_message = "--fleet-window requires a value";
-        break;
-      }
-      set_fleet_window(argv[++i], out);
-      if (out.error) break;
-    } else if (arg.rfind("--fleet-window=", 0) == 0) {
-      set_fleet_window(arg.c_str() + 15, out);
-      if (out.error) break;
-    } else if (arg.rfind("--via-", 0) == 0 || arg.rfind("--cache-", 0) == 0) {
-      reject_unknown_service_flag(arg, out);
-      break;
     } else {
-      // A near-miss of --workers (--worker, --wokers, ...) or of
-      // --fleet-window (--fleet-windw, or the tempting short spelling
-      // --window) must not fall through to google-benchmark: the sweep
-      // would silently run in-process (or lock-step) and look like the
-      // requested fleet run.
-      const std::string name = arg.substr(0, arg.find('='));
-      if (name.rfind("--", 0) == 0 && name != "--workers" &&
-          edit_distance(name, "--workers") <= 2) {
+      const auto* flag =
+          std::find_if(std::begin(valued), std::end(valued),
+                       [&](const auto& f) { return name == f.first; });
+      if (flag == std::end(valued)) {
+        reject_unknown(arg, out);
+      } else if (eq != std::string::npos) {
+        flag->second(argv[i] + eq + 1);
+      } else if (i + 1 < argc) {
+        flag->second(argv[++i]);
+      } else {
         out.error = true;
-        out.error_message =
-            "unknown flag '" + name + "'; did you mean '--workers'?";
-        break;
+        out.error_message = name + " requires a value";
       }
-      if (name.rfind("--", 0) == 0 && name != "--fleet-window" &&
-          (name == "--window" ||
-           edit_distance(name, "--fleet-window") <= 2)) {
-        out.error = true;
-        out.error_message =
-            "unknown flag '" + name + "'; did you mean '--fleet-window'?";
-        break;
-      }
-      argv[w++] = argv[i];
     }
   }
   if (!out.error && out.fleet_window > 0 && out.workers == 0) {
@@ -245,7 +173,7 @@ HarnessFlags parse_harness_flags(int& argc, char** argv,
         "--fleet-window without --workers: the credit window applies to "
         "fleet worker processes (add --workers N)";
   }
-  argc = w;
+  argc = 1;  // every token was consumed (or the parse failed)
   return out;
 }
 

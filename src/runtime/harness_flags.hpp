@@ -30,21 +30,16 @@
 //                   K must be >= 1, and the flag only means something
 //                   with --workers — either misuse is a typed error.
 //
-// Recognized flags are stripped from argv (google-benchmark parses the
-// rest). A bare --json/--trace followed by another `--flag` takes the
-// default path; a following token that begins with a single '-'
-// (e.g. `--json -out.json`) is rejected with a pointer at the
-// unambiguous `--json=-out.json` spelling — the old parser silently
-// dropped the path in that case. Unknown flags normally pass through to
-// google-benchmark, EXCEPT tokens starting with --via- or --cache-:
-// those namespaces belong to the harness, so a typo there is rejected
-// with a did-you-mean hint instead of being silently ignored. The same
-// courtesy covers near-misses of --workers (`--worker`, `--wokers`)
-// and --fleet-window (`--fleet-windw`, plus the tempting short
-// spelling `--window`): any unknown --flag within edit distance 2 of
-// either — or exactly `--window` — is rejected rather than passed
-// through, because a silently dropped fleet flag would run the whole
-// sweep in-process (or lock-step) and look like it worked.
+// Every token must be one of these flags or the value of one: anything
+// else — a typo, a positional token — is rejected with a did-you-mean
+// hint naming the flag that contains the token's name (`--worker`,
+// `--window`) or else the nearest one by edit distance. A silently
+// dropped flag would run the sweep some other way (in-process instead
+// of on the fleet, without the cache) and look like it worked. A bare
+// --json/--trace followed by another `--flag` takes the default path;
+// a following token that begins with a single '-' (e.g. `--json
+// -out.json`) is rejected with a pointer at the unambiguous
+// `--json=-out.json` spelling.
 
 #include <cstdint>
 #include <string>
@@ -72,15 +67,15 @@ struct HarnessFlags {
   }
 };
 
-/// Parse and strip --jobs/--threads/--json/--trace from argv. On error,
-/// `error` is set, `error_message` names the offending token, and argv
-/// is left partially compacted (callers should exit).
+/// Parse the harness flags in argv and strip them (argc becomes 1). On
+/// error, `error` is set and `error_message` names the offending token
+/// (callers should exit).
 HarnessFlags parse_harness_flags(int& argc, char** argv,
                                  const std::string& default_json_path,
                                  const std::string& default_trace_path);
 
 /// Plain Levenshtein distance — small strings, tiny table. Shared by
-/// every did-you-mean rejection (the --via-/--cache- namespaces here,
+/// every did-you-mean rejection (unknown harness flags here,
 /// PARBOUNDS_SIMD values in simd_level.cpp).
 std::size_t edit_distance(const std::string& a, const std::string& b);
 

@@ -31,14 +31,6 @@ ExperimentRunner::ExperimentRunner(RunnerConfig cfg) : jobs_(cfg.jobs) {
   if (jobs_ == 0) jobs_ = std::max(1u, std::thread::hardware_concurrency());
 }
 
-std::vector<double> ExperimentRunner::run(
-    std::uint64_t trials, std::uint64_t base_seed,
-    const std::function<double(std::uint64_t, std::uint64_t)>& fn) const {
-  return map<double>(trials, [&](std::uint64_t t) {
-    return fn(t, derive_seed(base_seed, t));
-  });
-}
-
 bool ExperimentRunner::steal_into(std::vector<detail::Shard>& shards,
                                   unsigned self) {
   // Pick the victim with the most remaining work, then split off its

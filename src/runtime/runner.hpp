@@ -145,11 +145,6 @@ class ExperimentRunner {
     return results;
   }
 
-  /// Seeded double-valued convenience: fn(trial, derive_seed(base, trial)).
-  std::vector<double> run(
-      std::uint64_t trials, std::uint64_t base_seed,
-      const std::function<double(std::uint64_t, std::uint64_t)>& fn) const;
-
  private:
   /// Move the upper half of the fullest victim shard into shards[self].
   /// Returns false when every shard is empty (time to exit).

@@ -1,10 +1,10 @@
 #pragma once
 // Sweep execution: a named grid of cells, each repeated over derived
 // seeds, fanned across the ExperimentRunner and aggregated in trial
-// order. This is the layer the bench harness, the fuzz tests and any
-// future seed-sweep experiment share; the per-cell aggregates
-// (mean/p50/p99) come from util/stats so every consumer summarizes the
-// same way.
+// order. This is the one way a bench row is executed and reaches the
+// JSON report — cost tables, round audits and multi-metric replays
+// alike; the per-cell aggregates (mean/p50/p99) come from util/stats
+// so every consumer summarizes the same way.
 //
 // Seeding discipline: the trial list is the concatenation of every
 // cell's repetitions, in declaration order, and trial t runs with
@@ -37,6 +37,21 @@ struct ServiceSpec {
   bool routable() const { return !workload.empty(); }
 };
 
+/// Named numbers a trial reports next to its cost (rounds, phases, a
+/// 0/1 verdict, ...), in a fixed order per cell.
+using NamedValues = std::vector<std::pair<std::string, double>>;
+
+/// What one trial returns: its model cost plus optional named values.
+/// Converts implicitly from double, so a plain cost body
+/// (`.run = [](std::uint64_t seed) { return cost; }`) stays a Trial.
+struct Trial {
+  double cost = 0.0;
+  NamedValues values;
+
+  Trial(double c = 0.0) : cost(c) {}  // implicit on purpose (see above)
+  Trial(double c, NamedValues v) : cost(c), values(std::move(v)) {}
+};
+
 /// One grid point: `trials` repetitions of `run` over derived seeds.
 /// lb/ub are the paper's bound values for the cell, carried through to
 /// the JSON report (0 when not applicable).
@@ -45,7 +60,7 @@ struct SweepCell {
   unsigned trials = 1;
   double lb = 0.0;
   double ub = 0.0;
-  std::function<double(std::uint64_t seed)> run;
+  std::function<Trial(std::uint64_t seed)> run;
   ServiceSpec spec{};  ///< optional service routing (see ServiceSpec)
 };
 
@@ -58,6 +73,14 @@ struct CellResult {
   double mean = 0.0;
   double p50 = 0.0;
   double p99 = 0.0;
+  /// Per-trial named values (trial order), in the order the trials
+  /// reported them; empty for cost-only cells.
+  std::vector<std::pair<std::string, std::vector<double>>> values;
+
+  /// Mean over trials of the value under `name` (the value itself for
+  /// a one-trial cell); throws std::out_of_range if it was never
+  /// reported.
+  double value(const std::string& name) const;
 };
 
 /// One executed sweep. serial_wall_ms is 0 unless a serial baseline was
@@ -77,12 +100,14 @@ struct SweepResult {
 /// (1.0 when no baseline was measured).
 double speedup_vs_serial(const SweepResult& s);
 
-/// Slice per-trial costs (in cell-concatenation trial order, i.e. the
+/// Slice per-trial results (in cell-concatenation trial order, i.e. the
 /// order run_sweep executes) back into per-cell aggregates. Shared by
 /// run_sweep and the service-backed executor so both summarize the
 /// same way — a precondition for their reports being byte-identical.
+/// Throws std::invalid_argument if the trials of one cell report
+/// different value names.
 std::vector<CellResult> aggregate_cells(const std::vector<SweepCell>& cells,
-                                        const std::vector<double>& costs);
+                                        const std::vector<Trial>& trials);
 
 /// Execute every (cell, repetition) trial through `runner`. When
 /// `serial_baseline` is set, the whole sweep is re-run on one thread to

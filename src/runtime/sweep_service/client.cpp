@@ -28,7 +28,7 @@ runtime::SweepResult run_sweep_via_service(
   }
   const std::uint64_t total = cell_of.size();
 
-  std::vector<double> costs(total);
+  std::vector<runtime::Trial> trials(total);
   std::mutex mu;
   std::condition_variable cv;
   std::size_t outstanding = 0;
@@ -74,7 +74,7 @@ runtime::SweepResult run_sweep_via_service(
           error = "cell '" + cells[cell_of[trial]].key +
                   "': run response carried no cost";
       } else {
-        costs[trial] = resp.cost;
+        trials[trial] = resp.cost;
       }
       --outstanding;
       cv.notify_all();
@@ -86,7 +86,7 @@ runtime::SweepResult run_sweep_via_service(
   runtime::SweepResult out;
   out.title = std::move(title);
   out.base_seed = base_seed;
-  out.cells = aggregate_cells(cells, costs);
+  out.cells = aggregate_cells(cells, trials);
   return out;
 }
 

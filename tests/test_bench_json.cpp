@@ -272,6 +272,45 @@ TEST(BenchJson, CostsRoundTripExactly) {
   }
 }
 
+TEST(BenchJson, NamedValuesRoundTripExactlyAndOnlyWhenPresent) {
+  ExperimentRunner runner({.jobs = 2});
+  BenchReport report;
+  report.bench = "bench_values_probe";
+  std::vector<SweepCell> cells = tiny_cells();
+  cells.push_back({.key = "audit",
+                   .trials = 3,
+                   .run = [](std::uint64_t seed) {
+                     Rng rng(seed);
+                     const double rounds =
+                         static_cast<double>(rng.next_below(50)) + 0.1;
+                     return Trial(rounds, {{"rounds", rounds / 7.0},
+                                           {"all_rounds", 1.0}});
+                   }});
+  report.sweeps.push_back(
+      run_sweep(runner, "values sweep", kBase, std::move(cells)));
+  const auto doc = JsonParser(to_json(report)).parse();
+  const auto& got_cells = doc.at("sweeps").array[0]->at("cells").array;
+  ASSERT_EQ(got_cells.size(), 3u);
+  // Cost-only cells carry no "values" key at all.
+  EXPECT_FALSE(got_cells[0]->has("values"));
+  EXPECT_FALSE(got_cells[1]->has("values"));
+
+  const auto& want = report.sweeps[0].cells[2];
+  const JsonValue& values = got_cells[2]->at("values");
+  ASSERT_EQ(values.object.size(), 2u);
+  for (const auto& [name, per_trial] : want.values) {
+    ASSERT_TRUE(values.has(name)) << name;
+    const auto& arr = values.at(name).array;
+    ASSERT_EQ(arr.size(), per_trial.size());
+    for (std::size_t t = 0; t < per_trial.size(); ++t)
+      EXPECT_EQ(arr[t]->number, per_trial[t])  // %.17g: exact
+          << name << " trial " << t << " did not round-trip";
+  }
+  // Declaration order is kept in the document.
+  const std::string text = to_json(report);
+  EXPECT_LT(text.find("\"rounds\":["), text.find("\"all_rounds\":["));
+}
+
 TEST(BenchJson, SerialAndParallelSerializeIdenticallyModuloTiming) {
   // The determinism contract, at the serialization level: everything
   // except wall-clock timing must be byte-identical between a 1-thread
@@ -544,9 +583,6 @@ struct Argv {
     return parse_harness_flags(argc, ptrs.data(), "default.json",
                                "default_trace.json");
   }
-  std::vector<std::string> remaining() const {
-    return {ptrs.begin(), ptrs.begin() + argc};
-  }
   std::vector<std::string> store;
   std::vector<char*> ptrs;
   int argc = 0;
@@ -655,14 +691,18 @@ TEST(HarnessFlags, ThreadsGarbageIsRejected) {
   EXPECT_NE(f.error_message.find("--threads"), std::string::npos);
 }
 
-TEST(HarnessFlags, UnrecognizedTokensSurviveInOrder) {
-  Argv argv({"bench", "--benchmark_filter=OR", "--jobs", "2", "positional"});
-  const auto f = argv.parse();
-  EXPECT_FALSE(f.error);
-  EXPECT_EQ(f.jobs, 2u);
-  const std::vector<std::string> want = {"bench", "--benchmark_filter=OR",
-                                         "positional"};
-  EXPECT_EQ(argv.remaining(), want);
+TEST(HarnessFlags, UnrecognizedTokensAreRejected) {
+  // Nothing passes through any more: an unknown flag and a positional
+  // token are both named errors with a did-you-mean hint.
+  for (const char* token : {"--benchmark_filter=OR", "positional"}) {
+    Argv argv({"bench", "--jobs", "2", token});
+    const auto f = argv.parse();
+    EXPECT_TRUE(f.error) << token;
+    EXPECT_NE(f.error_message.find("unknown argument"), std::string::npos)
+        << f.error_message;
+    EXPECT_NE(f.error_message.find("did you mean '--"), std::string::npos)
+        << f.error_message;
+  }
 }
 
 TEST(HarnessFlags, ViaServiceAndCacheFlagsBothSpellings) {
@@ -673,7 +713,7 @@ TEST(HarnessFlags, ViaServiceAndCacheFlagsBothSpellings) {
   EXPECT_TRUE(f.via_service);
   EXPECT_EQ(f.cache_dir, "cachedir");
   EXPECT_EQ(f.cache_bytes, 1024u);
-  EXPECT_EQ(split.argc, 1);  // all stripped before google-benchmark
+  EXPECT_EQ(split.argc, 1);  // all stripped
 
   Argv equals({"bench", "--cache-dir=d2", "--cache-bytes=2048"});
   const auto e = equals.parse();
@@ -708,7 +748,7 @@ TEST(HarnessFlags, WorkersBothSpellingsAndDefault) {
   const auto a = split.parse();
   EXPECT_FALSE(a.error) << a.error_message;
   EXPECT_EQ(a.workers, 4u);
-  EXPECT_EQ(split.argc, 1);  // stripped before google-benchmark
+  EXPECT_EQ(split.argc, 1);  // stripped
 
   Argv equals({"bench", "--workers=2"});
   const auto b = equals.parse();
@@ -739,8 +779,8 @@ TEST(HarnessFlags, WorkersRejectsZeroAndGarbage) {
 }
 
 TEST(HarnessFlags, WorkersTyposGetADidYouMeanHint) {
-  // --worker and --wokers are within edit distance 2 of --workers; they
-  // must be named errors, not silently ignored google-benchmark args.
+  // --worker and --wokers are near-misses of --workers; they must be
+  // named errors with the right hint, not silently ignored.
   for (const char* typo : {"--worker", "--wokers", "--worker=4"}) {
     Argv argv({"bench", typo});
     const auto f = argv.parse();
@@ -749,11 +789,12 @@ TEST(HarnessFlags, WorkersTyposGetADidYouMeanHint) {
               std::string::npos)
         << f.error_message;
   }
-  // ...but an unrelated unknown flag still falls through untouched.
+  // ...and so is an unrelated unknown flag: nothing falls through.
   Argv unrelated({"bench", "--benchmark_filter=NONE"});
   const auto f = unrelated.parse();
-  EXPECT_FALSE(f.error) << f.error_message;
-  EXPECT_EQ(unrelated.argc, 2);
+  EXPECT_TRUE(f.error);
+  EXPECT_NE(f.error_message.find("did you mean"), std::string::npos)
+      << f.error_message;
 }
 
 TEST(HarnessFlags, FleetWindowBothSpellingsRequireWorkers) {
@@ -761,7 +802,7 @@ TEST(HarnessFlags, FleetWindowBothSpellingsRequireWorkers) {
   const auto a = split.parse();
   EXPECT_FALSE(a.error) << a.error_message;
   EXPECT_EQ(a.fleet_window, 4u);
-  EXPECT_EQ(split.argc, 1);  // stripped before google-benchmark
+  EXPECT_EQ(split.argc, 1);  // stripped
 
   Argv equals({"bench", "--workers=2", "--fleet-window=1"});
   const auto b = equals.parse();
@@ -819,8 +860,8 @@ TEST(HarnessFlags, FleetWindowTyposGetADidYouMeanHint) {
 }
 
 TEST(HarnessFlags, ServiceNamespaceTyposGetADidYouMeanHint) {
-  // The --via-/--cache- namespaces belong to the harness: a typo there
-  // must not fall through to google-benchmark and be silently ignored.
+  // A typo in the --via-/--cache- namespaces must name the flag it
+  // meant, not just fail.
   struct Case {
     const char* arg;
     const char* hint;

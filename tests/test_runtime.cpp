@@ -92,16 +92,16 @@ TEST(ExperimentRunner, EveryTrialRunsExactlyOnceUnderSkew) {
 }
 
 TEST(ExperimentRunner, RunIsBitIdenticalAcrossJobCounts) {
-  auto trial = [](std::uint64_t, std::uint64_t seed) {
-    Rng rng(seed);
+  const std::function<double(std::uint64_t)> trial = [](std::uint64_t t) {
+    Rng rng(derive_seed(kBase, t));
     double acc = 0;
     for (int i = 0; i < 100; ++i)
       acc += static_cast<double>(rng.next_below(1u << 20)) * 1e-3;
     return acc;
   };
-  const auto serial = ExperimentRunner({.jobs = 1}).run(64, kBase, trial);
+  const auto serial = ExperimentRunner({.jobs = 1}).map<double>(64, trial);
   for (const unsigned jobs : {2u, 8u}) {
-    const auto par = ExperimentRunner({.jobs = jobs}).run(64, kBase, trial);
+    const auto par = ExperimentRunner({.jobs = jobs}).map<double>(64, trial);
     EXPECT_TRUE(bitwise_equal(serial, par)) << "jobs=" << jobs;
   }
 }
@@ -210,6 +210,61 @@ TEST(RunSweep, BitIdenticalAcrossJobCountsAndSerialBaseline) {
     }
     EXPECT_GT(speedup_vs_serial(par), 0.0);
   }
+}
+
+/// A multi-value cell grid: every trial runs a real machine and reports
+/// its cost plus its phase count and a 0/1 verdict as named values.
+std::vector<SweepCell> multi_value_cells() {
+  std::vector<SweepCell> cells;
+  for (const std::uint64_t n : {64ull, 200ull, 512ull})
+    cells.push_back({.key = "n=" + std::to_string(n),
+                     .trials = 3,
+                     .run = [n](std::uint64_t seed) {
+                       QsmMachine m({.g = 1 + seed % 4});
+                       Rng rng(seed);
+                       const auto input = bernoulli_array(n, 0.5, rng);
+                       const Addr in = m.alloc(n);
+                       m.preload(in, input);
+                       parity_tree(m, in, n, 2);
+                       const double cost = static_cast<double>(m.time());
+                       return Trial(cost / 3.0,
+                                    {{"phases", static_cast<double>(m.phases())},
+                                     {"odd", cost > 100.0 ? 1.0 : 0.0}});
+                     }});
+  return cells;
+}
+
+TEST(RunSweep, MultiValueSweepBitIdenticalAtJobsOneAndFour) {
+  const auto serial = run_sweep(ExperimentRunner({.jobs = 1}), "multi",
+                                kBase, multi_value_cells());
+  const auto par = run_sweep(ExperimentRunner({.jobs = 4}), "multi", kBase,
+                             multi_value_cells(), /*serial_baseline=*/true);
+  EXPECT_TRUE(par.deterministic);
+  ASSERT_EQ(par.cells.size(), serial.cells.size());
+  for (std::size_t i = 0; i < par.cells.size(); ++i) {
+    const auto& a = serial.cells[i];
+    const auto& b = par.cells[i];
+    EXPECT_TRUE(bitwise_equal(a.costs, b.costs)) << "cell " << i;
+    ASSERT_EQ(a.values.size(), 2u);
+    ASSERT_EQ(b.values.size(), a.values.size());
+    for (std::size_t v = 0; v < a.values.size(); ++v) {
+      EXPECT_EQ(b.values[v].first, a.values[v].first);
+      EXPECT_EQ(b.values[v].second.size(), 3u);
+      EXPECT_TRUE(bitwise_equal(a.values[v].second, b.values[v].second))
+          << "cell " << i << " value " << a.values[v].first;
+    }
+    EXPECT_GT(a.value("phases"), 0.0);
+  }
+}
+
+TEST(RunSweep, TrialsReportingDifferentValuesAreRejected) {
+  const std::vector<SweepCell> cells = {
+      {.key = "ragged", .trials = 2, .run = {}}};
+  EXPECT_THROW(aggregate_cells(cells, {Trial(1.0, {{"a", 1.0}}),
+                                       Trial(1.0, {{"b", 1.0}})}),
+               std::invalid_argument);
+  EXPECT_THROW(aggregate_cells(cells, {Trial(1.0, {{"a", 1.0}}), Trial(1.0)}),
+               std::invalid_argument);
 }
 
 }  // namespace

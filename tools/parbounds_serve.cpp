@@ -19,6 +19,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -103,12 +104,17 @@ int connect_to(const std::string& path) {
 }
 
 int serve_socket(SweepService& svc, const std::string& path) {
+  // A client that leaves before its reply is written must end only its
+  // own session: with SIGPIPE ignored the write fails with EPIPE, which
+  // FdTransport records, instead of killing the daemon.
+  std::signal(SIGPIPE, SIG_IGN);
   const int listener = listen_on(path);
   if (listener < 0) return 1;
   std::cerr << "parbounds_serve: listening on " << path << "\n";
   for (;;) {
     const int conn = ::accept(listener, nullptr, nullptr);
     if (conn < 0) {
+      if (errno == EINTR) continue;
       std::cerr << "parbounds_serve: accept: " << std::strerror(errno)
                 << "\n";
       break;

@@ -71,8 +71,11 @@
 #      must be byte-identical, metrics block included, once the
 #      wall-clock fields, the host block and the --jobs/--threads echo
 #      are stripped — bench_table4_rounds twice at --jobs 2 and once at
-#      --jobs 1, bench_table1_qsm_time at --jobs 4 and at --workers 4.
-#      Both benches run phases above the 2^16-request shard threshold.
+#      --jobs 1, bench_mapping at --jobs 1 and at --jobs 4,
+#      bench_table1_qsm_time at --jobs 4 and at --workers 4. A compared
+#      report with no cells fails the stage: two empty reports are
+#      trivially identical. Table 1 and Table 4 run phases above the
+#      2^16-request shard threshold.
 #
 # Usage: tools/run_checks.sh [--quick] [--require-tidy] [build-dir]
 #
@@ -339,6 +342,13 @@ run_determinism_stage() {
       -e 's/"(jobs|threads)":[0-9]+/"\1":_/g' "$1"
   }
   same() {
+    local f
+    for f in "$1" "$2"; do
+      if ! grep -qF '"cells":[{' "${f}" || grep -qF '"cells":[]' "${f}"; then
+        echo "determinism: $(basename "${f}") has no cells to compare" >&2
+        exit 1
+      fi
+    done
     if ! diff <(normalize "$1") <(normalize "$2") >/dev/null; then
       echo "determinism: $(basename "$1") and $(basename "$2") differ" >&2
       diff <(normalize "$1") <(normalize "$2") | head -c 2000 >&2 || true
@@ -354,6 +364,12 @@ run_determinism_stage() {
     >/dev/null 2>&1
   same "${dir}/t4_jobs2_a.json" "${dir}/t4_jobs2_b.json"
   same "${dir}/t4_jobs2_a.json" "${dir}/t4_jobs1.json"
+  echo "==> determinism: bench_mapping at --jobs 1 and at --jobs 4"
+  "${bench}/bench_mapping" --jobs 1 --json "${dir}/map_jobs1.json" \
+    >/dev/null 2>&1
+  "${bench}/bench_mapping" --jobs 4 --json "${dir}/map_jobs4.json" \
+    >/dev/null 2>&1
+  same "${dir}/map_jobs1.json" "${dir}/map_jobs4.json"
   echo "==> determinism: bench_table1_qsm_time at --jobs 4 and at --workers 4"
   "${bench}/bench_table1_qsm_time" --jobs 4 --json "${dir}/t1_jobs4.json" \
     >/dev/null 2>&1
@@ -484,7 +500,7 @@ cmake -B "${BUILD_DIR}-bench" -S . -DCMAKE_BUILD_TYPE=Release
 echo "==> build bench_hotpath + bench_obs_overhead + bench_fleet_throughput + the determinism benches"
 cmake --build "${BUILD_DIR}-bench" -j "${JOBS}" \
   --target bench_hotpath bench_obs_overhead bench_fleet_throughput \
-  bench_table4_rounds bench_table1_qsm_time
+  bench_table4_rounds bench_mapping bench_table1_qsm_time
 
 echo "==> bench_hotpath smoke (self-verified, speedup floors)"
 # Shard floor per host size (see MIN_SHARD above); the dispatch and
