@@ -17,13 +17,10 @@
 // session below gives them their bench meaning: --json defaults to
 // BENCH_<name>.json and --trace to TRACE_<name>.json (--trace implies
 // --json, and either installs the process TelemetryObserver so the
-// report carries a "metrics" block); --via-service routes sweeps of
-// ServiceSpec cells through an in-process SweepService (cache default
-// CACHE_<name>/), --workers across re-exec'd worker processes
-// (docs/SERVICE.md#fleet). Both write timing-free reports: a --workers
-// report is byte-identical to an in-process --jobs 1 run, a
-// via-service one also omits the metrics block (a warm replay executes
-// nothing).
+// report carries a "metrics" block); --workers routes sweeps of
+// ServiceSpec cells across re-exec'd worker processes
+// (docs/SERVICE.md#fleet) and writes a timing-free report that is
+// byte-identical to an in-process --jobs 1 run.
 //
 // The PARBOUNDS_SIMD environment variable (portable|avx2|avx512) pins
 // the BoolFn kernel dispatch level for the whole run; unknown values or
@@ -74,8 +71,6 @@
 #include "runtime/simd_level.hpp"
 #include "runtime/runner.hpp"
 #include "runtime/sweep.hpp"
-#include "runtime/sweep_service/client.hpp"
-#include "runtime/sweep_service/service.hpp"
 #include "util/mathx.hpp"
 #include "util/table.hpp"
 #include "workloads/generators.hpp"
@@ -126,12 +121,6 @@ class BenchSession {
       std::fprintf(stderr, "bench: %s\n", flags.error_message.c_str());
       std::exit(2);
     }
-    if (flags.workers > 0 && flags.via_service) {
-      std::fprintf(stderr,
-                   "bench: --workers and --via-service are mutually "
-                   "exclusive (the fleet already owns a result cache)\n");
-      std::exit(2);
-    }
     // Resolve the SIMD dispatch level up front so a bad PARBOUNDS_SIMD
     // pin fails like any other flag error (typed message, exit 2)
     // instead of surfacing as an uncaught exception mid-sweep.
@@ -156,30 +145,16 @@ class BenchSession {
     runtime::ParallelFor::pool().set_threads(
         flags.workers > 0 ? 1u : flags.resolved_threads(runner_->jobs()));
     report_.threads = runtime::ParallelFor::pool().threads();
-    // Phase telemetry counts machine executions, and a warm-cache
-    // via-service replay executes nothing — a metrics block would
-    // differ between a cold run and its replay. Via-service reports
-    // therefore omit it (cache counters go to stderr instead). Fleet
-    // runs keep the block, but it is reassembled from per-cell worker
-    // snapshots (run_sweep_fleet), never observed in this process.
-    if (!json_path_.empty() && !flags.via_service && flags.workers == 0) {
+    // Fleet runs keep the metrics block, but it is reassembled from
+    // per-cell worker snapshots (run_sweep_fleet), never observed in
+    // this process.
+    if (!json_path_.empty() && flags.workers == 0) {
       telemetry_ = std::make_unique<obs::TelemetryObserver>(registry_);
       obs::install_process_telemetry(telemetry_.get());
     }
     if (!trace_path_.empty()) {
       tracer_ = std::make_unique<obs::Tracer>();
       obs::install_process_tracer(tracer_.get());
-    }
-    if (flags.via_service) {
-      // The service keeps its OWN MetricsRegistry: via-service reports
-      // must carry exactly the metric families an in-process run does,
-      // or the byte-identity contract breaks.
-      service::ServiceConfig cfg;
-      cfg.cache.dir = flags.cache_dir.empty() ? "CACHE_" + report_.bench
-                                              : flags.cache_dir;
-      if (flags.cache_bytes != 0) cfg.cache.max_bytes = flags.cache_bytes;
-      cfg.jobs = runner_->jobs();
-      service_ = std::make_unique<service::SweepService>(cfg);
     }
     if (flags.workers > 0) {
       fleet::FleetConfig cfg;
@@ -201,8 +176,6 @@ class BenchSession {
   const runtime::ExperimentRunner& runner() const { return *runner_; }
   unsigned jobs() const { return runner_->jobs(); }
   bool json_enabled() const { return !json_path_.empty(); }
-  bool via_service() const { return service_ != nullptr; }
-  service::SweepService& service() { return *service_; }
   bool via_fleet() const { return fleet_ != nullptr; }
   fleet::FleetCoordinator& fleet() { return *fleet_; }
 
@@ -252,27 +225,9 @@ class BenchSession {
                    report_.bench.c_str(), trace_path_.c_str(),
                    obs::top_n_summary(*tracer_, 10).c_str());
     }
-    if (service_ != nullptr) {
-      // Cache effectiveness on stderr (never in the report: the JSON
-      // must stay byte-identical to an in-process run).
-      const auto snap = service_->metrics().snapshot();
-      const auto count = [&](const char* name) {
-        const auto* m = snap.find(name);
-        return m == nullptr ? std::uint64_t{0} : m->value;
-      };
-      std::fprintf(stderr,
-                   "bench: %s: service cache hit=%llu miss=%llu evict=%llu "
-                   "exec=%llu shed=%llu\n",
-                   report_.bench.c_str(),
-                   static_cast<unsigned long long>(count("cache.hit")),
-                   static_cast<unsigned long long>(count("cache.miss")),
-                   static_cast<unsigned long long>(count("cache.evict")),
-                   static_cast<unsigned long long>(count("service.exec")),
-                   static_cast<unsigned long long>(count("queue.shed")));
-    }
     if (fleet_ != nullptr) {
-      // Fleet health on stderr (never in the report, same rule as the
-      // service cache line above).
+      // Fleet health on stderr (never in the report: the JSON must stay
+      // byte-identical to an in-process run).
       std::fprintf(
           stderr, "bench: %s: fleet spawn=%llu exit=%llu retry=%llu reassign=%llu\n",
           report_.bench.c_str(),
@@ -288,12 +243,11 @@ class BenchSession {
       std::fprintf(stderr, "bench: cannot write %s\n", json_path_.c_str());
       return 1;
     }
-    // Via-service and fleet runs serialize timing-free: with no wall
-    // fields, a cold run, a warm replay, a crash-recovered fleet run
-    // and an in-process --jobs 1 run of the same sweep produce
-    // identical bytes (test_bench_json and test_fleet pin this).
-    f << runtime::to_json(
-        report_, /*include_timing=*/service_ == nullptr && fleet_ == nullptr);
+    // Fleet runs serialize timing-free: with no wall fields, a cold
+    // run, a warm-cache replay, a crash-recovered run and an in-process
+    // --jobs 1 run of the same sweep produce identical bytes (test_fleet
+    // pins this).
+    f << runtime::to_json(report_, /*include_timing=*/fleet_ == nullptr);
     char speedup[32] = "n/a";  // jobs==1 runs ARE the serial baseline
     if (report_.jobs > 1)
       std::snprintf(speedup, sizeof speedup, "%.2f",
@@ -319,7 +273,6 @@ class BenchSession {
   obs::MetricsRegistry registry_;
   std::unique_ptr<obs::TelemetryObserver> telemetry_;
   std::unique_ptr<obs::Tracer> tracer_;
-  std::unique_ptr<service::SweepService> service_;
   std::unique_ptr<fleet::FleetCoordinator> fleet_;
   obs::MetricsSnapshot fleet_metrics_;  ///< merged across sweeps
   bool fleet_metrics_valid_ = false;
@@ -334,12 +287,11 @@ inline BenchSession& session_init(int& argc, char** argv, std::string name) {
 
 /// Run a sweep through the session runner; the serial baseline (wall
 /// time + bit-identity cross-check) is measured when --json is active.
-/// Under --via-service a sweep of routable cells goes through the sweep
-/// service, under --workers across the process fleet (same derived
-/// seeds, same kernels, same aggregation). A sweep with no ServiceSpec
-/// at all (audits, multi-value replays) runs on the session runner
-/// under every route; one that mixes routable and closure-only cells
-/// is a hard error there, not a silent fallback.
+/// Under --workers a sweep of routable cells runs across the process
+/// fleet (same derived seeds, same kernels, same aggregation). A sweep
+/// with no ServiceSpec at all (audits, multi-value replays) runs on the
+/// session runner either way; one that mixes routable and closure-only
+/// cells is a hard error on the fleet, not a silent fallback.
 inline const runtime::SweepResult& sweep(
     std::string title, std::vector<runtime::SweepCell> cells) {
   auto& s = BenchSession::get();
@@ -356,16 +308,6 @@ inline const runtime::SweepResult& sweep(
       return res;
     } catch (const std::exception& e) {
       std::fprintf(stderr, "bench: --workers: %s\n", e.what());
-      std::exit(2);
-    }
-  }
-  if (routable && s.via_service()) {
-    try {
-      return s.record(service::run_sweep_via_service(
-          s.service(), std::move(title), s.next_base_seed(),
-          std::move(cells)));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "bench: --via-service: %s\n", e.what());
       std::exit(2);
     }
   }

@@ -35,7 +35,7 @@ void close_quiet(int& fd) {
   fd = -1;
 }
 
-/// Blocking read of one whole frame (the handshake ack; data-plane
+/// Blocking read of one whole frame (the readiness frame; data-plane
 /// reads go through the poll loop instead).
 bool read_frame_blocking(int fd, service::FrameDecoder& decoder,
                          std::string& payload) {
@@ -68,12 +68,6 @@ FleetCoordinator::FleetCoordinator(FleetConfig cfg) : cfg_(std::move(cfg)) {
     throw std::invalid_argument("fleet: max_attempts must be >= 1");
   if (cfg_.window == 0)
     throw std::invalid_argument("fleet: window must be >= 1");
-  if (cfg_.wire == 0) cfg_.wire = wire_version_from_env();
-  if (cfg_.wire > service::kWireVersionMax)
-    throw std::invalid_argument("fleet: wire version " +
-                                std::to_string(cfg_.wire) +
-                                " is newer than this build speaks");
-  if (cfg_.worker_exe.empty()) cfg_.worker_exe = "/proc/self/exe";
 
   spawn_id_ = metrics_.counter("fleet.worker.spawn");
   exit_id_ = metrics_.counter("fleet.worker.exit");
@@ -151,7 +145,8 @@ bool FleetCoordinator::spawn(unsigned slot) {
     // closes on exec.
     ::fcntl(req[0], F_SETFD, 0);
     ::fcntl(resp[1], F_SETFD, 0);
-    ::execl(cfg_.worker_exe.c_str(), cfg_.worker_exe.c_str(), token,
+    // Re-exec the host binary, whose main() calls maybe_run_worker first.
+    ::execl("/proc/self/exe", "/proc/self/exe", token,
             static_cast<char*>(nullptr));
     _exit(127);  // exec failed; parent sees EOF before any frame
   }
@@ -168,10 +163,9 @@ bool FleetCoordinator::spawn(unsigned slot) {
   w.inflight.clear();
   w.outq.clear();
 
-  // Wire-version handshake before any work flows: offer our version,
-  // block for the ack (the worker answers it immediately after exec,
-  // long before any kernel runs). A malformed or out-of-range ack is a
-  // stillborn worker.
+  // Block for the readiness frame before any work flows (the worker
+  // sends it immediately after exec, long before any kernel runs).
+  // Anything else — EOF, a different frame — is a stillborn worker.
   const auto abort_spawn = [&]() {
     ::kill(pid, SIGKILL);
     close_quiet(w.to_fd);
@@ -181,15 +175,10 @@ bool FleetCoordinator::spawn(unsigned slot) {
     w.alive = false;
     return false;
   };
-  std::string frame;
-  service::append_frame(frame, kOfferPrefix + std::to_string(cfg_.wire));
-  if (!write_all_fd(w.to_fd, frame)) return abort_spawn();
-  std::string ack;
-  unsigned acked = 0;
-  if (!read_frame_blocking(w.from_fd, w.decoder, ack) ||
-      !parse_handshake(ack, kAckPrefix, acked) || acked > cfg_.wire)
+  std::string ready;
+  if (!read_frame_blocking(w.from_fd, w.decoder, ready) ||
+      ready != kReadyFrame)
     return abort_spawn();
-  w.wire = acked;
 
   // The data plane writes through a non-blocking fd so a full pipe
   // parks frames in the WriteQueue for the next POLLOUT instead of
@@ -275,12 +264,8 @@ std::vector<service::Response> FleetCoordinator::run_requests(
         w.head_deadline_ns = steady_now_ns() + deadline_step;
       w.inflight.push_back(idx);
       ++attempts[idx];
-      if (w.wire >= service::kWireVersionBinary) {
-        encode_scratch_.clear();
-        service::encode_request_binary(reqs[idx], encode_scratch_);
-      } else {
-        encode_scratch_ = service::encode_request(reqs[idx]);
-      }
+      encode_scratch_.clear();
+      service::encode_request_binary(reqs[idx], encode_scratch_);
       w.outq.push(encode_scratch_);
       queued_any = true;
     }
@@ -358,11 +343,8 @@ std::vector<service::Response> FleetCoordinator::run_requests(
       metrics_.add(frames_rx_id_);
       service::Response resp;
       std::string err;
-      const bool decoded =
-          w.wire >= service::kWireVersionBinary
-              ? service::decode_response_binary(payload, resp, err)
-              : service::decode_response(payload, resp, err);
-      if (!decoded || w.inflight.empty() ||
+      if (!service::decode_response_binary(payload, resp, err) ||
+          w.inflight.empty() ||
           resp.id != reqs[w.inflight.front()].id) {
         ::kill(w.pid, SIGKILL);
         on_death(slot);

@@ -19,11 +19,10 @@
 // batched through one writev(2) per poll iteration (transport.hpp
 // WriteQueue), with buffers recycled rather than reallocated.
 //
-// At spawn the pair negotiates a wire version (worker.hpp handshake):
-// v1 JSON text or the v2 binary codec, chosen by FleetConfig::wire or
-// PARBOUNDS_FLEET_WIRE. Both wires produce byte-identical reports;
-// test_fleet diffs them the way the SIMD dispatch-equivalence oracle
-// diffs kernels.
+// Every frame on the pipes uses the binary codec (protocol.hpp);
+// worker and coordinator are the same binary, so there is no version to
+// negotiate. Spawn blocks for the worker's readiness frame (worker.hpp)
+// so a worker that dies on startup is caught before any work is placed.
 //
 // Failure handling. Three signals mean a dead or wedged worker: its
 // response pipe reaches EOF (clean or mid-frame — a crash leaves a
@@ -63,9 +62,6 @@ namespace parbounds::fleet {
 
 struct FleetConfig {
   unsigned workers = 1;
-  /// Worker executable; empty = /proc/self/exe (re-exec the host
-  /// binary, whose main() must call maybe_run_worker first).
-  std::string worker_exe;
   /// Shared content-addressed cell cache directory, exported to the
   /// workers' environment; empty = no cache.
   std::string cache_dir;
@@ -79,10 +75,6 @@ struct FleetConfig {
   /// Credit window: in-flight requests per worker (>= 1). 1 restores
   /// the PR 9 lock-step behavior; 8 keeps a small-cell pipe busy.
   unsigned window = 8;
-  /// Wire version (protocol.hpp): kWireVersionText or
-  /// kWireVersionBinary. 0 = resolve from PARBOUNDS_FLEET_WIRE
-  /// (worker.hpp wire_version_from_env; default binary).
-  unsigned wire = 0;
 };
 
 class FleetCoordinator {
@@ -102,7 +94,8 @@ class FleetCoordinator {
 
   unsigned workers() const { return cfg_.workers; }
   unsigned window() const { return cfg_.window; }
-  unsigned wire() const { return cfg_.wire; }
+  /// The fleet wire's version (protocol.hpp); there is only one.
+  unsigned wire() const { return service::kWireVersionBinary; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
   /// Convenience: current value of one fleet.* counter or gauge.
   std::uint64_t counter(const std::string& name) const;
@@ -114,7 +107,6 @@ class FleetCoordinator {
     int from_fd = -1;  ///< worker -> coordinator responses
     service::FrameDecoder decoder;
     bool alive = false;
-    unsigned wire = service::kWireVersionText;  ///< negotiated at spawn
     std::deque<std::size_t> queue;     ///< assigned, not yet sent
     std::deque<std::size_t> inflight;  ///< sent, unanswered (FIFO)
     /// Deadline for inflight.front(); armed when a request reaches the

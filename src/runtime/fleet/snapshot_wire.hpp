@@ -1,29 +1,22 @@
 #pragma once
-// Wire form of a MetricsSnapshot, carried inside cell responses
-// (docs/SERVICE.md). JSON's to_json() is a one-way rendering — it drops
-// the flat registration order merge_from() keys on — so the fleet ships
-// snapshots in a trivially invertible line format instead:
+// Wire form of a MetricsSnapshot, carried inside cell responses and
+// stored in the shared cell cache (docs/SERVICE.md). JSON's to_json()
+// is a one-way rendering — it drops the flat registration order
+// merge_from() keys on — so the fleet ships snapshots in a trivially
+// invertible binary form instead:
 //
-//   c <name> <value>;g <name> <value>;h <name> <b1,b2,..> <c1,c2,..>;
+//   varint metric count, then per metric: a kind byte (0 counter,
+//   1 gauge, 2 histogram), a varint-length name, and varint values
+//   (a counter/gauge value; a histogram's bound count, bounds, and
+//   bounds+1 bucket counts)
 //
-// one record per metric, in registration order, every number a decimal
-// u64. The format is strict the same way the service codec is: unknown
-// record kinds, malformed numbers, bucket/bound arity mismatches and
-// trailing bytes are all typed decode errors. Two workers running the
-// same TelemetryObserver construction encode snapshots with identical
-// record sequences, which is the precondition merge_from() checks.
-//
-// Wire v2 adds a binary form (docs/SERVICE.md#wire-v2): a 0x01 magic
-// byte, a varint metric count, then per metric a kind byte, a
-// varint-length name and varint values — bit-exact over the full u64
-// range, no decimal detour, and one byte for the small counter values
-// snapshots mostly carry (fixed u64le would triple a typical
-// snapshot's size against the decimal text form). The two encodings are self-identifying (a text
-// snapshot always starts with 'c', 'g' or 'h'; 0x01 is none of them),
-// so decode_snapshot dispatches on the first byte and a merged report
-// can mix snapshots from text-wire and binary-wire workers — a warm
-// shared-cache hit stores the canonical text form regardless of the
-// wire a response travels on.
+// in registration order — bit-exact over the full u64 range, and one
+// byte for the small counter values snapshots mostly carry. The format
+// is strict the same way the service codecs are: unknown kind bytes,
+// empty names, truncation and trailing bytes are all typed decode
+// errors. Two workers running the same TelemetryObserver construction
+// encode snapshots with identical record sequences, which is the
+// precondition merge_from() checks.
 
 #include <string>
 #include <string_view>
@@ -32,16 +25,9 @@
 
 namespace parbounds::fleet {
 
-/// First byte of a binary-encoded snapshot; never the first byte of a
-/// text one.
-inline constexpr char kSnapshotBinaryMagic = '\x01';
-
 std::string encode_snapshot(const obs::MetricsSnapshot& snap);
-std::string encode_snapshot_binary(const obs::MetricsSnapshot& snap);
 
-/// Strict decode of either encoding (dispatched on the first byte); on
-/// failure returns false and sets `err`. An empty string decodes to an
-/// empty snapshot.
+/// Strict decode; on failure returns false and sets `err`.
 bool decode_snapshot(std::string_view wire, obs::MetricsSnapshot& out,
                      std::string& err);
 

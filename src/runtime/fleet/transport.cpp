@@ -8,6 +8,10 @@
 
 namespace parbounds::fleet {
 
+namespace {
+
+/// write(2) until `bytes` is fully flushed, retrying EINTR; false on
+/// any other error (notably EPIPE when the reader died).
 bool write_all_fd(int fd, const std::string& bytes) {
   std::size_t off = 0;
   while (off < bytes.size()) {
@@ -21,6 +25,8 @@ bool write_all_fd(int fd, const std::string& bytes) {
   }
   return true;
 }
+
+}  // namespace
 
 bool FdTransport::recv(std::string& payload) {
   for (;;) {

@@ -7,15 +7,11 @@
 // fleet-capable main() is one maybe_run_worker(argc, argv) call before
 // any other flag parsing.
 //
-// Before any work flows the two sides shake hands (docs/SERVICE.md
-// #wire-v2): the coordinator's first frame is a wire-version OFFER
-// ("parbounds-fleet-offer wire=N"), the worker's first frame an ACK
-// with min(N, kWireVersionMax) — so the pair always converses in the
-// newest codec both speak, and a version-skewed peer (possible once
-// workers live on other hosts) degrades to the older wire instead of
-// desynchronizing. Every later frame uses the negotiated codec: v1
-// JSON text or the v2 binary codec (protocol.hpp), selected at the
-// coordinator by PARBOUNDS_FLEET_WIRE=text|binary (default binary).
+// There is therefore one wire and nothing to negotiate: every frame
+// after the first carries the binary codec (protocol.hpp). The first
+// is a fixed readiness frame (kReadyFrame) that the coordinator blocks
+// for at spawn, so a worker that dies before it can serve — a failed
+// exec, a crash during startup — is caught there, not mid-sweep.
 //
 // The worker serves a serial loop over an FdTransport: recv one
 // request, answer it, repeat, until a shutdown op or EOF. The
@@ -28,12 +24,13 @@
 //   cell  `trials` repetitions of one sweep cell from the BASE seed
 //         (repetition r uses derive_seed(seed, trial0 + r)). Each cell
 //         executes under a FRESH MetricsRegistry + TelemetryObserver,
-//         and the response carries that per-cell snapshot in wire form.
-//         Per-cell isolation is what makes crash recovery exact: a
-//         dead worker's registry is unreachable, but every answered
-//         cell already shipped its telemetry, so the coordinator's
-//         commutative merge over one snapshot per cell reproduces the
-//         cumulative block a single process would have written.
+//         and the response carries that per-cell snapshot in wire form
+//         (snapshot_wire.hpp). Per-cell isolation is what makes crash
+//         recovery exact: a dead worker's registry is unreachable, but
+//         every answered cell already shipped its telemetry, so the
+//         coordinator's commutative merge over one snapshot per cell
+//         reproduces the cumulative block a single process would have
+//         written.
 //
 // Cells are optionally memoized in a shared content-addressed
 // ResultCache (PARBOUNDS_FLEET_CACHE_DIR/_BYTES, exported by the
@@ -59,22 +56,8 @@ inline constexpr const char* kCacheDirEnv = "PARBOUNDS_FLEET_CACHE_DIR";
 inline constexpr const char* kCacheBytesEnv = "PARBOUNDS_FLEET_CACHE_BYTES";
 inline constexpr const char* kCrashEnv = "PARBOUNDS_FLEET_CRASH";
 inline constexpr const char* kHangEnv = "PARBOUNDS_FLEET_HANG";
-/// Coordinator-side wire selection: "text" (v1 JSON) or "binary" (v2,
-/// the default). Anything else is a typed startup error.
-inline constexpr const char* kWireEnv = "PARBOUNDS_FLEET_WIRE";
-
-/// Handshake frames (always plain text, version-independent).
-inline constexpr const char* kOfferPrefix = "parbounds-fleet-offer wire=";
-inline constexpr const char* kAckPrefix = "parbounds-fleet-ack wire=";
-
-/// Parse "<prefix><u64>" exactly; false on any other shape.
-bool parse_handshake(std::string_view payload, std::string_view prefix,
-                     unsigned& version);
-
-/// Resolve PARBOUNDS_FLEET_WIRE: unset/"binary" -> kWireVersionBinary,
-/// "text" -> kWireVersionText. Throws std::invalid_argument with a
-/// did-you-mean hint on any other value.
-unsigned wire_version_from_env();
+/// The worker's first frame: it is up and serving. Carries no version.
+inline constexpr std::string_view kReadyFrame = "parbounds-fleet-ready";
 
 /// Serve fleet requests on (rfd, wfd) until shutdown or EOF. Returns
 /// the process exit code (0 = clean shutdown/EOF).

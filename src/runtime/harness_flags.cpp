@@ -27,9 +27,9 @@ std::size_t edit_distance(const std::string& a, const std::string& b) {
 namespace {
 
 /// Every flag the harness accepts, in did-you-mean preference order.
-const char* const kFlags[] = {"--jobs",        "--threads",     "--json",
-                              "--trace",       "--via-service", "--cache-dir",
-                              "--cache-bytes", "--workers",     "--fleet-window"};
+const char* const kFlags[] = {"--jobs",      "--threads",   "--json",
+                              "--trace",     "--cache-dir", "--cache-bytes",
+                              "--workers",   "--fleet-window"};
 
 /// Reject a token no branch of the parser recognised, naming the flag
 /// it most likely meant: the first flag that contains the token's name
@@ -140,9 +140,7 @@ HarnessFlags parse_harness_flags(int& argc, char** argv,
     const std::string arg = argv[i];
     const std::size_t eq = arg.find('=');
     const std::string name = arg.substr(0, eq);
-    if (arg == "--via-service") {
-      out.via_service = true;
-    } else if (name == "--json" || name == "--trace") {
+    if (name == "--json" || name == "--trace") {
       const bool json = name == "--json";
       std::string& path = json ? out.json_path : out.trace_path;
       if (eq != std::string::npos) {
@@ -167,11 +165,19 @@ HarnessFlags parse_harness_flags(int& argc, char** argv,
       }
     }
   }
-  if (!out.error && out.fleet_window > 0 && out.workers == 0) {
-    out.error = true;
-    out.error_message =
-        "--fleet-window without --workers: the credit window applies to "
-        "fleet worker processes (add --workers N)";
+  if (!out.error && out.workers == 0) {
+    // Each of these configures the fleet; without one it would be
+    // silently ignored.
+    const char* orphan = out.fleet_window > 0     ? "--fleet-window"
+                         : !out.cache_dir.empty() ? "--cache-dir"
+                         : out.cache_bytes > 0    ? "--cache-bytes"
+                                                  : nullptr;
+    if (orphan != nullptr) {
+      out.error = true;
+      out.error_message = std::string(orphan) +
+                          " without --workers: it configures the fleet "
+                          "worker processes (add --workers N)";
+    }
   }
   argc = 1;  // every token was consumed (or the parse failed)
   return out;

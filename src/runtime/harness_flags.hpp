@@ -13,13 +13,6 @@
 //                   caller's default path
 //   --trace [PATH]  Chrome trace-event span export; bare --trace uses
 //                   the caller's default path
-//   --via-service   route sweeps through an in-process SweepService
-//                   with a content-addressed result cache
-//                   (docs/SERVICE.md); report bytes stay identical to
-//                   an in-process run
-//   --cache-dir P   service result-cache directory (also the fleet's
-//                   shared cell cache under --workers)
-//   --cache-bytes N service cache size bound (0 = library default)
 //   --workers N     execute sweeps across N fleet worker PROCESSES
 //                   (docs/SERVICE.md#fleet); the merged report stays
 //                   byte-identical to in-process --jobs 1. N must be
@@ -27,8 +20,13 @@
 //                   --workers 0 is rejected rather than remapped.
 //   --fleet-window K  per-worker credit window: each fleet worker holds
 //                   up to K cells in flight (default 8; 1 = lock-step).
-//                   K must be >= 1, and the flag only means something
-//                   with --workers — either misuse is a typed error.
+//   --cache-dir P   the fleet's shared content-addressed cell cache
+//                   directory (default: no cache)
+//   --cache-bytes N that cache's size bound (default: library default)
+//
+// The last three only mean something with --workers: any of them
+// without it is a typed error, as is a zero --fleet-window or
+// --cache-bytes.
 //
 // Every token must be one of these flags or the value of one: anything
 // else — a typo, a positional token — is rejected with a did-you-mean
@@ -52,9 +50,8 @@ struct HarnessFlags {
   bool threads_set = false; ///< --threads given explicitly
   std::string json_path;    ///< empty = no JSON report
   std::string trace_path;   ///< empty = no span trace
-  bool via_service = false; ///< route sweeps through the sweep service
-  std::string cache_dir;    ///< service cache dir; empty = harness default
-  std::uint64_t cache_bytes = 0;  ///< service cache bound; 0 = default
+  std::string cache_dir;    ///< fleet cell cache dir; empty = no cache
+  std::uint64_t cache_bytes = 0;  ///< fleet cache bound; 0 = default
   unsigned workers = 0;     ///< fleet worker processes; 0 = fleet off
   unsigned fleet_window = 0; ///< per-worker credit window; 0 = default (8)
   bool error = false;

@@ -25,10 +25,11 @@ namespace parbounds::runtime {
 /// Service-routable description of a cell's trial body: a named cost
 /// kernel (src/algos/cost_kernels.hpp via the service workload registry)
 /// on a named engine with integer parameters. A cell that carries one
-/// can be executed by the sweep service (docs/SERVICE.md) instead of its
-/// `run` closure; the two must compute the identical cost — the
-/// via-service byte-identity test in test_bench_json holds benches to
-/// that. An empty `workload` means "closure only, not routable".
+/// can be executed by a fleet worker process (--workers,
+/// docs/SERVICE.md#fleet) instead of its `run` closure; the two must
+/// compute the identical cost — FleetEndToEnd in test_fleet and the
+/// run_checks.sh determinism stage hold benches to that. An empty
+/// `workload` means "closure only, not routable".
 struct ServiceSpec {
   std::string engine;    ///< "qsm" | "sqsm" | "qsm-crfree" | "bsp" | ...
   std::string workload;  ///< registry name, e.g. "parity_circuit"

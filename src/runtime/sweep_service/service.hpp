@@ -7,12 +7,11 @@
 // response immediately (load shedding, never unbounded buffering).
 //
 // Observability (docs/OBSERVABILITY.md): the service owns a private
-// MetricsRegistry — deliberately NOT the bench session's, so a
-// --via-service bench report carries exactly the same metric families
-// as an in-process run and stays byte-identical. Counters cache.hit /
-// cache.miss / cache.evict / cache.corrupt / queue.shed / service.exec,
-// gauge queue.depth; spans service.admit → service.run → service.commit
-// via the process tracer.
+// MetricsRegistry — deliberately NOT the process telemetry registry, so
+// its operational counters never mix with model metrics. Counters
+// cache.hit / cache.miss / cache.evict / cache.corrupt / queue.shed /
+// service.exec, gauge queue.depth; spans service.admit → service.run →
+// service.commit via the process tracer.
 //
 // A warm cache answers a whole sweep without a single kernel execution:
 // every request hits in the probe pass, the miss batch is empty, and the

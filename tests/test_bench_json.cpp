@@ -11,22 +11,16 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <cstring>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "algos/cost_kernels.hpp"
-#include "obs/span.hpp"
 #include "runtime/bench_json.hpp"
 #include "runtime/harness_flags.hpp"
 #include "runtime/runner.hpp"
 #include "runtime/simd_level.hpp"
 #include "runtime/sweep.hpp"
-#include "runtime/sweep_service/client.hpp"
-#include "runtime/sweep_service/service.hpp"
 #include "util/rng.hpp"
 
 namespace parbounds::runtime {
@@ -453,121 +447,6 @@ TEST(BenchJson, MetricsBlockSerializedOnlyWhenPopulated) {
 }
 
 // ---------------------------------------------------------------------
-// --via-service byte identity (docs/SERVICE.md): the same small Table 1
-// style sweep executed three ways — in-process --jobs 1, through a
-// SweepService with a cold cache, and again on a warm cache — must
-// serialize to IDENTICAL bytes in the timing-free document, and the
-// warm replay must not execute a single trial.
-
-std::vector<SweepCell> routable_cells() {
-  std::vector<SweepCell> cells;
-  for (const std::uint64_t n : {64ull, 128ull})
-    cells.push_back(
-        {.key = "n=" + std::to_string(n),
-         .trials = 3,
-         .lb = 1.0,
-         .ub = static_cast<double>(n),
-         .run =
-             [n](std::uint64_t s) {
-               return kernels::parity_circuit_cost(CostModel::Qsm, n, 2, s);
-             },
-         .spec = {.engine = "qsm",
-                  .workload = "parity_circuit",
-                  .params = {{"n", n}, {"g", 2}}}});
-  return cells;
-}
-
-BenchReport wrap_sweep(SweepResult sweep) {
-  BenchReport report;
-  report.bench = "bench_via_service_probe";
-  report.jobs = 1;
-  report.seed = kBase;
-  report.sweeps.push_back(std::move(sweep));
-  return report;
-}
-
-std::filesystem::path fresh_cache_dir(const std::string& name) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / ("via_service_" + name);
-  std::filesystem::remove_all(dir);
-  return dir;
-}
-
-std::uint64_t service_metric(const service::SweepService& svc,
-                             const std::string& name) {
-  const auto snap = svc.metrics().snapshot();
-  const auto* m = snap.find(name);
-  return m == nullptr ? 0 : m->value;
-}
-
-TEST(ViaService, ColdWarmAndInProcessReportsAreByteIdentical) {
-  ExperimentRunner runner({.jobs = 1});
-  const std::string in_process = to_json(
-      wrap_sweep(run_sweep(runner, "Table 1 probe", kBase, routable_cells())),
-      /*include_timing=*/false);
-
-  service::ServiceConfig cfg;
-  cfg.cache.dir = fresh_cache_dir("identity");
-  std::string cold;
-  {
-    service::SweepService svc(cfg);
-    cold = to_json(wrap_sweep(service::run_sweep_via_service(
-                       svc, "Table 1 probe", kBase, routable_cells())),
-                   /*include_timing=*/false);
-    EXPECT_EQ(service_metric(svc, "service.exec"), 6u);  // 2 cells * 3 trials
-    EXPECT_EQ(service_metric(svc, "cache.miss"), 6u);
-  }
-
-  std::string warm;
-  {
-    service::SweepService svc(cfg);
-    warm = to_json(wrap_sweep(service::run_sweep_via_service(
-                       svc, "Table 1 probe", kBase, routable_cells())),
-                   /*include_timing=*/false);
-    EXPECT_EQ(service_metric(svc, "service.exec"), 0u);
-    EXPECT_EQ(service_metric(svc, "cache.hit"), 6u);
-  }
-
-  EXPECT_EQ(cold, in_process);
-  EXPECT_EQ(warm, in_process);
-}
-
-TEST(ViaService, WarmReplayExecutesZeroTrialsBySpanCount) {
-  // The metrics say exec=0; the span stream independently confirms the
-  // runner was never entered — no runner.trial and no service.run
-  // spans, only admissions.
-  service::ServiceConfig cfg;
-  cfg.cache.dir = fresh_cache_dir("spans");
-  {
-    service::SweepService svc(cfg);  // cold fill, untraced
-    (void)service::run_sweep_via_service(svc, "probe", kBase,
-                                         routable_cells());
-  }
-
-  obs::Tracer tracer;
-  obs::install_process_tracer(&tracer);
-  {
-    service::SweepService svc(cfg);
-    (void)service::run_sweep_via_service(svc, "probe", kBase,
-                                         routable_cells());
-  }
-  obs::install_process_tracer(nullptr);
-
-  std::size_t admits = 0, runs = 0, trials = 0;
-  for (const auto& view : tracer.buffers())
-    for (std::size_t i = 0; i < view.count; ++i) {
-      const obs::SpanEvent& ev = view.events[i];
-      if (ev.phase != 'B') continue;
-      if (std::strcmp(ev.name, "service.admit") == 0) ++admits;
-      if (std::strcmp(ev.name, "service.run") == 0) ++runs;
-      if (std::strcmp(ev.name, "runner.trial") == 0) ++trials;
-    }
-  EXPECT_EQ(admits, 6u);
-  EXPECT_EQ(runs, 0u);
-  EXPECT_EQ(trials, 0u);
-}
-
-// ---------------------------------------------------------------------
 // parse_harness_flags (runtime/harness_flags.hpp): the --jobs/--json/
 // --trace stripping every bench binary shares. The `--json -out.json`
 // case is the regression this suite pins — the old in-harness parser
@@ -705,17 +584,16 @@ TEST(HarnessFlags, UnrecognizedTokensAreRejected) {
   }
 }
 
-TEST(HarnessFlags, ViaServiceAndCacheFlagsBothSpellings) {
-  Argv split({"bench", "--via-service", "--cache-dir", "cachedir",
+TEST(HarnessFlags, CacheFlagsBothSpellingsRequireWorkers) {
+  Argv split({"bench", "--workers", "2", "--cache-dir", "cachedir",
               "--cache-bytes", "1024"});
   const auto f = split.parse();
   EXPECT_FALSE(f.error) << f.error_message;
-  EXPECT_TRUE(f.via_service);
   EXPECT_EQ(f.cache_dir, "cachedir");
   EXPECT_EQ(f.cache_bytes, 1024u);
   EXPECT_EQ(split.argc, 1);  // all stripped
 
-  Argv equals({"bench", "--cache-dir=d2", "--cache-bytes=2048"});
+  Argv equals({"bench", "--workers=2", "--cache-dir=d2", "--cache-bytes=2048"});
   const auto e = equals.parse();
   EXPECT_FALSE(e.error);
   EXPECT_EQ(e.cache_dir, "d2");
@@ -723,9 +601,22 @@ TEST(HarnessFlags, ViaServiceAndCacheFlagsBothSpellings) {
 
   Argv absent({"bench"});
   const auto d = absent.parse();
-  EXPECT_FALSE(d.via_service);
   EXPECT_TRUE(d.cache_dir.empty());
   EXPECT_EQ(d.cache_bytes, 0u);  // 0 = library default
+
+  // The cache is the fleet's shared cell cache: without --workers
+  // either flag would silently do nothing, so each is a typed error.
+  for (const auto& [flag, value] : {std::pair{"--cache-dir", "cachedir"},
+                                    std::pair{"--cache-bytes", "1024"}}) {
+    Argv alone({"bench", flag, value});
+    const auto a = alone.parse();
+    EXPECT_TRUE(a.error) << flag;
+    EXPECT_NE(a.error_message.find(std::string(flag) + " without --workers"),
+              std::string::npos)
+        << a.error_message;
+    EXPECT_NE(a.error_message.find("add --workers"), std::string::npos)
+        << a.error_message;
+  }
 }
 
 TEST(HarnessFlags, CacheBytesRejectsZeroAndGarbage) {
@@ -860,16 +751,15 @@ TEST(HarnessFlags, FleetWindowTyposGetADidYouMeanHint) {
 }
 
 TEST(HarnessFlags, ServiceNamespaceTyposGetADidYouMeanHint) {
-  // A typo in the --via-/--cache- namespaces must name the flag it
-  // meant, not just fail.
+  // A typo in the --cache- namespace must name the flag it meant, not
+  // just fail.
   struct Case {
     const char* arg;
     const char* hint;
   };
-  for (const Case& c : {Case{"--via-servce", "--via-service"},
-                        Case{"--cache-dirs", "--cache-dir"},
+  for (const Case& c : {Case{"--cache-dirs", "--cache-dir"},
                         Case{"--cache-byte", "--cache-bytes"},
-                        Case{"--via-service=yes", "--via-service"}}) {
+                        Case{"--cach-dir=d", "--cache-dir"}}) {
     Argv argv({"bench", c.arg});
     const auto f = argv.parse();
     EXPECT_TRUE(f.error) << c.arg;

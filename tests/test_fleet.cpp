@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -169,13 +170,23 @@ TEST(SnapshotWire, RoundTripsExactly) {
 }
 
 TEST(SnapshotWire, RejectsMalformedRecords) {
-  obs::MetricsSnapshot out;
-  std::string err;
-  EXPECT_FALSE(fleet::decode_snapshot("c incomplete-no-terminator 4", out, err));
-  EXPECT_FALSE(fleet::decode_snapshot("z weird.kind 4;", out, err));
-  EXPECT_FALSE(fleet::decode_snapshot("c name notanumber;", out, err));
-  EXPECT_FALSE(fleet::decode_snapshot("h name 1,8 1,2;", out, err));  // 2 != 3
-  EXPECT_TRUE(fleet::decode_snapshot("", out, err));  // empty = no metrics
+  // Hand-built records: count, kind byte, varint-length name, value.
+  const auto decodes = [](const std::string& wire) {
+    obs::MetricsSnapshot out;
+    std::string err;
+    const bool ok = fleet::decode_snapshot(wire, out, err);
+    EXPECT_EQ(ok, err.empty()) << err;
+    return ok;
+  };
+  using namespace std::string_literals;
+  EXPECT_TRUE(decodes("\x01\x00\x01x\x04"s));   // counter x = 4
+  EXPECT_FALSE(decodes(""s));                    // no count
+  EXPECT_FALSE(decodes("\x02\x00\x01x\x04"s));  // count says 2, has 1
+  EXPECT_FALSE(decodes("\x01\x07\x01x\x04"s));  // unknown kind byte
+  EXPECT_FALSE(decodes("\x01\x00\x00\x04"s));    // empty name
+  EXPECT_FALSE(decodes("\x01\x00\x05x\x04"s));  // name runs past the end
+  EXPECT_FALSE(decodes("\x01\x00\x01x\x80"s));  // unterminated varint
+  EXPECT_FALSE(decodes("\x01\x02\x01h\x01\x08\x01"s));  // 1 of 2 buckets
 }
 
 TEST(SnapshotWire, MergeOverWireMatchesDirectMerge) {
@@ -441,12 +452,42 @@ TEST(FleetEndToEnd, CoordinatorSurvivesMultipleSweeps) {
   EXPECT_EQ(fc.counter("fleet.worker.spawn"), 2u);  // spawned once
 }
 
-// ----- wire v2: binary snapshot form ------------------------------------
+TEST(FleetEndToEnd, WorkerThatDiesBeforeReadyFailsTheSpawn) {
+  // Spawn blocks for the worker's readiness frame. A worker that cannot
+  // start — here its cache directory sits under a regular file, so
+  // opening the cache throws — dies before sending it, and the
+  // coordinator must fail the spawn rather than place work on it.
+  const std::filesystem::path file = fresh_dir("not_a_dir");
+  std::ofstream(file) << "x";
+  FleetConfig cfg;
+  cfg.workers = 1;
+  cfg.cache_dir = file / "cache";
+  EXPECT_THROW(FleetCoordinator fc(cfg), std::runtime_error);
+  ::unsetenv("PARBOUNDS_FLEET_CACHE_DIR");
+}
+
+TEST(FleetEndToEnd, ClosureOnlyCellsAreRefused) {
+  // A silent closure fallback would break the byte-identity contract,
+  // so a cell without a ServiceSpec is a hard error naming the cell.
+  FleetConfig cfg;
+  cfg.workers = 1;
+  FleetCoordinator fc(cfg);
+  std::vector<SweepCell> cells = fleet_cells();
+  cells.push_back(
+      {.key = "closure-only", .run = [](std::uint64_t) { return 1.0; }});
+  try {
+    (void)fleet_report(fc, std::move(cells));
+    FAIL() << "non-routable cell was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("closure-only"), std::string::npos);
+  }
+}
+
+// ----- snapshot wire: edge values and truncation ------------------------
 
 TEST(SnapshotWire, BinaryRoundTripsExactlyIncludingU64Max) {
   // Metric values span the full u64 range (seeds, byte counters); the
-  // binary form carries them fixed-width and must round-trip the
-  // extremes the decimal text form also handles.
+  // varint form must round-trip the extremes bit-exactly.
   obs::MetricsRegistry reg;
   const auto c = reg.counter("fleet.test.max");
   const auto g = reg.gauge("fleet.test.high");
@@ -456,140 +497,64 @@ TEST(SnapshotWire, BinaryRoundTripsExactlyIncludingU64Max) {
   reg.observe(h, ~std::uint64_t{0});
   const obs::MetricsSnapshot snap = reg.snapshot();
 
-  const std::string wire = fleet::encode_snapshot_binary(snap);
-  ASSERT_FALSE(wire.empty());
-  EXPECT_EQ(wire[0], fleet::kSnapshotBinaryMagic);
+  const std::string wire = fleet::encode_snapshot(snap);
   obs::MetricsSnapshot back;
   std::string err;
-  ASSERT_TRUE(fleet::decode_snapshot(wire, back, err)) << err;  // sniffed
+  ASSERT_TRUE(fleet::decode_snapshot(wire, back, err)) << err;
   EXPECT_EQ(back.to_json(), snap.to_json());
-  EXPECT_EQ(fleet::encode_snapshot_binary(back), wire);  // byte-stable
-}
-
-TEST(SnapshotWire, TextAndBinaryDecodeToTheSameSnapshot) {
-  // decode_snapshot dispatches on the first byte ('\x01' binary, a
-  // kind letter for text), which is what lets cache-hit cells answer
-  // with text telemetry on a binary connection and still merge.
-  const obs::MetricsSnapshot snap = sample_snapshot();
-  obs::MetricsSnapshot via_text, via_binary;
-  std::string err;
-  ASSERT_TRUE(fleet::decode_snapshot(fleet::encode_snapshot(snap), via_text,
-                                     err))
-      << err;
-  ASSERT_TRUE(fleet::decode_snapshot(fleet::encode_snapshot_binary(snap),
-                                     via_binary, err))
-      << err;
-  EXPECT_EQ(via_text.to_json(), via_binary.to_json());
+  EXPECT_EQ(fleet::encode_snapshot(back), wire);  // byte-stable
 }
 
 TEST(SnapshotWire, BinaryRejectsMalformedRecords) {
-  const std::string wire = fleet::encode_snapshot_binary(sample_snapshot());
+  const std::string wire = fleet::encode_snapshot(sample_snapshot());
   obs::MetricsSnapshot out;
   std::string err;
-  // Every strict prefix past the magic is a truncation error.
-  for (std::size_t cut = 1; cut < wire.size(); ++cut) {
+  // Every strict prefix is a truncation error.
+  for (std::size_t cut = 0; cut < wire.size(); ++cut) {
     err.clear();
     EXPECT_FALSE(fleet::decode_snapshot(wire.substr(0, cut), out, err))
-        << "accepted truncated binary snapshot at " << cut;
+        << "accepted truncated snapshot at " << cut;
     EXPECT_FALSE(err.empty());
   }
-  // Trailing bytes, unknown kind bytes and empty names are typed too.
+  // Trailing bytes and unknown kind bytes are typed too.
   EXPECT_FALSE(fleet::decode_snapshot(wire + "x", out, err));
   std::string bad_kind(wire);
-  bad_kind[2] = '\x07';  // count varint is 1 byte; first kind follows
+  bad_kind[1] = '\x07';  // count varint is 1 byte; first kind follows
   EXPECT_FALSE(fleet::decode_snapshot(bad_kind, out, err));
-  // An empty snapshot is one byte of magic + a zero count, and valid.
+  // An empty snapshot is a zero count, and valid.
   obs::MetricsRegistry empty_reg;
   EXPECT_TRUE(fleet::decode_snapshot(
-      fleet::encode_snapshot_binary(empty_reg.snapshot()), out, err))
+      fleet::encode_snapshot(empty_reg.snapshot()), out, err))
       << err;
 }
 
-// ----- wire v2: handshake + env knob ------------------------------------
+// ----- credit windows: end-to-end byte identity -------------------------
 
-TEST(FleetWire, HandshakeLinesParseStrictly) {
-  unsigned v = 0;
-  EXPECT_TRUE(fleet::parse_handshake("parbounds-fleet-offer wire=2",
-                                     fleet::kOfferPrefix, v));
-  EXPECT_EQ(v, 2u);
-  EXPECT_TRUE(
-      fleet::parse_handshake("parbounds-fleet-ack wire=1", fleet::kAckPrefix, v));
-  EXPECT_EQ(v, 1u);
-  EXPECT_FALSE(fleet::parse_handshake("parbounds-fleet-offer wire=0",
-                                      fleet::kOfferPrefix, v));
-  EXPECT_FALSE(fleet::parse_handshake("parbounds-fleet-offer wire=x",
-                                      fleet::kOfferPrefix, v));
-  EXPECT_FALSE(fleet::parse_handshake("parbounds-fleet-offer wire=2 extra",
-                                      fleet::kOfferPrefix, v));
-  EXPECT_FALSE(
-      fleet::parse_handshake("something else", fleet::kOfferPrefix, v));
-}
-
-TEST(FleetWire, EnvKnobParsesAndRejectsWithHint) {
-  ::unsetenv(fleet::kWireEnv);
-  EXPECT_EQ(fleet::wire_version_from_env(), service::kWireVersionBinary);
-  ::setenv(fleet::kWireEnv, "text", 1);
-  EXPECT_EQ(fleet::wire_version_from_env(), service::kWireVersionText);
-  ::setenv(fleet::kWireEnv, "binary", 1);
-  EXPECT_EQ(fleet::wire_version_from_env(), service::kWireVersionBinary);
-  ::setenv(fleet::kWireEnv, "binry", 1);
-  try {
-    (void)fleet::wire_version_from_env();
-    FAIL() << "unknown wire mode was accepted";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("binry"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("did you mean 'binary'"), std::string::npos) << msg;
-  }
-  ::unsetenv(fleet::kWireEnv);
-}
-
-// ----- wire v2 + credit windows: end-to-end byte identity ----------------
-
+// The fleet has one wire (the binary codec), so the matrix is
+// workers x window.
 TEST(FleetEndToEnd, EveryWireWorkersWindowComboReproducesTheBytes) {
   const std::string reference = in_process_reference(many_cells());
-  for (const unsigned wire :
-       {service::kWireVersionText, service::kWireVersionBinary}) {
-    for (const unsigned workers : {1u, 2u, 4u}) {
-      for (const unsigned window : {1u, 8u}) {
-        FleetConfig cfg;
-        cfg.workers = workers;
-        cfg.window = window;
-        cfg.wire = wire;
-        FleetCoordinator fc(cfg);
-        EXPECT_EQ(fleet_report(fc, many_cells()), reference)
-            << "diverged at wire=" << wire << " workers=" << workers
-            << " window=" << window;
-        // The data plane actually moved frames, and the high-water
-        // in-flight depth respected (and under load reached) the window.
-        EXPECT_GT(fc.counter("fleet.bytes_tx"), 0u);
-        EXPECT_GT(fc.counter("fleet.bytes_rx"), 0u);
-        EXPECT_GT(fc.counter("fleet.frames_tx"), 0u);
-        EXPECT_GT(fc.counter("fleet.frames_rx"), 0u);
-        // 24 cells split evenly, so a worker can hold at most its
-        // share of the sweep in flight.
-        EXPECT_EQ(fc.counter("fleet.window.depth"),
-                  std::min<std::uint64_t>(window, 24 / workers));
-        EXPECT_EQ(fc.counter("fleet.worker.retry"), 0u);
-      }
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    for (const unsigned window : {1u, 8u}) {
+      FleetConfig cfg;
+      cfg.workers = workers;
+      cfg.window = window;
+      FleetCoordinator fc(cfg);
+      EXPECT_EQ(fleet_report(fc, many_cells()), reference)
+          << "diverged at workers=" << workers << " window=" << window;
+      // The data plane actually moved frames, and the high-water
+      // in-flight depth respected (and under load reached) the window.
+      EXPECT_GT(fc.counter("fleet.bytes_tx"), 0u);
+      EXPECT_GT(fc.counter("fleet.bytes_rx"), 0u);
+      EXPECT_GT(fc.counter("fleet.frames_tx"), 0u);
+      EXPECT_GT(fc.counter("fleet.frames_rx"), 0u);
+      // 24 cells split evenly, so a worker can hold at most its share
+      // of the sweep in flight.
+      EXPECT_EQ(fc.counter("fleet.window.depth"),
+                std::min<std::uint64_t>(window, 24 / workers));
+      EXPECT_EQ(fc.counter("fleet.worker.retry"), 0u);
     }
   }
-}
-
-TEST(FleetEndToEnd, BinaryWireMovesFewerBytesThanText) {
-  // The reason v2 exists: same cells, same report bytes, smaller wire.
-  std::uint64_t bytes[3] = {};
-  for (const unsigned wire :
-       {service::kWireVersionText, service::kWireVersionBinary}) {
-    FleetConfig cfg;
-    cfg.workers = 2;
-    cfg.wire = wire;
-    FleetCoordinator fc(cfg);
-    (void)fleet_report(fc, many_cells());
-    bytes[wire] = fc.counter("fleet.bytes_tx") + fc.counter("fleet.bytes_rx");
-  }
-  EXPECT_LT(bytes[service::kWireVersionBinary],
-            bytes[service::kWireVersionText]);
 }
 
 TEST(FleetEndToEnd, CrashMidWindowRequeuesEveryInflightCell) {
@@ -645,25 +610,6 @@ TEST(FleetEndToEnd, WindowMustBePositive) {
   cfg.workers = 1;
   cfg.window = 0;
   EXPECT_THROW(FleetCoordinator fc(cfg), std::invalid_argument);
-}
-
-TEST(FleetEndToEnd, CrashMidWindowOnTheBinaryWireToo) {
-  // The requeue path re-encodes on whatever wire the surviving workers
-  // negotiated; run the crash drill once per codec.
-  const std::string reference = in_process_reference(many_cells());
-  for (const unsigned wire :
-       {service::kWireVersionText, service::kWireVersionBinary}) {
-    ::setenv("PARBOUNDS_FLEET_CRASH", "1:2", 1);
-    FleetConfig cfg;
-    cfg.workers = 2;
-    cfg.window = 8;
-    cfg.wire = wire;
-    FleetCoordinator fc(cfg);
-    const std::string report = fleet_report(fc, many_cells());
-    ::unsetenv("PARBOUNDS_FLEET_CRASH");
-    EXPECT_EQ(report, reference) << "diverged on wire=" << wire;
-    EXPECT_EQ(fc.counter("fleet.worker.exit"), 1u);
-  }
 }
 
 }  // namespace

@@ -74,10 +74,10 @@ TEST(CacheKey, CanonicalRequestAndKeyAreStable) {
   req.seed = 42;
   // Params serialize sorted by name (g before n), after the version tag.
   EXPECT_EQ(canonical_request(req),
-            "parbounds-service-v2|engine=qsm|workload=parity_circuit"
+            "parbounds-service-v3|engine=qsm|workload=parity_circuit"
             "|g=4|n=1024|seed=42");
   EXPECT_EQ(cache_key(req),
-            "bb30ed00a34fa60d54ec6062af8cf7870f348d5b3ffc3af3362abe8b27d54d18");
+            "605a52cb347002c31638b8b22b0a4c59e01af4e455639c4b317e2d5ff0024ae7");
 
   // Param declaration order must not matter — same content, same key.
   Request swapped = req;

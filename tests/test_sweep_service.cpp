@@ -31,7 +31,6 @@
 #include "algos/cost_kernels.hpp"
 #include "core/cost.hpp"
 #include "runtime/runner.hpp"
-#include "runtime/sweep_service/client.hpp"
 #include "runtime/sweep_service/protocol.hpp"
 #include "runtime/sweep_service/service.hpp"
 #include "util/rng.hpp"
@@ -379,55 +378,59 @@ TEST(ProtocolCell, CellRequestAndResponseRoundTrip) {
   req.trials = 3;
   Request back;
   std::string err;
-  ASSERT_TRUE(decode_request(encode_request(req), back, err)) << err;
+  ASSERT_TRUE(decode_request_binary(encode_request_binary(req), back, err))
+      << err;
   EXPECT_EQ(back.op, Op::Cell);
   EXPECT_EQ(back.seed, 42u);
   EXPECT_EQ(back.trial0, 6u);
   EXPECT_EQ(back.trials, 3u);
-  EXPECT_EQ(encode_request(back), encode_request(req));
+  EXPECT_EQ(encode_request_binary(back), encode_request_binary(req));
 
   Response resp;
   resp.id = 11;
   resp.costs = {12.0, 8.5, 0.0078125};
-  resp.telemetry = "c qsm.phases 7;";
+  resp.telemetry = std::string("\x01\x00\x0aqsm.phases\x07", 14);
   Response rback;
-  ASSERT_TRUE(decode_response(encode_response(resp), rback, err)) << err;
+  ASSERT_TRUE(
+      decode_response_binary(encode_response_binary(resp), rback, err))
+      << err;
   EXPECT_EQ(rback.costs, resp.costs);
   EXPECT_EQ(rback.telemetry, resp.telemetry);
-  EXPECT_EQ(encode_response(rback), encode_response(resp));
+  EXPECT_EQ(encode_response_binary(rback), encode_response_binary(resp));
 }
 
 TEST(ProtocolCell, CellFieldRulesAreStrict) {
   Request r;
   std::string err;
-  // trial0/trials are required on cell...
+  // Cells travel only on the fleet's binary wire: the daemon's JSON
+  // codec knows neither the op nor its fields...
   EXPECT_FALSE(decode_request(
       R"({"id":1,"op":"cell","engine":"qsm","workload":"w",)"
-      R"("params":{"n":1},"seed":0,"trials":2})",
+      R"("params":{"n":1},"seed":0})",
       r, err));
-  EXPECT_NE(err.find("'trial0'"), std::string::npos) << err;
-  EXPECT_FALSE(decode_request(
-      R"({"id":1,"op":"cell","engine":"qsm","workload":"w",)"
-      R"("params":{"n":1},"seed":0,"trial0":0})",
-      r, err));
-  EXPECT_NE(err.find("'trials'"), std::string::npos) << err;
-  // ...must not ride on other ops...
+  EXPECT_NE(err.find("unknown op 'cell'"), std::string::npos) << err;
   EXPECT_FALSE(decode_request(
       R"({"id":1,"op":"run","engine":"qsm","workload":"w",)"
       R"("params":{"n":1},"seed":0,"trial0":0,"trials":2})",
       r, err));
-  // ...and an empty repetition block is meaningless.
-  EXPECT_FALSE(decode_request(
-      R"({"id":1,"op":"cell","engine":"qsm","workload":"w",)"
-      R"("params":{"n":1},"seed":0,"trial0":0,"trials":0})",
-      r, err));
-  EXPECT_NE(err.find("trials >= 1"), std::string::npos) << err;
-  // telemetry is a cell-response field: without costs it is invalid.
-  Response p;
-  EXPECT_FALSE(decode_response(
-      R"({"id":1,"status":"ok","telemetry":"c x 1;"})", p, err));
-  EXPECT_NE(err.find("'telemetry' without 'costs'"), std::string::npos)
+  EXPECT_NE(err.find("unknown request key 'trial0'"), std::string::npos)
       << err;
+  Response p;
+  EXPECT_FALSE(decode_response(R"({"id":1,"status":"ok","costs":[1]})", p,
+                               err));
+  EXPECT_NE(err.find("unknown response key 'costs'"), std::string::npos)
+      << err;
+  EXPECT_FALSE(decode_response(
+      R"({"id":1,"status":"ok","telemetry":"x"})", p, err));
+  EXPECT_NE(err.find("unknown response key 'telemetry'"), std::string::npos)
+      << err;
+  // ...and on the binary wire an empty repetition block is meaningless.
+  Request cell;
+  cell.op = Op::Cell;
+  cell.spec = {.engine = "qsm", .workload = "w", .params = {{"n", 1}}};
+  cell.trials = 0;
+  EXPECT_FALSE(decode_request_binary(encode_request_binary(cell), r, err));
+  EXPECT_NE(err.find("trials >= 1"), std::string::npos) << err;
 }
 
 TEST(ProtocolCell, CanonicalCellKeyIsDisjointFromRunKeys) {
@@ -480,10 +483,10 @@ TEST(ProtocolFraming, HeaderIsLittleEndian) {
 }
 
 TEST(ProtocolFraming, PayloadLimitIsAParameterOnBothSides) {
-  // Since wire v2 the 1 MiB default is only a default: writers and
-  // readers that know their messages are tiny can bound harder, and
-  // the TooLarge refusal must name both the observed size and the
-  // active limit so a mis-sized transport is diagnosable from the log.
+  // The 1 MiB default is only a default: writers and readers that know
+  // their messages are tiny can bound harder, and the TooLarge refusal
+  // must name both the observed size and the active limit so a
+  // mis-sized transport is diagnosable from the log.
   std::string buf;
   try {
     append_frame(buf, "12345", /*max_payload=*/4);
@@ -513,12 +516,12 @@ TEST(ProtocolFraming, PayloadLimitIsAParameterOnBothSides) {
 }
 
 // ---------------------------------------------------------------------
-// Binary codec (wire v2): the same properties the JSON codec is held
-// to — lossless round-trips, typed rejection of every malformed input
-// — plus the bit-exactness the binary wire exists for.
+// Binary codec (the fleet wire): the same properties the JSON codec is
+// held to — lossless round-trips, typed rejection of every malformed
+// input — plus bit-exactness.
 
-/// random_request, sometimes upgraded to the fleet's cell op (the only
-/// op the binary wire adds fields for).
+/// random_request, sometimes upgraded to the fleet's cell op (the op
+/// only the binary wire carries).
 Request random_binary_request(Rng& rng) {
   Request req = random_request(rng);
   if (req.op == Op::Run && rng.next_bool()) {
@@ -540,7 +543,7 @@ Response random_binary_response(Rng& rng) {
     const std::uint64_t n = 1 + rng.next_below(6);
     for (std::uint64_t i = 0; i < n; ++i) resp.costs.push_back(random_cost(rng));
     resp.cached = rng.next_bool();
-    if (rng.next_bool()) resp.telemetry = "c qsm.phases 7;g x 1;";
+    if (rng.next_bool()) resp.telemetry = random_text(rng, /*nasty=*/true);
   }
   return resp;
 }
@@ -562,12 +565,14 @@ std::string check_binary_request_roundtrip(std::uint64_t seed) {
   // the wire bytes, so cached frames can be compared byte-wise.
   if (encode_request_binary(out) != wire) return "re-encode drifted";
 
-  // Cross-codec equivalence: the JSON wire decodes to the same struct.
-  Request via_text;
-  if (!decode_request(encode_request(req), via_text, err))
-    return "text decode failed: " + err;
-  if (const std::string d = diff_requests(out, via_text); !d.empty())
-    return "binary and text decode disagree: " + d;
+  // Cross-codec equivalence: the JSON codec decodes every op it
+  // carries (all but the cell) to the same struct.
+  if (req.op == Op::Cell) return "";
+  Request via_json;
+  if (!decode_request(encode_request(req), via_json, err))
+    return "JSON decode failed: " + err;
+  if (const std::string d = diff_requests(out, via_json); !d.empty())
+    return "binary and JSON decode disagree: " + d;
   return "";
 }
 
@@ -692,7 +697,7 @@ TEST(BinaryCodec, MagicBytesAreDisjointFromTheTextCodec) {
 TEST(BinaryCodec, AdversarialDoublesRoundTripBitExact) {
   // The values the %.17g text detour is most likely to mangle: signed
   // zero, denormals, and the extremes — plus full-range u64 ids,
-  // seeds and params. Bit-exactness is the reason wire v2 exists.
+  // seeds and params. Bit-exactness is why the fleet wire is binary.
   const double kAdversarial[] = {
       -0.0,
       5e-324,                                    // smallest denormal
@@ -972,24 +977,6 @@ TEST(SweepService, CorruptCacheEntryIsReRunNeverServed) {
   cfg2.cache.dir = dir;
   SweepService healed(cfg2);
   EXPECT_TRUE(healed.call(req).cached);
-}
-
-TEST(SweepService, ClientRefusesClosureOnlyCells) {
-  ServiceConfig cfg;
-  cfg.cache.dir = fresh_dir("client_refuse");
-  SweepService svc(cfg);
-
-  std::vector<runtime::SweepCell> cells;
-  cells.push_back({.key = "closure-only",
-                   .run = [](std::uint64_t) { return 1.0; }});
-  // A silent closure fallback would break the byte-identity contract,
-  // so a non-routable cell is a hard error naming the cell.
-  try {
-    run_sweep_via_service(svc, "t", 1, cells);
-    FAIL() << "non-routable cell was accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("closure-only"), std::string::npos);
-  }
 }
 
 }  // namespace

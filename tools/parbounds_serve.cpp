@@ -4,6 +4,7 @@
 //   --stdio            serve JSONL request/response over stdin/stdout
 //   --socket PATH      listen on a Unix socket; length-prefixed frames,
 //                      one connection at a time, until a shutdown op
+//                      or SIGINT/SIGTERM (either unlinks PATH)
 //   --connect PATH     lock-step client: JSONL on stdin -> frames to the
 //                      daemon -> JSONL on stdout (scripting/CI glue)
 //   --list-workloads   print the registry and exit
@@ -103,34 +104,45 @@ int connect_to(const std::string& path) {
   return fd;
 }
 
+/// Set by SIGINT/SIGTERM; the accept loop polls it.
+volatile std::sig_atomic_t g_stop = 0;
+
+void request_stop(int) { g_stop = 1; }
+
 int serve_socket(SweepService& svc, const std::string& path) {
   // A client that leaves before its reply is written must end only its
   // own session: with SIGPIPE ignored the write fails with EPIPE, which
   // FdTransport records, instead of killing the daemon.
   std::signal(SIGPIPE, SIG_IGN);
+  // SIGINT/SIGTERM stop the daemon cleanly: no SA_RESTART, so a blocked
+  // accept() returns EINTR and the loop below sees the flag, closes
+  // the listener and unlinks the socket file.
+  struct sigaction stop {};
+  stop.sa_handler = request_stop;
+  sigemptyset(&stop.sa_mask);
+  ::sigaction(SIGINT, &stop, nullptr);
+  ::sigaction(SIGTERM, &stop, nullptr);
   const int listener = listen_on(path);
   if (listener < 0) return 1;
   std::cerr << "parbounds_serve: listening on " << path << "\n";
-  for (;;) {
+  int rc = 0;
+  while (g_stop == 0) {
     const int conn = ::accept(listener, nullptr, nullptr);
     if (conn < 0) {
       if (errno == EINTR) continue;
       std::cerr << "parbounds_serve: accept: " << std::strerror(errno)
                 << "\n";
+      rc = 1;
       break;
     }
     FrameTransport transport(conn, conn);
     const ServeResult result = serve(svc, transport);
     ::close(conn);
-    if (result.shutdown) {
-      ::close(listener);
-      ::unlink(path.c_str());
-      return 0;
-    }
+    if (result.shutdown) break;
   }
   ::close(listener);
   ::unlink(path.c_str());
-  return 1;
+  return rc;
 }
 
 /// Lock-step client: one stdin line -> one framed request -> wait for

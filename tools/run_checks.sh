@@ -57,12 +57,12 @@
 #      --workers {1,2,4} response bytes against the in-process backend
 #      and force a worker crash mid-sweep with the retry counters
 #      checked on stderr;
-#  12. the fleet data-plane stage (docs/SERVICE.md#wire-v2): a
-#      parbounds_serve --stdio --workers 2 sweep run under
-#      PARBOUNDS_FLEET_WIRE=text and =binary with the response bytes
-#      cmp'd (the wire codec must never leak into a result), an
-#      unknown wire value required to die with the did-you-mean hint,
-#      and the bench_fleet_throughput smoke — credit-window pipelining
+#  12. the fleet data-plane stage (docs/SERVICE.md#fleet-wire): a
+#      parbounds_serve --stdio sweep answered by a --workers 2 fleet
+#      and by the in-process runner, each on its own cold cache, with
+#      the response bytes cmp'd (the execution backend must never leak
+#      into a result), and the bench_fleet_throughput smoke —
+#      credit-window pipelining
 #      vs lock-step with an in-process identity oracle on every
 #      configuration and a pipeline_speedup floor that scales with the
 #      host (>=4 cores gates at 1.5x; 1-core CI boxes gate at 1.0 and
@@ -278,15 +278,13 @@ EOF
   rm -rf "${dir}"
 }
 
-# Fleet wire-mode smoke (docs/SERVICE.md#wire-v2). $1 is the build dir
-# holding tools/parbounds_serve. The same sweep runs through a 2-worker
-# fleet on the v1 text wire and the v2 binary wire; the response bytes
-# must be identical (cmp, not diff: every byte counts). An unknown
-# PARBOUNDS_FLEET_WIRE value must die with the did-you-mean hint the
-# same way a bad PARBOUNDS_SIMD pin does.
+# Fleet data-plane smoke (docs/SERVICE.md#fleet-wire). $1 is the build
+# dir holding tools/parbounds_serve. The same sweep is answered by a
+# 2-worker fleet and by the in-process runner; the response bytes must
+# be identical (cmp, not diff: every byte counts).
 run_fleet_wire_smoke() {
   local serve="$1/tools/parbounds_serve"
-  echo "==> fleet wire smoke (text vs binary byte identity, --workers 2)"
+  echo "==> fleet wire smoke (--workers 2 vs in-process byte identity)"
   local dir
   dir="$(mktemp -d)"
   local sweep
@@ -297,32 +295,16 @@ run_fleet_wire_smoke() {
 EOF
 )"
   # Separate cold caches: with a shared one the second run would answer
-  # cached:true and the cmp would flag the cache, not the codec.
-  printf '%s\n' "${sweep}" | PARBOUNDS_FLEET_WIRE=text \
-    "${serve}" --stdio --workers 2 --cache-dir "${dir}/cache-text" \
-    >"${dir}/text.out"
-  printf '%s\n' "${sweep}" | PARBOUNDS_FLEET_WIRE=binary \
-    "${serve}" --stdio --workers 2 --cache-dir "${dir}/cache-binary" \
-    >"${dir}/binary.out"
-  if ! cmp "${dir}/text.out" "${dir}/binary.out"; then
-    echo "wire codec leaked into the response bytes (text vs binary)" >&2
+  # cached:true and the cmp would flag the cache, not the backend.
+  printf '%s\n' "${sweep}" |
+    "${serve}" --stdio --workers 2 --cache-dir "${dir}/cache-fleet" \
+    >"${dir}/fleet.out"
+  printf '%s\n' "${sweep}" |
+    "${serve}" --stdio --cache-dir "${dir}/cache-local" >"${dir}/local.out"
+  if ! cmp "${dir}/fleet.out" "${dir}/local.out"; then
+    echo "fleet and in-process response bytes differ (--workers 2)" >&2
     exit 1
   fi
-  echo "==> fleet wire smoke: unknown wire mode must die with a hint"
-  local rc=0
-  printf '%s\n' "${sweep}" | PARBOUNDS_FLEET_WIRE=binry \
-    "${serve}" --stdio --workers 2 --cache-dir "${dir}/cache-bad" \
-    >"${dir}/bad.out" 2>"${dir}/bad.err" || rc=$?
-  if [[ "${rc}" -eq 0 ]]; then
-    echo "an unknown PARBOUNDS_FLEET_WIRE value was accepted" >&2
-    exit 1
-  fi
-  if ! grep -q "did you mean 'binary'" "${dir}/bad.err"; then
-    echo "an unknown PARBOUNDS_FLEET_WIRE value was not rejected with a hint" >&2
-    cat "${dir}/bad.err" >&2
-    exit 1
-  fi
-  echo "    PARBOUNDS_FLEET_WIRE=binry: rejected with a hint"
   rm -rf "${dir}"
 }
 
