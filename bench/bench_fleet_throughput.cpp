@@ -81,8 +81,6 @@ pb::runtime::BenchReport wrap_sweep(pb::runtime::SweepResult sweep,
                                     std::uint64_t base_seed) {
   pb::runtime::BenchReport report;
   report.bench = "bench_fleet_throughput_oracle";
-  report.jobs = 1;
-  report.threads = 1;
   report.seed = base_seed;
   report.metrics_json = std::move(metrics_json);
   report.sweeps.push_back(std::move(sweep));
@@ -90,20 +88,18 @@ pb::runtime::BenchReport wrap_sweep(pb::runtime::SweepResult sweep,
 }
 
 /// The bytes every fleet configuration must reproduce: the same cells
-/// on an in-process jobs=1 runner under a fresh TelemetryObserver,
-/// serialized timing-free (the test_fleet reference, verbatim).
+/// on an in-process jobs=1 runner under a fresh TelemetryObserver (the
+/// test_fleet reference, verbatim).
 std::string in_process_reference(std::uint64_t base_seed) {
   pb::obs::MetricsRegistry registry;
   pb::obs::TelemetryObserver telemetry(registry);
   pb::obs::install_process_telemetry(&telemetry);
   pb::runtime::ExperimentRunner runner({.jobs = 1});
   pb::runtime::SweepResult sweep =
-      run_sweep(runner, "fleet throughput", base_seed, tiny_cells(),
-                /*serial_baseline=*/false);
+      run_sweep(runner, "fleet throughput", base_seed, tiny_cells());
   pb::obs::install_process_telemetry(nullptr);
   return to_json(
-      wrap_sweep(std::move(sweep), registry.snapshot().to_json(), base_seed),
-      /*include_timing=*/false);
+      wrap_sweep(std::move(sweep), registry.snapshot().to_json(), base_seed));
 }
 
 std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
@@ -142,9 +138,8 @@ Measurement run_config(const Config& cfg, std::uint64_t base_seed,
     pb::runtime::SweepResult sweep = pb::fleet::run_sweep_fleet(
         fleet, "fleet throughput", base_seed, tiny_cells(), &snap);
     const std::uint64_t wall = ns_since(t0);
-    const std::string report = to_json(
-        wrap_sweep(std::move(sweep), snap.to_json(), base_seed),
-        /*include_timing=*/false);
+    const std::string report =
+        to_json(wrap_sweep(std::move(sweep), snap.to_json(), base_seed));
     if (report != reference) {
       std::fprintf(stderr,
                    "bench_fleet_throughput: report diverged from the "
@@ -220,13 +215,8 @@ int main(int argc, char** argv) {
 
   const double speedup = cps[4][8] / cps[4][1];
 
-  // The measurement goes into the JSON report as a single-trial cell,
-  // the bench_obs_overhead way (a wall ratio recorded as a deterministic
-  // cell would be a lie).
-  sweep("fleet_throughput",
-        {{.key = "fleet/pipeline_speedup",
-          .trials = 1,
-          .run = [speedup](std::uint64_t) { return speedup; }}});
+  // A wall ratio is a measurement, not model data: ops file only.
+  session.ratio("fleet/pipeline_speedup", speedup);
 
   std::printf("identity oracle: every fleet report matched the in-process "
               "bytes (%u configs x %u runs)\n",

@@ -16,8 +16,8 @@
 // costs / degree values are asserted equal, so the replicas double as
 // behavioral oracles. The recorded speedup is the wall-clock ratio
 // between the paired sweeps. Cells return model costs/degrees, never
-// wall time, so the runtime's serial-baseline bit-identity check keeps
-// holding at any --jobs value.
+// wall time, so the report bytes are the same at any --jobs value; the
+// ratios go to the ops file (BENCH_hotpath.ops.json) only.
 //
 // Since the intra-trial parallelism PR the binary also carries the
 // shard-equivalence oracle: a phase-commit instance large enough to
@@ -25,8 +25,9 @@
 // and once per pool size in {1, 2, 8}, and every model cost, Random-
 // write winner (via a memory checksum) and delivered read must match
 // bit for bit. The same sweep times the sharded path at each pool size
-// and records the single-instance speedups ("shard_speedup" sweep), as
-// does a degree(n=26) instance that lands in the chunked Moebius tier.
+// and records the single-instance speedups (the "shard_speedup/..."
+// ratios), as does a degree(n=26) instance that lands in the chunked
+// Moebius tier.
 //
 // Since the SIMD dispatch PR the oracle generalizes to the full kernel
 // matrix: kernel_digest folds every dispatch-kernel-touched quantity
@@ -35,7 +36,7 @@
 // model cost) into one checksum, and that digest must be identical at
 // EVERY supported dispatch level x pool size in {1, 2, 8}. A paired
 // timing pass then pins the word loops at portable and at the highest
-// supported tier and records the ratios ("simd_speedup" sweep).
+// supported tier and records the ratios ("simd_speedup/..." ratios).
 //
 // Extra flags (stripped before the harness parses argv):
 //   --min-phase-speedup=X   fail (exit 1) if the commit speedup < X
@@ -47,9 +48,9 @@
 //                           speedup over pinned-portable < X for the
 //                           connectives or the chunked-degree workload
 //                           (skipped when the host has no SIMD tier)
-// tools/run_checks.sh passes conservative floors; BENCH_hotpath.json
-// records the actually measured ratios in the "speedup",
-// "shard_speedup" and "simd_speedup" sweeps.
+// tools/run_checks.sh passes conservative floors; BENCH_hotpath.ops.json
+// records the actually measured "speedup/...", "shard_speedup/..." and
+// "simd_speedup/..." ratios.
 
 #include <algorithm>
 #include <bit>
@@ -657,7 +658,6 @@ int main(int argc, char** argv) {
   pool.set_threads(1);
 
   constexpr unsigned kTrials = 3;
-  const bool baseline = session.json_enabled();
 
   // Paired sweeps share one base seed and one cell grid, so trial t sees
   // the same op stream / sampled function on both sides and the model
@@ -674,14 +674,12 @@ int main(int argc, char** argv) {
       session.runner(), "phase_commit", commit_base,
       {{.key = "qsm/p1024x64",
         .trials = kTrials,
-        .run = as_cell(qsm_commit_model)}},
-      baseline);
+        .run = as_cell(qsm_commit_model)}});
   const auto qsm_old = pb::runtime::run_sweep(
       session.runner(), "phase_commit_legacy", commit_base,
       {{.key = "qsm/p1024x64",
         .trials = kTrials,
-        .run = as_cell(qsm_legacy_commit_model)}},
-      baseline);
+        .run = as_cell(qsm_legacy_commit_model)}});
   const auto engines = pb::runtime::run_sweep(
       session.runner(), "phase_commit_other_engines",
       session.next_base_seed(),
@@ -693,8 +691,7 @@ int main(int argc, char** argv) {
         .run = as_cell(bsp_commit_model)},
        {.key = "crcw/p1024x64",
         .trials = kTrials,
-        .run = as_cell(crcw_commit_model)}},
-      baseline);
+        .run = as_cell(crcw_commit_model)}});
 
   constexpr unsigned kDegTrials = 2;
   const std::uint64_t degree_base = session.next_base_seed();
@@ -706,8 +703,7 @@ int main(int argc, char** argv) {
         .run = degree_and18in20},
        {.key = "degree/random20",
         .trials = kDegTrials,
-        .run = degree_random20}},
-      baseline);
+        .run = degree_random20}});
   const auto fn_old = pb::runtime::run_sweep(
       session.runner(), "boolfn_degree_legacy", degree_base,
       {{.key = "degree/parity20",
@@ -718,26 +714,22 @@ int main(int argc, char** argv) {
         .run = legacy_degree_and18in20},
        {.key = "degree/random20",
         .trials = kDegTrials,
-        .run = legacy_degree_random20}},
-      baseline);
+        .run = legacy_degree_random20}});
   const std::uint64_t conn_base = session.next_base_seed();
   const auto conn_new = pb::runtime::run_sweep(
       session.runner(), "boolfn_connectives", conn_base,
-      {{.key = "connectives/n20", .trials = kTrials, .run = connectives20}},
-      baseline);
+      {{.key = "connectives/n20", .trials = kTrials, .run = connectives20}});
   const auto conn_old = pb::runtime::run_sweep(
       session.runner(), "boolfn_connectives_legacy", conn_base,
       {{.key = "connectives/n20",
         .trials = kTrials,
-        .run = legacy_connectives20}},
-      baseline);
+        .run = legacy_connectives20}});
 
   // Packed-only arities: correctness plus a timing record.
   const auto extended = pb::runtime::run_sweep(
       session.runner(), "boolfn_extended", session.next_base_seed(),
       {{.key = "degree/parity28", .trials = 1, .run = degree_parity28},
-       {.key = "degree/and22in24", .trials = 1, .run = degree_and22in24}},
-      baseline);
+       {.key = "degree/and22in24", .trials = 1, .run = degree_and22in24}});
 
   session.record(qsm_new);
   session.record(qsm_old);
@@ -785,18 +777,8 @@ int main(int argc, char** argv) {
   std::printf("degree(parity(28)) = %.0f, degree(and22 at n=24) = %.0f\n\n",
               extended.cells[0].mean, extended.cells[1].mean);
 
-  // Record the measured ratios in the JSON report as a synthetic sweep
-  // (captured constants, so the serial re-run reproduces them bit for
-  // bit).
-  session.record(pb::runtime::run_sweep(
-      session.runner(), "speedup", session.next_base_seed(),
-      {{.key = "phase_commit/qsm_p1024x64",
-        .trials = 1,
-        .run = [phase_speedup](std::uint64_t) { return phase_speedup; }},
-       {.key = "boolfn/degree_n20",
-        .trials = 1,
-        .run = [degree_speedup](std::uint64_t) { return degree_speedup; }}},
-      baseline));
+  session.ratio("speedup/phase_commit/qsm_p1024x64", phase_speedup);
+  session.ratio("speedup/boolfn/degree_n20", degree_speedup);
 
   if (min_phase > 0.0 && phase_speedup < min_phase) {
     std::fprintf(stderr,
@@ -883,21 +865,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(serial_ref.cost),
               static_cast<unsigned long long>(serial_ref.checksum));
 
-  session.record(pb::runtime::run_sweep(
-      session.runner(), "shard_speedup", session.next_base_seed(),
-      {{.key = "phase_commit/threads2",
-        .trials = 1,
-        .run = [shard_commit2](std::uint64_t) { return shard_commit2; }},
-       {.key = "phase_commit/threads8",
-        .trials = 1,
-        .run = [shard_commit8](std::uint64_t) { return shard_commit8; }},
-       {.key = "degree26/threads2",
-        .trials = 1,
-        .run = [shard_deg2](std::uint64_t) { return shard_deg2; }},
-       {.key = "degree26/threads8",
-        .trials = 1,
-        .run = [shard_deg8](std::uint64_t) { return shard_deg8; }}},
-      baseline));
+  session.ratio("shard_speedup/phase_commit/threads2", shard_commit2);
+  session.ratio("shard_speedup/phase_commit/threads8", shard_commit8);
+  session.ratio("shard_speedup/degree26/threads2", shard_deg2);
+  session.ratio("shard_speedup/degree26/threads8", shard_deg8);
 
   if (min_shard > 0.0 &&
       std::min(shard_commit8, shard_deg8) < min_shard) {
@@ -957,8 +928,7 @@ int main(int argc, char** argv) {
         .run = [digest53](std::uint64_t) { return digest53; }},
        {.key = "kernel_digest/lanes",
         .trials = 1,
-        .run = [oracle_lanes](std::uint64_t) { return oracle_lanes; }}},
-      baseline));
+        .run = [oracle_lanes](std::uint64_t) { return oracle_lanes; }}}));
 
   // ----- SIMD word-loop speedup: pinned portable vs best tier -------------
   const auto max_level = pb::runtime::max_supported_simd_level();
@@ -1014,15 +984,8 @@ int main(int argc, char** argv) {
                 pb::TextTable::num(simd_deg, 2)});
     std::printf("%s\n", sm.render().c_str());
 
-    session.record(pb::runtime::run_sweep(
-        session.runner(), "simd_speedup", session.next_base_seed(),
-        {{.key = "connectives/n24",
-          .trials = 1,
-          .run = [simd_conn](std::uint64_t) { return simd_conn; }},
-         {.key = "degree23/chunked",
-          .trials = 1,
-          .run = [simd_deg](std::uint64_t) { return simd_deg; }}},
-        baseline));
+    session.ratio("simd_speedup/connectives/n24", simd_conn);
+    session.ratio("simd_speedup/degree23/chunked", simd_deg);
 
     if (min_simd > 0.0 && std::min(simd_conn, simd_deg) < min_simd) {
       std::fprintf(stderr,

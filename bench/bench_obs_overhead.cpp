@@ -329,16 +329,11 @@ int main(int argc, char** argv) {
              pb::TextTable::num(attached_ratio, 3)});
   std::printf("%s\n", t.render().c_str());
 
-  // Ratios into the JSON report (trivially deterministic cells would be
-  // a lie here — wall ratios are measurements, so the sweep records them
-  // as single-trial cells the way bench_hotpath records its speedups).
-  sweep("obs_overhead",
-        {{.key = "qsm_commit/detached_vs_baseline",
-          .trials = 1,
-          .run = [detached_ratio](std::uint64_t) { return detached_ratio; }},
-         {.key = "qsm_commit/attached_vs_baseline",
-          .trials = 1,
-          .run = [attached_ratio](std::uint64_t) { return attached_ratio; }}});
+  // Wall ratios are measurements, not model data: ops file only.
+  session.ratio("obs_overhead/qsm_commit/detached_vs_baseline",
+                detached_ratio);
+  session.ratio("obs_overhead/qsm_commit/attached_vs_baseline",
+                attached_ratio);
 
   if (detached_ratio > max_overhead) {
     std::fprintf(stderr,

@@ -19,14 +19,19 @@
 // --json, and either installs the process TelemetryObserver so the
 // report carries a "metrics" block); --workers routes sweeps of
 // ServiceSpec cells across re-exec'd worker processes
-// (docs/SERVICE.md#fleet) and writes a timing-free report that is
-// byte-identical to an in-process --jobs 1 run.
+// (docs/SERVICE.md#fleet).
+//
+// --json writes two files (src/runtime/bench_json.hpp): the report,
+// whose bytes are the same at any --jobs, --threads or --workers, and
+// next to it the ops file (BENCH_<name>.ops.json) with the settings,
+// the host block, the wall times and the wall-clock ratios a bench
+// recorded with ratio().
 //
 // The PARBOUNDS_SIMD environment variable (portable|avx2|avx512) pins
 // the BoolFn kernel dispatch level for the whole run; unknown values or
-// tiers the cpu cannot run are typed errors (exit 2), and the timed
-// JSON report records the active level in its host block
-// (docs/PERF.md, "SIMD kernel dispatch").
+// tiers the cpu cannot run are typed errors (exit 2), and the ops file
+// records the active level in its host block (docs/PERF.md, "SIMD
+// kernel dispatch").
 //
 // The cost kernels the benches call (parity_circuit_cost, ...) live in
 // src/algos/cost_kernels.hpp since the service PR and are pulled into
@@ -38,7 +43,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -134,9 +138,8 @@ class BenchSession {
     trace_path_ = flags.trace_path;
     if (!trace_path_.empty() && json_path_.empty())
       json_path_ = "BENCH_" + report_.bench + ".json";
-    // Fleet mode pins the parent to jobs=1/threads=1: the merged report
-    // must serialize exactly like the in-process --jobs 1 report it is
-    // reassembling, and the parallelism is the fleet's width anyway.
+    // Fleet mode pins the parent to jobs=1/threads=1: the parallelism
+    // is the fleet's width.
     runner_ = std::make_unique<runtime::ExperimentRunner>(
         runtime::RunnerConfig{.jobs = flags.workers > 0 ? 1u : flags.jobs});
     report_.jobs = runner_->jobs();
@@ -145,6 +148,7 @@ class BenchSession {
     runtime::ParallelFor::pool().set_threads(
         flags.workers > 0 ? 1u : flags.resolved_threads(runner_->jobs()));
     report_.threads = runtime::ParallelFor::pool().threads();
+    report_.workers = flags.workers;
     // Fleet runs keep the metrics block, but it is reassembled from
     // per-cell worker snapshots (run_sweep_fleet), never observed in
     // this process.
@@ -205,6 +209,12 @@ class BenchSession {
     return report_.sweeps.back();
   }
 
+  /// Record a measured wall-clock ratio (a speedup, an overhead). It
+  /// goes to the ops file only: the report holds model data alone.
+  void ratio(std::string name, double value) {
+    report_.ratios.emplace_back(std::move(name), value);
+  }
+
   /// Re-snapshot the registry into the report after every sweep, so
   /// the metrics block counts exactly the sweeps' executions.
   void capture_metrics() {
@@ -238,28 +248,17 @@ class BenchSession {
               fleet_->counter("fleet.worker.reassign")));
     }
     if (json_path_.empty()) return 0;
-    std::ofstream f(json_path_);
-    if (!f) {
-      std::fprintf(stderr, "bench: cannot write %s\n", json_path_.c_str());
+    const std::string ops = runtime::ops_path(json_path_);
+    if (!obs::write_text_file(json_path_, runtime::to_json(report_)) ||
+        !obs::write_text_file(ops, runtime::ops_json(report_))) {
+      std::fprintf(stderr, "bench: cannot write %s or %s\n",
+                   json_path_.c_str(), ops.c_str());
       return 1;
     }
-    // Fleet runs serialize timing-free: with no wall fields, a cold
-    // run, a warm-cache replay, a crash-recovered run and an in-process
-    // --jobs 1 run of the same sweep produce identical bytes (test_fleet
-    // pins this).
-    f << runtime::to_json(report_, /*include_timing=*/fleet_ == nullptr);
-    char speedup[32] = "n/a";  // jobs==1 runs ARE the serial baseline
-    if (report_.jobs > 1)
-      std::snprintf(speedup, sizeof speedup, "%.2f",
-                    runtime::report_speedup(report_));
-    std::fprintf(stderr,
-                 "bench: %s: jobs=%u threads=%u sweeps=%zu "
-                 "speedup_vs_serial=%s deterministic=%s -> %s\n",
+    std::fprintf(stderr, "bench: %s: jobs=%u threads=%u sweeps=%zu -> %s, %s\n",
                  report_.bench.c_str(), report_.jobs, report_.threads,
-                 report_.sweeps.size(), speedup,
-                 runtime::report_deterministic(report_) ? "yes" : "NO",
-                 json_path_.c_str());
-    return runtime::report_deterministic(report_) ? 0 : 1;
+                 report_.sweeps.size(), json_path_.c_str(), ops.c_str());
+    return 0;
   }
 
  private:
@@ -285,13 +284,12 @@ inline BenchSession& session_init(int& argc, char** argv, std::string name) {
   return s;
 }
 
-/// Run a sweep through the session runner; the serial baseline (wall
-/// time + bit-identity cross-check) is measured when --json is active.
-/// Under --workers a sweep of routable cells runs across the process
-/// fleet (same derived seeds, same kernels, same aggregation). A sweep
-/// with no ServiceSpec at all (audits, multi-value replays) runs on the
-/// session runner either way; one that mixes routable and closure-only
-/// cells is a hard error on the fleet, not a silent fallback.
+/// Run a sweep through the session runner. Under --workers a sweep of
+/// routable cells runs across the process fleet (same derived seeds,
+/// same kernels, same aggregation). A sweep with no ServiceSpec at all
+/// (audits, multi-value replays) runs on the session runner either way;
+/// one that mixes routable and closure-only cells is a hard error on
+/// the fleet, not a silent fallback.
 inline const runtime::SweepResult& sweep(
     std::string title, std::vector<runtime::SweepCell> cells) {
   auto& s = BenchSession::get();
@@ -314,8 +312,6 @@ inline const runtime::SweepResult& sweep(
   if (s.via_fleet() && s.json_enabled()) {
     // The fleet's metrics block is merged from per-sweep snapshots, so a
     // sweep run here contributes its own, observed on a fresh registry.
-    // The runner is pinned to one job, so a serial re-run would only
-    // repeat the run.
     obs::MetricsRegistry registry;
     obs::TelemetryObserver telemetry(registry);
     obs::install_process_telemetry(&telemetry);
@@ -326,8 +322,7 @@ inline const runtime::SweepResult& sweep(
     return res;
   }
   return s.record(runtime::run_sweep(s.runner(), std::move(title),
-                                     s.next_base_seed(), std::move(cells),
-                                     s.json_enabled()));
+                                     s.next_base_seed(), std::move(cells)));
 }
 
 // ----- cost kernels (src/algos/cost_kernels.hpp) ----------------------------

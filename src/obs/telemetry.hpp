@@ -65,22 +65,6 @@ extern std::atomic<AnalysisObserver*> g_process_telemetry;
 /// dies; engines on other threads may fire the hook at any moment.
 void install_process_telemetry(AnalysisObserver* o);
 
-/// Detaches the process-wide telemetry sink for one scope and restores
-/// it on exit: re-executions that exist only to be timed or
-/// cross-checked (a sweep's serial baseline) must not count twice.
-class TelemetryPause {
- public:
-  TelemetryPause()
-      : saved_(detail::g_process_telemetry.exchange(
-            nullptr, std::memory_order_acq_rel)) {}
-  ~TelemetryPause() { install_process_telemetry(saved_); }
-  TelemetryPause(const TelemetryPause&) = delete;
-  TelemetryPause& operator=(const TelemetryPause&) = delete;
-
- private:
-  AnalysisObserver* saved_;
-};
-
 /// The engines' per-commit hook. Detached cost: one relaxed-ish atomic
 /// load plus an untaken branch.
 inline void phase_hook(const ExecutionTrace& t, std::size_t index) {

@@ -52,17 +52,9 @@ void append_cell(std::string& out, const CellResult& c) {
   out += '}';
 }
 
-void append_sweep(std::string& out, const SweepResult& s,
-                  bool include_timing) {
+void append_sweep(std::string& out, const SweepResult& s) {
   out += "{\"title\":\"" + json_escape(s.title) + "\"";
   out += ",\"base_seed\":" + std::to_string(s.base_seed);
-  out += ",\"deterministic\":";
-  out += s.deterministic ? "true" : "false";
-  if (include_timing) {
-    out += ",\"wall_ms\":" + num(s.wall_ms);
-    out += ",\"serial_wall_ms\":" + num(s.serial_wall_ms);
-    out += ",\"speedup_vs_serial\":" + num(speedup_vs_serial(s));
-  }
   out += ",\"cells\":[";
   for (std::size_t i = 0; i < s.cells.size(); ++i) {
     if (i > 0) out += ',';
@@ -72,16 +64,6 @@ void append_sweep(std::string& out, const SweepResult& s,
 }
 
 }  // namespace
-
-double report_speedup(const BenchReport& report) {
-  double wall = 0.0, serial = 0.0;
-  for (const auto& s : report.sweeps) {
-    wall += s.wall_ms;
-    serial += s.serial_wall_ms;
-  }
-  if (wall <= 0.0 || serial <= 0.0) return 1.0;
-  return serial / wall;
-}
 
 std::string host_json() {
 #if defined(__clang__)
@@ -98,18 +80,12 @@ std::string host_json() {
   out += ",\"build_type\":\"" + json_escape(PARBOUNDS_BUILD_TYPE) + "\"";
   out += ",\"compiler\":\"" + json_escape(compiler) + "\"";
   // Which kernel tier produced the wall numbers, and what the cpu could
-  // have run — a BENCH_*.json speedup is meaningless without both
+  // have run — an ops-file speedup is meaningless without both
   // (docs/PERF.md, "SIMD kernel dispatch").
   out += ",\"dispatch\":\"";
   out += simd_level_name(active_simd_level());
   out += "\",\"cpu_features\":\"" + json_escape(cpu_feature_flags()) + "\"}";
   return out;
-}
-
-bool report_deterministic(const BenchReport& report) {
-  for (const auto& s : report.sweeps)
-    if (!s.deterministic) return false;
-  return true;
 }
 
 std::string json_escape(const std::string& s) {
@@ -136,39 +112,53 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-std::string to_json(const BenchReport& report, bool include_timing) {
+std::string to_json(const BenchReport& report, bool) {
   std::string out;
-  out += "{\"schema\":\"parbounds-bench-v1\"";
+  out += "{\"schema\":\"parbounds-bench-v2\"";
   out += ",\"bench\":\"" + json_escape(report.bench) + "\"";
-  out += ",\"jobs\":" + std::to_string(report.jobs);
-  out += ",\"threads\":" + std::to_string(report.threads);
   out += ",\"seed\":" + std::to_string(report.seed);
   if (!report.metrics_json.empty()) out += ",\"metrics\":" + report.metrics_json;
-  out += ",\"deterministic\":";
-  out += report_deterministic(report) ? "true" : "false";
-  if (include_timing) {
-    // Wall numbers only mean something relative to the machine and build
-    // that produced them, so the timed document carries the host block.
-    out += ",\"host\":" + host_json();
-    double wall = 0.0, serial = 0.0;
-    for (const auto& s : report.sweeps) {
-      wall += s.wall_ms;
-      serial += s.serial_wall_ms;
-    }
-    out += ",\"wall_ms\":" + num(wall);
-    out += ",\"serial_wall_ms\":" + num(serial);
-    // At jobs == 1 the run *is* the serial baseline; a ratio of the two
-    // would only report noise, so the key is omitted instead of lying.
-    if (report.jobs > 1)
-      out += ",\"speedup_vs_serial\":" + num(report_speedup(report));
-  }
   out += ",\"sweeps\":[";
   for (std::size_t i = 0; i < report.sweeps.size(); ++i) {
     if (i > 0) out += ',';
-    append_sweep(out, report.sweeps[i], include_timing);
+    append_sweep(out, report.sweeps[i]);
   }
   out += "]}\n";
   return out;
+}
+
+std::string ops_json(const BenchReport& report) {
+  std::string out;
+  out += "{\"schema\":\"parbounds-ops-v1\"";
+  out += ",\"bench\":\"" + json_escape(report.bench) + "\"";
+  out += ",\"jobs\":" + std::to_string(report.jobs);
+  out += ",\"threads\":" + std::to_string(report.threads);
+  out += ",\"workers\":" + std::to_string(report.workers);
+  out += ",\"host\":" + host_json();
+  double wall = 0.0;
+  for (const auto& s : report.sweeps) wall += s.wall_ms;
+  out += ",\"wall_ms\":" + num(wall);
+  out += ",\"sweeps\":[";
+  for (std::size_t i = 0; i < report.sweeps.size(); ++i) {
+    if (i > 0) out += ',';
+    out += "{\"title\":\"" + json_escape(report.sweeps[i].title) + "\"";
+    out += ",\"wall_ms\":" + num(report.sweeps[i].wall_ms) + "}";
+  }
+  out += "],\"ratios\":{";
+  for (std::size_t i = 0; i < report.ratios.size(); ++i) {
+    if (i > 0) out += ',';
+    out += '"';
+    out += json_escape(report.ratios[i].first);
+    out += "\":" + num(report.ratios[i].second);
+  }
+  out += "}}\n";
+  return out;
+}
+
+std::string ops_path(const std::string& json_path) {
+  std::string stem = json_path;
+  if (stem.ends_with(".json")) stem.resize(stem.size() - 5);
+  return stem + ".ops.json";
 }
 
 }  // namespace parbounds::runtime

@@ -1,18 +1,20 @@
 #pragma once
-// Machine-readable bench output. Every bench binary can serialize its
-// executed sweeps as one JSON document (schema "parbounds-bench-v1"):
-// configuration, per-trial model costs, per-trial named values (only
-// on cells whose trials report them: rounds, phases, verdicts, ...),
-// aggregates, wall times and the speedup over the serial baseline. This is what turns BENCH_*.json
-// into a perf trajectory — model costs are bit-stable across runs and
-// thread counts, so any drift in them is a regression, while the wall
-// fields track the simulator's own throughput.
+// Machine-readable bench output, in two files.
 //
-// Doubles are printed with %.17g so parsing the file back reproduces
-// the measured costs exactly; `to_json(report, /*include_timing=*/false)`
-// omits every wall-clock field, which makes serial and parallel runs of
-// the same experiment serialize to identical bytes (the golden-schema
-// test relies on this).
+// to_json() writes the report (schema "parbounds-bench-v2"): the bench
+// name, the root seed, the metrics block and every sweep's per-trial
+// model costs, named per-trial values (only on cells whose trials
+// report them: rounds, phases, verdicts, ...), aggregates and lb/ub.
+// Nothing in it depends on the wall clock, the machine, --jobs,
+// --threads or --workers, so two runs of one bench must produce the
+// same bytes and a plain `cmp` checks that. Doubles are printed with
+// %.17g, so parsing the file back reproduces the measured costs
+// exactly.
+//
+// ops_json() writes the ops file (schema "parbounds-ops-v1") next to
+// it: the execution settings, the host block, total and per-sweep wall
+// times and any wall-clock ratios a bench measured. This is the
+// simulator's throughput record; it differs from run to run.
 
 #include <cstdint>
 #include <string>
@@ -24,32 +26,41 @@ namespace parbounds::runtime {
 
 struct BenchReport {
   std::string bench;        ///< binary name, e.g. "bench_table1_qsm_time"
-  unsigned jobs = 1;        ///< worker threads used for the sweeps
-  unsigned threads = 1;     ///< intra-trial ParallelFor pool size
   std::uint64_t seed = 0;   ///< root seed the sweep base seeds derive from
   /// Pre-serialized MetricsSnapshot::to_json() captured after the last
   /// sweep (empty = no "metrics" key). Metric values derive from model
   /// costs only, so the block is bit-identical across --jobs.
   std::string metrics_json;
   std::vector<SweepResult> sweeps;
-};
 
-/// Total wall / serial-wall across sweeps; 1.0 when nothing was timed.
-double report_speedup(const BenchReport& report);
+  // Ops file only (ops_json):
+  unsigned jobs = 1;        ///< worker threads used for the sweeps
+  unsigned threads = 1;     ///< intra-trial ParallelFor pool size
+  unsigned workers = 0;     ///< fleet worker processes (0 = in-process)
+  /// Wall-clock ratios a bench measured (speedups, overheads), in the
+  /// order it recorded them.
+  NamedValues ratios;
+};
 
 /// The "host" provenance block: hardware_concurrency of the machine the
 /// bench ran on, the CMake build type baked into the library, the
 /// compiler, the active SIMD dispatch level and the probed cpu feature
 /// flags (docs/PERF.md). Wall numbers are only comparable within a
-/// matching host block, so every timed report carries one.
+/// matching host block, so every ops file carries one.
 std::string host_json();
-
-/// True only if every sweep's serial baseline matched bit for bit.
-bool report_deterministic(const BenchReport& report);
 
 /// JSON escape for string values (quotes, backslashes, control chars).
 std::string json_escape(const std::string& s);
 
-std::string to_json(const BenchReport& report, bool include_timing = true);
+/// The deterministic report. The trailing bool is accepted and ignored,
+/// so callers written against the old timing switch keep compiling.
+std::string to_json(const BenchReport& report, bool = false);
+
+/// The ops file: jobs, threads, workers, host, wall times and ratios.
+std::string ops_json(const BenchReport& report);
+
+/// Where the ops file of a report at `json_path` goes: X.json becomes
+/// X.ops.json; any other path gets ".ops.json" appended.
+std::string ops_path(const std::string& json_path);
 
 }  // namespace parbounds::runtime

@@ -1,11 +1,15 @@
 #include "runtime/fleet/sweep_fleet.hpp"
 
+#include <chrono>
 #include <stdexcept>
 #include <utility>
 
 #include "runtime/fleet/snapshot_wire.hpp"
 
 namespace parbounds::fleet {
+
+// DETLINT(det.wall-clock): wall_ms goes to the ops file only; never a result
+using Clock = std::chrono::steady_clock;
 
 runtime::SweepResult run_sweep_fleet(FleetCoordinator& fleet,
                                      std::string title,
@@ -37,8 +41,10 @@ runtime::SweepResult run_sweep_fleet(FleetCoordinator& fleet,
     r.trials = cells[c].trials;
   }
 
+  const auto t0 = Clock::now();
   const std::vector<service::Response> resps =
       fleet.run_requests(std::move(reqs));
+  const std::chrono::duration<double, std::milli> wall = Clock::now() - t0;
 
   std::vector<runtime::Trial> trials(total);
   bool have_snapshot = false;
@@ -76,6 +82,7 @@ runtime::SweepResult run_sweep_fleet(FleetCoordinator& fleet,
   out.title = std::move(title);
   out.base_seed = base_seed;
   out.cells = aggregate_cells(cells, trials);
+  out.wall_ms = wall.count();
   return out;
 }
 

@@ -7,8 +7,8 @@
 // per-repetition costs are aggregated through the same
 // aggregate_cells. Identical seeds in, identical kernels underneath,
 // identical aggregation out: the merged report is byte-identical to an
-// in-process --jobs 1 run at any worker count, including after worker
-// crashes (the coordinator retries lost cells; cells are pure
+// in-process run at any --jobs and any worker count, including after
+// worker crashes (the coordinator retries lost cells; cells are pure
 // functions of their request).
 //
 // Telemetry reassembly: every cell response carries the snapshot of a

@@ -9,13 +9,14 @@
 //                   the resolved --jobs value. N must be >= 1: unlike
 //                   --jobs there is no "auto" spelling, so --threads 0
 //                   is rejected rather than silently remapped.
-//   --json [PATH]   parbounds-bench-v1 report; bare --json uses the
-//                   caller's default path
+//   --json [PATH]   parbounds-bench-v2 report, plus its ops file at
+//                   PATH with .json replaced by .ops.json; bare --json
+//                   uses the caller's default path
 //   --trace [PATH]  Chrome trace-event span export; bare --trace uses
 //                   the caller's default path
 //   --workers N     execute sweeps across N fleet worker PROCESSES
 //                   (docs/SERVICE.md#fleet); the merged report stays
-//                   byte-identical to in-process --jobs 1. N must be
+//                   byte-identical to an in-process run. N must be
 //                   >= 1: there is no "auto" fleet width, so
 //                   --workers 0 is rejected rather than remapped.
 //   --fleet-window K  per-worker credit window: each fleet worker holds

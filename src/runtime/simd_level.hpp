@@ -12,7 +12,7 @@
 // all kernels are exact integer/bitwise operations whose partial sums
 // are associative and commutative — so the level may only change wall
 // clock, never a model cost, a degree, or a serialized report (the
-// timing-free document carries no host block and therefore no level).
+// level is recorded in the ops file's host block, never in the report).
 // bench_hotpath's dispatch-equivalence oracle enforces this on every
 // level the host supports, at pool sizes 1/2/8.
 

@@ -10,7 +10,11 @@
 // cell's repetitions, in declaration order, and trial t runs with
 // derive_seed(base_seed, t). Adding a cell changes the seeds of the
 // cells after it (the grid is part of the experiment's identity) but
-// never makes the result depend on thread count or scheduling.
+// never makes the result depend on thread count or scheduling. A sweep
+// runs once; nothing re-runs it to cross-check. The contract is held
+// from outside instead: test_runtime compares results at jobs 1 and
+// jobs N bit for bit, and the bench_reports_jobs_invariant ctest and
+// the run_checks.sh determinism stage cmp whole reports.
 
 #include <cstdint>
 #include <functional>
@@ -84,22 +88,14 @@ struct CellResult {
   double value(const std::string& name) const;
 };
 
-/// One executed sweep. serial_wall_ms is 0 unless a serial baseline was
-/// measured; `deterministic` then records whether the baseline
-/// reproduced the parallel costs bit for bit (it must — a `false` here
-/// means a trial body broke the seeding discipline).
+/// One executed sweep. wall_ms is operational data: it goes to the
+/// bench's ops file (bench_json.hpp), never into the report bytes.
 struct SweepResult {
   std::string title;
   std::uint64_t base_seed = 0;
   std::vector<CellResult> cells;
   double wall_ms = 0.0;
-  double serial_wall_ms = 0.0;
-  bool deterministic = true;
 };
-
-/// Wall-clock speedup of the parallel run over the serial baseline
-/// (1.0 when no baseline was measured).
-double speedup_vs_serial(const SweepResult& s);
 
 /// Slice per-trial results (in cell-concatenation trial order, i.e. the
 /// order run_sweep executes) back into per-cell aggregates. Shared by
@@ -110,13 +106,11 @@ double speedup_vs_serial(const SweepResult& s);
 std::vector<CellResult> aggregate_cells(const std::vector<SweepCell>& cells,
                                         const std::vector<Trial>& trials);
 
-/// Execute every (cell, repetition) trial through `runner`. When
-/// `serial_baseline` is set, the whole sweep is re-run on one thread to
-/// time the serial path and cross-check bit-identical results; the
-/// process telemetry is detached for that re-run, so the metrics block
-/// counts every trial once.
+/// Execute every (cell, repetition) trial through `runner`. The
+/// trailing bool is accepted and ignored, so callers written against
+/// the old serial-baseline parameter keep compiling.
 SweepResult run_sweep(const ExperimentRunner& runner, std::string title,
                       std::uint64_t base_seed, std::vector<SweepCell> cells,
-                      bool serial_baseline = false);
+                      bool = false);
 
 }  // namespace parbounds::runtime

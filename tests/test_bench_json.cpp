@@ -1,12 +1,13 @@
 // Golden-schema test for the --json bench output (docs/RUNTIME.md).
 //
 // Consumers of BENCH_*.json (trend dashboards, diff scripts) key on the
-// "parbounds-bench-v1" layout, so this test pins it: required keys at
-// every level, %.17g cost round-tripping, and the contract that a serial
-// and a parallel run of the same experiment serialize to identical bytes
-// once wall-clock fields are excluded. A tiny recursive-descent JSON
-// parser lives here on purpose — the repo has no JSON dependency, and
-// the test must not share serialization code with what it checks.
+// "parbounds-bench-v2" report layout and the "parbounds-ops-v1" ops
+// file next to it, so this test pins both: the exact key set at every
+// level, %.17g cost round-tripping, and the contract that a serial and
+// a parallel run of the same experiment serialize to identical report
+// bytes. A tiny recursive-descent JSON parser lives here on purpose —
+// the repo has no JSON dependency, and the test must not share
+// serialization code with what it checks.
 
 #include <gtest/gtest.h>
 
@@ -208,50 +209,52 @@ std::vector<SweepCell> tiny_cells() {
   return cells;
 }
 
-BenchReport tiny_report(unsigned jobs, bool baseline) {
+BenchReport tiny_report(unsigned jobs) {
   ExperimentRunner runner({.jobs = jobs});
   BenchReport report;
   report.bench = "bench_schema_probe";
   report.jobs = jobs;
   report.seed = kBase;
-  report.sweeps.push_back(
-      run_sweep(runner, "tiny sweep", kBase, tiny_cells(), baseline));
+  report.sweeps.push_back(run_sweep(runner, "tiny sweep", kBase, tiny_cells()));
   return report;
 }
 
+/// The object's key set, sorted (std::map order).
+std::vector<std::string> keys(const JsonValue& v) {
+  std::vector<std::string> out;
+  for (const auto& kv : v.object) out.push_back(kv.first);
+  return out;
+}
+
+using Keys = std::vector<std::string>;
+
 TEST(BenchJson, RequiredKeysAndTypes) {
-  const auto doc =
-      JsonParser(to_json(tiny_report(2, /*baseline=*/true))).parse();
+  const auto doc = JsonParser(to_json(tiny_report(2))).parse();
   ASSERT_EQ(doc.kind, JsonValue::Object);
-  for (const char* key : {"schema", "bench", "jobs", "threads", "seed",
-                          "deterministic", "host", "wall_ms",
-                          "serial_wall_ms", "speedup_vs_serial", "sweeps"})
-    EXPECT_TRUE(doc.has(key)) << "missing top-level key " << key;
-  EXPECT_EQ(doc.at("schema").string, "parbounds-bench-v1");
+  // Exactly these keys: nothing that depends on the wall clock, the
+  // host or the --jobs/--threads/--workers setting.
+  EXPECT_EQ(keys(doc), (Keys{"bench", "schema", "seed", "sweeps"}));
+  EXPECT_EQ(doc.at("schema").string, "parbounds-bench-v2");
   EXPECT_EQ(doc.at("bench").string, "bench_schema_probe");
-  EXPECT_EQ(doc.at("jobs").number, 2.0);
-  EXPECT_EQ(doc.at("deterministic").kind, JsonValue::Bool);
+  EXPECT_EQ(doc.at("seed").number, static_cast<double>(kBase));
 
   ASSERT_EQ(doc.at("sweeps").array.size(), 1u);
   const JsonValue& sweep = *doc.at("sweeps").array[0];
-  for (const char* key : {"title", "base_seed", "deterministic", "wall_ms",
-                          "serial_wall_ms", "speedup_vs_serial", "cells"})
-    EXPECT_TRUE(sweep.has(key)) << "missing sweep key " << key;
+  EXPECT_EQ(keys(sweep), (Keys{"base_seed", "cells", "title"}));
   EXPECT_EQ(sweep.at("title").string, "tiny sweep");
 
   ASSERT_EQ(sweep.at("cells").array.size(), 2u);
   for (const auto& cellp : sweep.at("cells").array) {
     const JsonValue& cell = *cellp;
-    for (const char* key :
-         {"key", "trials", "lb", "ub", "mean", "p50", "p99", "costs"})
-      EXPECT_TRUE(cell.has(key)) << "missing cell key " << key;
+    EXPECT_EQ(keys(cell), (Keys{"costs", "key", "lb", "mean", "p50", "p99",
+                                "trials", "ub"}));
     EXPECT_EQ(cell.at("trials").number, 3.0);
     EXPECT_EQ(cell.at("costs").array.size(), 3u);
   }
 }
 
 TEST(BenchJson, CostsRoundTripExactly) {
-  const auto report = tiny_report(4, /*baseline=*/false);
+  const auto report = tiny_report(4);
   const auto doc = JsonParser(to_json(report)).parse();
   const JsonValue& sweep = *doc.at("sweeps").array[0];
   for (std::size_t ci = 0; ci < report.sweeps[0].cells.size(); ++ci) {
@@ -306,26 +309,16 @@ TEST(BenchJson, NamedValuesRoundTripExactlyAndOnlyWhenPresent) {
 }
 
 TEST(BenchJson, SerialAndParallelSerializeIdenticallyModuloTiming) {
-  // The determinism contract, at the serialization level: everything
-  // except wall-clock timing must be byte-identical between a 1-thread
-  // and a 4-thread run of the same experiment.
-  auto serial = tiny_report(1, /*baseline=*/false);
-  auto parallel = tiny_report(4, /*baseline=*/false);
-  // jobs is configuration, not measurement; align it so the comparison
-  // targets the measured payload.
-  serial.jobs = parallel.jobs = 0;
-  EXPECT_EQ(to_json(serial, /*include_timing=*/false),
-            to_json(parallel, /*include_timing=*/false));
-
-  // And with timing included the documents genuinely differ in the wall
-  // fields only; spot-check that the parser sees identical costs.
-  const auto ds = JsonParser(to_json(tiny_report(1, false))).parse();
-  const auto dp = JsonParser(to_json(tiny_report(4, false))).parse();
-  const JsonValue& cs = *ds.at("sweeps").array[0]->at("cells").array[0];
-  const JsonValue& cp = *dp.at("sweeps").array[0]->at("cells").array[0];
-  for (std::size_t t = 0; t < 3; ++t)
-    EXPECT_EQ(cs.at("costs").array[t]->number,
-              cp.at("costs").array[t]->number);
+  // The determinism contract, at the serialization level: a 1-thread
+  // and a 4-thread run of the same experiment write the same report
+  // bytes as they are. Timing, jobs and threads live in the ops file.
+  auto serial = tiny_report(1);
+  auto parallel = tiny_report(4);
+  parallel.threads = 4;
+  parallel.workers = 2;
+  parallel.ratios = {{"speedup", 3.0}};
+  EXPECT_EQ(to_json(serial), to_json(parallel));
+  EXPECT_NE(ops_json(serial), ops_json(parallel));
 }
 
 TEST(BenchJson, EscapesStringsSafely) {
@@ -334,25 +327,62 @@ TEST(BenchJson, EscapesStringsSafely) {
   EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
   EXPECT_EQ(json_escape("a\nb"), "a\\nb");
   // A title with quotes must survive a full round trip.
-  BenchReport report = tiny_report(1, false);
+  BenchReport report = tiny_report(1);
   report.sweeps[0].title = "weird \"title\" with \\ and \n";
   const auto doc = JsonParser(to_json(report)).parse();
   EXPECT_EQ(doc.at("sweeps").array[0]->at("title").string,
             report.sweeps[0].title);
 }
 
-TEST(BenchJson, ReportAggregatesFollowSweeps) {
-  auto report = tiny_report(2, /*baseline=*/true);
-  EXPECT_TRUE(report_deterministic(report));
-  EXPECT_GT(report_speedup(report), 0.0);
-  report.sweeps[0].deterministic = false;
-  EXPECT_FALSE(report_deterministic(report));
-  const auto doc = JsonParser(to_json(report)).parse();
-  EXPECT_FALSE(doc.at("deterministic").boolean);
+TEST(BenchJson, OpsFileCarriesSettingsWallTimesAndRatios) {
+  auto report = tiny_report(2);
+  report.threads = 3;
+  report.workers = 4;
+  report.sweeps.push_back(report.sweeps[0]);
+  report.sweeps[0].wall_ms = 1.5;
+  report.sweeps[1].title = "second";
+  report.sweeps[1].wall_ms = 2.25;
+  report.ratios = {{"b/speedup", 1.0 / 3.0}, {"a/overhead", 1.02}};
+  const std::string text = ops_json(report);
+  const auto doc = JsonParser(text).parse();
+  EXPECT_EQ(keys(doc), (Keys{"bench", "host", "jobs", "ratios", "schema",
+                             "sweeps", "threads", "wall_ms", "workers"}));
+  EXPECT_EQ(doc.at("schema").string, "parbounds-ops-v1");
+  EXPECT_EQ(doc.at("bench").string, "bench_schema_probe");
+  EXPECT_EQ(doc.at("jobs").number, 2.0);
+  EXPECT_EQ(doc.at("threads").number, 3.0);
+  EXPECT_EQ(doc.at("workers").number, 4.0);
+  EXPECT_EQ(doc.at("wall_ms").number, 3.75);  // the sum of the sweeps'
+
+  const auto& sweeps = doc.at("sweeps").array;
+  ASSERT_EQ(sweeps.size(), 2u);
+  EXPECT_EQ(keys(*sweeps[0]), (Keys{"title", "wall_ms"}));
+  EXPECT_EQ(sweeps[0]->at("title").string, "tiny sweep");
+  EXPECT_EQ(sweeps[1]->at("title").string, "second");
+  EXPECT_EQ(sweeps[1]->at("wall_ms").number, 2.25);
+
+  const JsonValue& ratios = doc.at("ratios");
+  ASSERT_EQ(ratios.object.size(), 2u);
+  EXPECT_EQ(ratios.at("b/speedup").number, 1.0 / 3.0);  // %.17g: exact
+  EXPECT_EQ(ratios.at("a/overhead").number, 1.02);
+  // Recording order is kept in the document.
+  EXPECT_LT(text.find("\"b/speedup\""), text.find("\"a/overhead\""));
+
+  // With nothing measured the ratios object is still there, empty.
+  EXPECT_TRUE(
+      JsonParser(ops_json(tiny_report(1))).parse().at("ratios").object.empty());
+}
+
+TEST(BenchJson, OpsPathSitsNextToTheReport) {
+  EXPECT_EQ(ops_path("BENCH_hotpath.json"), "BENCH_hotpath.ops.json");
+  EXPECT_EQ(ops_path("out/r.json"), "out/r.ops.json");
+  EXPECT_EQ(ops_path("report"), "report.ops.json");
+  EXPECT_EQ(ops_path("r.json.bak"), "r.json.bak.ops.json");
 }
 
 TEST(BenchJson, HostBlockCarriesProvenanceOnlyWhenTimed) {
-  const auto doc = JsonParser(to_json(tiny_report(2, false))).parse();
+  // The timed document is the ops file; the report never carries a host.
+  const auto doc = JsonParser(ops_json(tiny_report(2))).parse();
   ASSERT_TRUE(doc.has("host"));
   const JsonValue& host = doc.at("host");
   for (const char* key : {"hardware_concurrency", "build_type", "compiler",
@@ -368,11 +398,8 @@ TEST(BenchJson, HostBlockCarriesProvenanceOnlyWhenTimed) {
       << "unexpected dispatch level " << dispatch;
   EXPECT_FALSE(host.at("cpu_features").string.empty());
   // The host describes the machine that produced the WALL numbers; the
-  // timing-free document (the cross-jobs byte-identity contract) must
-  // not carry it.
-  EXPECT_FALSE(JsonParser(to_json(tiny_report(2, false), false))
-                   .parse()
-                   .has("host"));
+  // report (the cross-jobs byte-identity contract) must not carry it.
+  EXPECT_FALSE(JsonParser(to_json(tiny_report(2))).parse().has("host"));
 }
 
 TEST(BenchJson, PinnedPortableDispatchReportedInHostBlock) {
@@ -382,7 +409,7 @@ TEST(BenchJson, PinnedPortableDispatchReportedInHostBlock) {
   // run on the same machine.
   const SimdLevel entry = active_simd_level();
   set_simd_level(SimdLevel::kPortable);
-  const auto doc = JsonParser(to_json(tiny_report(1, false))).parse();
+  const auto doc = JsonParser(ops_json(tiny_report(1))).parse();
   set_simd_level(entry);
   EXPECT_EQ(doc.at("host").at("dispatch").string, "portable");
 }
@@ -422,17 +449,8 @@ TEST(SimdLevelPin, UnsupportedTierIsRejected) {
   set_simd_level(entry);
 }
 
-TEST(BenchJson, SpeedupOmittedWhenJobsIsOne) {
-  // A 1-job run IS the serial baseline; the ratio would be noise.
-  const auto serial = JsonParser(to_json(tiny_report(1, true))).parse();
-  EXPECT_FALSE(serial.has("speedup_vs_serial"));
-  EXPECT_TRUE(serial.has("wall_ms"));
-  const auto parallel = JsonParser(to_json(tiny_report(2, true))).parse();
-  EXPECT_TRUE(parallel.has("speedup_vs_serial"));
-}
-
 TEST(BenchJson, MetricsBlockSerializedOnlyWhenPopulated) {
-  auto report = tiny_report(1, /*baseline=*/false);
+  auto report = tiny_report(1);
   EXPECT_FALSE(JsonParser(to_json(report)).parse().has("metrics"));
 
   report.metrics_json =
@@ -440,10 +458,7 @@ TEST(BenchJson, MetricsBlockSerializedOnlyWhenPopulated) {
   const auto doc = JsonParser(to_json(report)).parse();
   ASSERT_TRUE(doc.has("metrics"));
   EXPECT_EQ(doc.at("metrics").at("counters").at("qsm.phases").number, 3.0);
-  // The block must ride along regardless of timing mode.
-  EXPECT_TRUE(JsonParser(to_json(report, /*include_timing=*/false))
-                  .parse()
-                  .has("metrics"));
+  EXPECT_EQ(keys(doc), (Keys{"bench", "metrics", "schema", "seed", "sweeps"}));
 }
 
 // ---------------------------------------------------------------------

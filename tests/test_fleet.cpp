@@ -253,8 +253,6 @@ runtime::BenchReport wrap_sweep(runtime::SweepResult sweep,
                                 std::string metrics_json) {
   runtime::BenchReport report;
   report.bench = "bench_fleet_probe";
-  report.jobs = 1;
-  report.threads = 1;
   report.seed = kBase;
   report.metrics_json = std::move(metrics_json);
   report.sweeps.push_back(std::move(sweep));
@@ -263,19 +261,16 @@ runtime::BenchReport wrap_sweep(runtime::SweepResult sweep,
 
 /// The reference every fleet run must reproduce byte for byte: the
 /// sweep executed in THIS process on a jobs=1 runner under a fresh
-/// TelemetryObserver (no serial baseline — its re-run would fire the
-/// phase hooks twice), serialized timing-free with the metrics block.
+/// TelemetryObserver, serialized with the metrics block.
 std::string in_process_reference(std::vector<SweepCell> cells) {
   obs::MetricsRegistry registry;
   obs::TelemetryObserver telemetry(registry);
   obs::install_process_telemetry(&telemetry);
   runtime::ExperimentRunner runner({.jobs = 1});
   runtime::SweepResult sweep =
-      run_sweep(runner, "fleet probe", kBase, std::move(cells),
-                /*serial_baseline=*/false);
+      run_sweep(runner, "fleet probe", kBase, std::move(cells));
   obs::install_process_telemetry(nullptr);
-  return to_json(wrap_sweep(std::move(sweep), registry.snapshot().to_json()),
-                 /*include_timing=*/false);
+  return to_json(wrap_sweep(std::move(sweep), registry.snapshot().to_json()));
 }
 
 std::string in_process_reference() { return in_process_reference(fleet_cells()); }
@@ -284,8 +279,7 @@ std::string fleet_report(FleetCoordinator& fc, std::vector<SweepCell> cells) {
   obs::MetricsSnapshot snap;
   runtime::SweepResult sweep = fleet::run_sweep_fleet(
       fc, "fleet probe", kBase, std::move(cells), &snap);
-  return to_json(wrap_sweep(std::move(sweep), snap.to_json()),
-                 /*include_timing=*/false);
+  return to_json(wrap_sweep(std::move(sweep), snap.to_json()));
 }
 
 std::string fleet_report(FleetCoordinator& fc) {

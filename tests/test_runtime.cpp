@@ -199,8 +199,7 @@ TEST(RunSweep, BitIdenticalAcrossJobCountsAndSerialBaseline) {
       run_sweep(ExperimentRunner({.jobs = 1}), "demo", kBase, demo_cells());
   for (const unsigned jobs : {2u, 8u}) {
     const auto par = run_sweep(ExperimentRunner({.jobs = jobs}), "demo",
-                               kBase, demo_cells(), /*serial_baseline=*/true);
-    EXPECT_TRUE(par.deterministic) << "jobs=" << jobs;
+                               kBase, demo_cells());
     ASSERT_EQ(par.cells.size(), serial.cells.size());
     for (std::size_t i = 0; i < par.cells.size(); ++i) {
       EXPECT_TRUE(bitwise_equal(par.cells[i].costs, serial.cells[i].costs))
@@ -208,7 +207,6 @@ TEST(RunSweep, BitIdenticalAcrossJobCountsAndSerialBaseline) {
       EXPECT_DOUBLE_EQ(par.cells[i].mean, serial.cells[i].mean);
       EXPECT_DOUBLE_EQ(par.cells[i].p99, serial.cells[i].p99);
     }
-    EXPECT_GT(speedup_vs_serial(par), 0.0);
   }
 }
 
@@ -238,8 +236,7 @@ TEST(RunSweep, MultiValueSweepBitIdenticalAtJobsOneAndFour) {
   const auto serial = run_sweep(ExperimentRunner({.jobs = 1}), "multi",
                                 kBase, multi_value_cells());
   const auto par = run_sweep(ExperimentRunner({.jobs = 4}), "multi", kBase,
-                             multi_value_cells(), /*serial_baseline=*/true);
-  EXPECT_TRUE(par.deterministic);
+                             multi_value_cells());
   ASSERT_EQ(par.cells.size(), serial.cells.size());
   for (std::size_t i = 0; i < par.cells.size(); ++i) {
     const auto& a = serial.cells[i];

@@ -68,14 +68,14 @@
 #      host (>=4 cores gates at 1.5x; 1-core CI boxes gate at 1.0 and
 #      lean on the oracle; see docs/PERF.md, "Fleet throughput").
 #  13. the determinism stage (full mode only): Release bench reports
-#      must be byte-identical, metrics block included, once the
-#      wall-clock fields, the host block and the --jobs/--threads echo
-#      are stripped — bench_table4_rounds twice at --jobs 2 and once at
-#      --jobs 1, bench_mapping at --jobs 1 and at --jobs 4,
-#      bench_table1_qsm_time at --jobs 4 and at --workers 4. A compared
-#      report with no cells fails the stage: two empty reports are
-#      trivially identical. Table 1 and Table 4 run phases above the
-#      2^16-request shard threshold.
+#      must be byte-identical under a plain cmp, metrics block included
+#      — bench_table4_rounds twice at --jobs 2 and once at --jobs 1,
+#      bench_mapping at --jobs 1 and at --jobs 4, and Tables 1-3
+#      (bench_table{1,2,3}_*) at --jobs 1, --jobs 4 and --workers 4.
+#      Every run must also write its .ops.json with a host block. A
+#      compared report with no cells fails the stage: two empty reports
+#      are trivially identical. Table 1 and Table 4 run phases above
+#      the 2^16-request shard threshold.
 #
 # Usage: tools/run_checks.sh [--quick] [--require-tidy] [build-dir]
 #
@@ -309,60 +309,62 @@ EOF
 }
 
 # Determinism stage. $1 is a Release build dir holding the bench
-# binaries. Each report is normalized by a sed that drops only what may
-# legitimately differ between runs: the wall-clock fields (wall_ms,
-# serial_wall_ms, speedup_vs_serial), the host block, and the echo of
-# the --jobs/--threads setting under test. Everything else — every cell
-# cost and the whole metrics block — must match byte for byte.
+# binaries. A report holds model data only, so runs of one bench must
+# write the same bytes — every cell cost and the whole metrics block —
+# at any --jobs and under --workers: cmp, no normalization. Every run
+# must also write its ops file (wall times, settings) with a host block.
 run_determinism_stage() {
   local bench="$1/bench"
   local dir
   dir="$(mktemp -d)"
-  normalize() {
-    sed -E -e 's/,"(wall_ms|serial_wall_ms|speedup_vs_serial)":[^,}]*//g' \
-      -e 's/,"host":\{[^}]*\}//' \
-      -e 's/"(jobs|threads)":[0-9]+/"\1":_/g' "$1"
+  run() {  # run BENCH OUT [flags...]
+    local b="$1" out="$2"
+    shift 2
+    "${bench}/${b}" "$@" --json "${dir}/${out}.json" >/dev/null 2>&1
+    if ! grep -qF '"host":{' "${dir}/${out}.ops.json"; then
+      echo "determinism: ${out}.ops.json is missing or has no host block" >&2
+      exit 1
+    fi
   }
   same() {
     local f
     for f in "$1" "$2"; do
-      if ! grep -qF '"cells":[{' "${f}" || grep -qF '"cells":[]' "${f}"; then
-        echo "determinism: $(basename "${f}") has no cells to compare" >&2
+      if ! grep -qF '"cells":[{' "${dir}/${f}.json" ||
+          grep -qF '"cells":[]' "${dir}/${f}.json"; then
+        echo "determinism: ${f}.json has no cells to compare" >&2
         exit 1
       fi
     done
-    if ! diff <(normalize "$1") <(normalize "$2") >/dev/null; then
-      echo "determinism: $(basename "$1") and $(basename "$2") differ" >&2
-      diff <(normalize "$1") <(normalize "$2") | head -c 2000 >&2 || true
+    if ! cmp "${dir}/$1.json" "${dir}/$2.json"; then
+      echo "determinism: $1.json and $2.json differ" >&2
       exit 1
     fi
   }
   echo "==> determinism: bench_table4_rounds twice at --jobs 2, once at --jobs 1"
-  "${bench}/bench_table4_rounds" --jobs 2 --json "${dir}/t4_jobs2_a.json" \
-    >/dev/null 2>&1
-  "${bench}/bench_table4_rounds" --jobs 2 --json "${dir}/t4_jobs2_b.json" \
-    >/dev/null 2>&1
-  "${bench}/bench_table4_rounds" --jobs 1 --json "${dir}/t4_jobs1.json" \
-    >/dev/null 2>&1
-  same "${dir}/t4_jobs2_a.json" "${dir}/t4_jobs2_b.json"
-  same "${dir}/t4_jobs2_a.json" "${dir}/t4_jobs1.json"
+  run bench_table4_rounds t4_jobs2_a --jobs 2
+  run bench_table4_rounds t4_jobs2_b --jobs 2
+  run bench_table4_rounds t4_jobs1 --jobs 1
+  same t4_jobs2_a t4_jobs2_b
+  same t4_jobs2_a t4_jobs1
   echo "==> determinism: bench_mapping at --jobs 1 and at --jobs 4"
-  "${bench}/bench_mapping" --jobs 1 --json "${dir}/map_jobs1.json" \
-    >/dev/null 2>&1
-  "${bench}/bench_mapping" --jobs 4 --json "${dir}/map_jobs4.json" \
-    >/dev/null 2>&1
-  same "${dir}/map_jobs1.json" "${dir}/map_jobs4.json"
-  echo "==> determinism: bench_table1_qsm_time at --jobs 4 and at --workers 4"
-  "${bench}/bench_table1_qsm_time" --jobs 4 --json "${dir}/t1_jobs4.json" \
-    >/dev/null 2>&1
-  "${bench}/bench_table1_qsm_time" --workers 4 \
-    --json "${dir}/t1_workers4.json" >/dev/null 2>&1
-  same "${dir}/t1_jobs4.json" "${dir}/t1_workers4.json"
-  if ! grep -q '"qsm.commit.shards":[1-9]' "${dir}/t1_jobs4.json"; then
+  run bench_mapping map_jobs1 --jobs 1
+  run bench_mapping map_jobs4 --jobs 4
+  same map_jobs1 map_jobs4
+  local t
+  for t in table1_qsm_time table2_sqsm_time table3_bsp_time; do
+    echo "==> determinism: bench_${t} at --jobs 1, --jobs 4 and --workers 4"
+    run "bench_${t}" "${t}_jobs1" --jobs 1
+    run "bench_${t}" "${t}_jobs4" --jobs 4
+    run "bench_${t}" "${t}_workers4" --workers 4
+    same "${t}_jobs1" "${t}_jobs4"
+    same "${t}_jobs1" "${t}_workers4"
+  done
+  if ! grep -q '"qsm.commit.shards":[1-9]' \
+      "${dir}/table1_qsm_time_jobs4.json"; then
     echo "determinism: no phase crossed the shard threshold" >&2
     exit 1
   fi
-  echo "    reports byte-identical (wall-clock, host and jobs fields stripped)"
+  echo "    reports byte-identical (cmp), every ops file has a host block"
   rm -rf "${dir}"
 }
 
@@ -482,7 +484,8 @@ cmake -B "${BUILD_DIR}-bench" -S . -DCMAKE_BUILD_TYPE=Release
 echo "==> build bench_hotpath + bench_obs_overhead + bench_fleet_throughput + the determinism benches"
 cmake --build "${BUILD_DIR}-bench" -j "${JOBS}" \
   --target bench_hotpath bench_obs_overhead bench_fleet_throughput \
-  bench_table4_rounds bench_mapping bench_table1_qsm_time
+  bench_table4_rounds bench_mapping bench_table1_qsm_time \
+  bench_table2_sqsm_time bench_table3_bsp_time
 
 echo "==> bench_hotpath smoke (self-verified, speedup floors)"
 # Shard floor per host size (see MIN_SHARD above); the dispatch and
