@@ -11,7 +11,7 @@
 //
 //   baseline::Qsm is a faithful copy of today's QsmMachine commit
 //   pipeline (same PhaseScan accounting, CellStore memory,
-//   InboxTable delivery, same clash/EREW branches) minus ONLY the
+//   FlatInbox delivery, same clash/EREW branches) minus ONLY the
 //   observer and phase_hook calls. Paired runs replay the SAME
 //   deterministic op stream through the engine and the replica; model
 //   costs are asserted equal, so the replica doubles as a behavioral
@@ -157,7 +157,7 @@ class Qsm {
     auto& pool = pb::runtime::ParallelFor::pool();
     const bool par_apply =
         shards > 1 && !cfg_.record_detail && pool.threads() > 1;
-    pb::detail::deliver_word_reads(reads_, mem_, inboxes_, proc_, par_apply,
+    pb::detail::deliver_word_reads(reads_, mem_, inboxes_, par_apply,
                                    cfg_.record_detail ? &ph.events : nullptr);
 
     if (cfg_.writes == pb::WriteResolution::LastQueued) {
@@ -213,7 +213,7 @@ class Qsm {
   std::vector<ReadReq> reads_;
   std::vector<WriteReq> writes_;
   std::vector<std::pair<pb::ProcId, std::uint64_t>> locals_;
-  pb::InboxTable<std::vector<pb::Word>> inboxes_;
+  pb::FlatInbox<pb::Word> inboxes_;
 
   pb::detail::PhaseScan proc_{pb::detail::kProcHistogramLimit};
   pb::detail::PhaseScan raddr_{pb::detail::kAddrHistogramLimit};

@@ -1,6 +1,6 @@
 #pragma once
 // The end of a phase commit, shared by the engines: weighted local-op
-// accounting, parallel read delivery into word inboxes, and publishing
+// accounting, read delivery into a flat word inbox, and publishing
 // the committed phase to the trace and its observers. Each engine keeps
 // only its cost rule, its write-resolution or delivery semantics and
 // its detail-event recording.
@@ -31,40 +31,35 @@ inline void charge_local_ops(
 }
 
 /// Deliver every read the start-of-phase contents of its cell (0 when
-/// unset), appended to the reader's inbox in issue order. `readers` is
-/// the scan that counted the reads' processor ids. With `parallel` and
-/// every reader dense, shards partition *processors* into ranges: each
-/// shard walks the whole read stream but appends only to its own
-/// range's boxes, so each box still receives its values in issue order
-/// and the delivered state equals the serial loop. `events`, when
-/// non-null, records the reads (the serial loop only runs then).
+/// unset) into `inbox`, grouped by reader in issue order. The count pass
+/// is serial; with `parallel` the value pass runs over kCommitShards
+/// contiguous slices of the read stream, each writing the slots its own
+/// reads were given, so the delivered state equals the serial pass.
+/// `events`, when non-null, records the reads in issue order.
 template <class Read>
 void deliver_word_reads(const std::vector<Read>& reads,
-                        const CellStore<Word>& mem,
-                        InboxTable<std::vector<Word>>& inboxes,
-                        const PhaseScan& readers, bool parallel,
-                        std::vector<MemEvent>* events) {
-  inboxes.begin_phase();
-  if (parallel && events == nullptr && readers.all_dense() &&
-      inboxes.reserve_dense(readers.dense_extent())) {
+                        const CellStore<Word>& mem, FlatInbox<Word>& inbox,
+                        bool parallel, std::vector<MemEvent>* events) {
+  const auto value = [&](std::uint64_t i) {
+    const Word* cell = mem.find(reads[i].addr);
+    return cell == nullptr ? Word{0} : *cell;
+  };
+  const auto reader = [&](std::uint64_t i) { return reads[i].proc; };
+  const auto fill = [&](std::uint64_t i, Word& slot) { slot = value(i); };
+  inbox.index(reads.size(), reader);
+  if (parallel) {
     runtime::ParallelFor::pool().for_shards(
-        readers.dense_extent(), kCommitShards,
-        [&](unsigned s, std::uint64_t plo, std::uint64_t phi) {
+        reads.size(), kCommitShards,
+        [&](unsigned s, std::uint64_t lo, std::uint64_t hi) {
           obs::Span span(obs::process_tracer(), "commit.shard", s);
-          for (const Read& r : reads) {
-            if (r.proc < plo || r.proc >= phi) continue;
-            const Word* cell = mem.find(r.addr);
-            inboxes.box(r.proc).push_back(cell ? *cell : 0);
-          }
+          inbox.fill(lo, hi, reader, fill);
         });
-    return;
+  } else {
+    inbox.fill(0, reads.size(), reader, fill);
   }
-  for (const Read& r : reads) {
-    const Word* cell = mem.find(r.addr);
-    const Word v = (cell == nullptr) ? 0 : *cell;
-    inboxes.box(r.proc).push_back(v);
-    if (events != nullptr) events->push_back({r.proc, r.addr, v, false});
-  }
+  if (events != nullptr)
+    for (std::uint64_t i = 0; i < reads.size(); ++i)
+      events->push_back({reads[i].proc, reads[i].addr, value(i), false});
 }
 
 /// Append a committed phase to `trace`, then fire the machine's observer

@@ -10,8 +10,6 @@
 
 namespace parbounds {
 
-const std::vector<Word> CrcwMachine::kEmptyInbox = {};
-
 CrcwMachine::CrcwMachine(CrcwConfig cfg)
     : cfg_(cfg), mem_(cfg.mem_dense_limit) {
   trace_.kind = ExecutionTrace::Kind::Qsm;  // unit-gap shared memory
@@ -90,8 +88,7 @@ const PhaseTrace& CrcwMachine::commit_step() {
   // pool size.
   auto& pool = runtime::ParallelFor::pool();
   const bool par_apply = shards > 1 && pool.threads() > 1;
-  detail::deliver_word_reads(reads_, mem_, inboxes_, proc_, par_apply,
-                             nullptr);
+  detail::deliver_word_reads(reads_, mem_, inboxes_, par_apply, nullptr);
 
   // Resolve writes per rule over addr-sorted groups; within a group the
   // index component keeps issue order, so "last queued" and
@@ -142,24 +139,25 @@ const PhaseTrace& CrcwMachine::commit_step() {
   };
 
   bool resolved = false;
-  if (par_apply && addr_.all_dense() &&
-      mem_.reserve_dense(addr_.dense_extent())) {
-    const std::uint64_t extent = addr_.dense_extent();
+  const detail::KeyWindow win = addr_.window();
+  if (par_apply && addr_.all_dense() && mem_.reserve_dense(win.hi)) {
     std::array<std::optional<Addr>, detail::kCommitShards> conflict{};
-    pool.for_shards(extent, detail::kCommitShards,
-                    [&](unsigned s, std::uint64_t alo, std::uint64_t ahi) {
+    pool.for_shards(win.size(), detail::kCommitShards,
+                    [&](unsigned s, std::uint64_t lo, std::uint64_t hi) {
                       obs::Span span(obs::process_tracer(), "commit.shard", s);
-                      conflict[s] = resolve_range(
-                          alo, ahi, cfg_.rule != CrcwWriteRule::Common);
+                      conflict[s] =
+                          resolve_range(win.lo + lo, win.lo + hi,
+                                        cfg_.rule != CrcwWriteRule::Common);
                     });
     std::optional<Addr> worst;
     for (const auto& c : conflict)
       if (c && (!worst || *c < *worst)) worst = c;
     if (cfg_.rule == CrcwWriteRule::Common) {
       // Apply the conflict-free prefix, exactly like the serial walk.
-      pool.for_shards(worst ? *worst : extent, detail::kCommitShards,
-                      [&](unsigned, std::uint64_t alo, std::uint64_t ahi) {
-                        resolve_range(alo, ahi, true);
+      pool.for_shards((worst ? *worst : win.hi) - win.lo,
+                      detail::kCommitShards,
+                      [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
+                        resolve_range(win.lo + lo, win.lo + hi, true);
                       });
       if (worst)
         throw ModelViolation("CRCW-Common: conflicting writes to cell " +
@@ -180,9 +178,7 @@ const PhaseTrace& CrcwMachine::commit_step() {
 }
 
 std::span<const Word> CrcwMachine::inbox(ProcId p) const {
-  const std::vector<Word>* box = inboxes_.find(p);
-  return box == nullptr ? std::span<const Word>(kEmptyInbox)
-                        : std::span<const Word>(*box);
+  return inboxes_.of(p);
 }
 
 Word CrcwMachine::peek(Addr a) const {

@@ -87,14 +87,12 @@ class CrcwMachine {
   std::vector<ReadReq> reads_;
   std::vector<WriteReq> writes_;
   std::vector<std::pair<ProcId, std::uint64_t>> locals_;
-  InboxTable<std::vector<Word>> inboxes_;
+  FlatInbox<Word> inboxes_;
 
   // Reusable accounting scratch for commit_step.
   detail::PhaseScan proc_{detail::kProcHistogramLimit};
   detail::PhaseScan addr_{detail::kAddrHistogramLimit};
   std::vector<std::pair<Addr, std::uint32_t>> wgroup_scratch_;
-
-  static const std::vector<Word> kEmptyInbox;
 };
 
 }  // namespace parbounds

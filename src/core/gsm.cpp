@@ -7,9 +7,6 @@
 
 namespace parbounds {
 
-const std::vector<std::vector<Word>> GsmMachine::kEmpty = {};
-const std::vector<Word> GsmMachine::kEmptyCell = {};
-
 GsmMachine::GsmMachine(GsmConfig cfg)
     : cfg_(cfg), mem_(cfg.mem_dense_limit) {
   if (cfg_.alpha == 0 || cfg_.beta == 0 || cfg_.gamma == 0)
@@ -103,12 +100,19 @@ const PhaseTrace& GsmMachine::commit_phase() {
   big_steps_ += b;
   time_ += ph.cost;
 
-  inboxes_.begin_phase();
-  for (const auto& r : reads_) {
-    const std::vector<Word>* cell = mem_.find(r.addr);
-    inboxes_.box(r.proc).push_back(cell == nullptr ? kEmptyCell : *cell);
-    if (cfg_.record_detail) ph.events.push_back({r.proc, r.addr, 0, false});
-  }
+  const auto reader = [this](std::uint64_t i) { return reads_[i].proc; };
+  inboxes_.index(nr, reader);
+  inboxes_.fill(0, nr, reader,
+                [this](std::uint64_t i, std::vector<Word>& slot) {
+                  const std::vector<Word>* cell = mem_.find(reads_[i].addr);
+                  if (cell == nullptr)
+                    slot.clear();
+                  else
+                    slot = *cell;
+                });
+  if (cfg_.record_detail)
+    for (const auto& r : reads_)
+      ph.events.push_back({r.proc, r.addr, 0, false});
 
   // Strong queuing: every write appends its information to the cell.
   for (const auto& w : writes_) {
@@ -123,14 +127,13 @@ const PhaseTrace& GsmMachine::commit_phase() {
 }
 
 std::span<const std::vector<Word>> GsmMachine::inbox(ProcId p) const {
-  const auto* box = inboxes_.find(p);
-  if (box == nullptr) return kEmpty;
-  return *box;
+  return inboxes_.of(p);
 }
 
 std::span<const Word> GsmMachine::peek(Addr a) const {
   const std::vector<Word>* cell = mem_.find(a);
-  return (cell == nullptr) ? kEmptyCell : std::span<const Word>(*cell);
+  if (cell == nullptr) return {};
+  return *cell;
 }
 
 }  // namespace parbounds

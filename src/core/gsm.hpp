@@ -127,15 +127,12 @@ class GsmMachine {
 
   std::vector<ReadReq> reads_;
   std::vector<WriteReq> writes_;
-  InboxTable<std::vector<std::vector<Word>>> inboxes_;
+  FlatInbox<std::vector<Word>> inboxes_;
 
   // Reusable accounting scratch for commit_phase.
   detail::PhaseScan proc_{detail::kProcHistogramLimit};
   detail::PhaseScan raddr_{detail::kAddrHistogramLimit};
   detail::PhaseScan waddr_{detail::kAddrHistogramLimit};
-
-  static const std::vector<std::vector<Word>> kEmpty;
-  static const std::vector<Word> kEmptyCell;
 };
 
 }  // namespace parbounds

@@ -14,10 +14,10 @@
 //    sorted-spill fallback for keys above the dense limit. The counters
 //    persist across phases, so a steady-state commit allocates nothing
 //    and never pays O(key-space).
-//  * sort_max_run / sort_max_run_sum / first_common — sorted-run
-//    scanning over reusable key buffers, used for the spill path, for
-//    weighted local-op accounting, and for the ascending-address write
-//    groups of the QSM Random and CRCW resolution rules.
+//  * longest_run / sort_max_run_sum / first_common — sorted-run
+//    scanning over reusable key buffers, used for the spill path and for
+//    weighted local-op accounting. Inputs that arrive sorted (kernels
+//    issue in processor order) skip the sort.
 
 #include <algorithm>
 #include <array>
@@ -32,12 +32,11 @@
 
 namespace parbounds::detail {
 
-/// Sort `keys` ascending in place and return the length of the longest
-/// run of equal keys (0 when empty). One sorted pass replaces a
-/// count-map: the multiplicity of a key is the length of its run.
-inline std::uint64_t sort_max_run(std::vector<std::uint64_t>& keys) {
+/// Length of the longest run of equal keys in ascending-sorted `keys`
+/// (0 when empty). One sorted pass replaces a count-map: the
+/// multiplicity of a key is the length of its run.
+inline std::uint64_t longest_run(const std::vector<std::uint64_t>& keys) {
   if (keys.empty()) return 0;
-  std::sort(keys.begin(), keys.end());
   std::uint64_t best = 0, run = 0;
   std::uint64_t prev = keys.front();
   for (const std::uint64_t k : keys) {
@@ -59,12 +58,16 @@ struct RunSum {
 
 /// Sort (key, weight) pairs by key and return the largest per-key weight
 /// sum together with the grand total. Used for local-op accounting where
-/// one request carries a weight > 1.
+/// one request carries a weight > 1. Pairs already in key order are left
+/// as they are: a run's sum does not depend on the order of its weights.
 inline RunSum sort_max_run_sum(
     std::vector<std::pair<std::uint64_t, std::uint64_t>>& kv) {
   RunSum out;
   if (kv.empty()) return out;
-  std::sort(kv.begin(), kv.end());
+  if (!std::is_sorted(kv.begin(), kv.end(), [](const auto& a, const auto& b) {
+        return a.first < b.first;
+      }))
+    std::sort(kv.begin(), kv.end());
   std::uint64_t prev = kv.front().first;
   std::uint64_t run = 0;
   for (const auto& [k, w] : kv) {
@@ -97,11 +100,20 @@ inline std::optional<std::uint64_t> first_common(
   return std::nullopt;
 }
 
+/// The dense keys one round touched: every counted dense key k has
+/// lo <= k < hi. Empty (lo == hi == 0) when no dense key was counted.
+struct KeyWindow {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+  std::uint64_t size() const { return hi - lo; }
+};
+
 /// Reusable multiplicity counter over integer keys. Keys below the dense
 /// limit are counted in a flat array that grows geometrically to the
 /// largest key seen (never beyond the limit); keys at or above it spill
 /// into a plain list. reset() zeroes only the slots the previous round
-/// touched.
+/// touched. The round's dense window is kept alongside, so aggregation
+/// passes cover the keys of this round, not the array's whole extent.
 ///
 /// Counts are 32-bit: a phase holding 2^32 requests for one key would
 /// exceed memory in the request buffers long before the counter wraps.
@@ -118,6 +130,7 @@ class KeyHistogram {
   void add_range(std::uint64_t lo, std::uint64_t hi, KeyFn&& key) {
     std::uint32_t* cnt = cnt_.data();
     std::uint64_t extent = cnt_.size();
+    std::uint64_t wlo = win_lo_, whi = win_hi_;
     for (; lo < hi; ++lo) {
       const std::uint64_t k = key(lo);
       // The array never outgrows the dense limit, so one bounds check
@@ -131,8 +144,14 @@ class KeyHistogram {
         cnt = cnt_.data();
         extent = cnt_.size();
       }
-      if (cnt[k]++ == 0) touched_.push_back(k);
+      if (cnt[k]++ == 0) {
+        touched_.push_back(k);
+        wlo = std::min(wlo, k);
+        whi = std::max(whi, k + 1);
+      }
     }
+    win_lo_ = wlo;
+    win_hi_ = whi;
   }
 
   /// Multiplicity of a dense key so far this round (always 0 for spilled
@@ -141,9 +160,10 @@ class KeyHistogram {
     return (key < cnt_.size()) ? cnt_[key] : 0;
   }
 
-  /// Extent of the dense counter array (largest key counted is below
-  /// this). Lets PhaseScan bound its key-range aggregation passes.
-  std::uint64_t dense_size() const { return cnt_.size(); }
+  /// Dense keys counted this round.
+  KeyWindow window() const {
+    return touched_.empty() ? KeyWindow{} : KeyWindow{win_lo_, win_hi_};
+  }
 
   /// Distinct dense keys counted this round, in first-seen order.
   const std::vector<std::uint64_t>& touched() const { return touched_; }
@@ -165,6 +185,8 @@ class KeyHistogram {
     for (const std::uint64_t k : touched_) cnt_[k] = 0;
     touched_.clear();
     spill_.clear();
+    win_lo_ = ~std::uint64_t{0};
+    win_hi_ = 0;
   }
 
  private:
@@ -172,9 +194,11 @@ class KeyHistogram {
   std::vector<std::uint32_t> cnt_;
   std::vector<std::uint64_t> touched_;
   std::vector<std::uint64_t> spill_;
+  std::uint64_t win_lo_ = ~std::uint64_t{0};
+  std::uint64_t win_hi_ = 0;
 };
 
-/// Dense-key bound for processor ids (matches InboxTable::kDenseLimit).
+/// Dense-key bound for processor ids.
 inline constexpr std::uint64_t kProcHistogramLimit = std::uint64_t{1} << 20;
 /// Dense-key bound for cell addresses (matches the CellStore default).
 inline constexpr std::uint64_t kAddrHistogramLimit = std::uint64_t{1} << 22;
@@ -211,15 +235,20 @@ inline unsigned commit_shard_count(std::uint64_t requests) {
 ///     commutative, so the total never depends on which worker counted
 ///     which slice);
 ///   * max_run() is the MAX over keys of those sums (dense keys via a
-///     key-range partitioned parallel pass, spilled keys via the sorted
-///     concatenation of the per-shard spill vectors);
+///     key-range partitioned parallel pass over the scan's window,
+///     spilled keys via the sorted concatenation of the per-shard spill
+///     vectors);
 ///   * min_common() is the MIN key counted by both of two scans (the
-///     queue-rule clash), again over summed counts.
+///     queue-rule clash), again over summed counts, walking only the
+///     intersection of the two windows.
 ///
-/// Every aggregate is therefore independent of the shard count and of
-/// the thread count. A one-shard scan runs inline — no pool dispatch,
-/// no span — and its aggregates cost O(keys touched), so a small phase
-/// pays what a single histogram pass costs.
+/// The window is the union of the shards' KeyWindows: the dense keys
+/// this phase counted, not the extent the counter arrays have grown to
+/// over earlier phases, so a pass costs O(this phase's key range).
+/// Every aggregate is independent of the shard count and of the thread
+/// count. A one-shard scan runs inline — no pool dispatch, no span — and
+/// its aggregates cost O(keys touched), so a small phase pays what a
+/// single histogram pass costs.
 class PhaseScan {
  public:
   explicit PhaseScan(std::uint64_t dense_limit) : dense_limit_(dense_limit) {}
@@ -247,21 +276,22 @@ class PhaseScan {
   }
 
   /// Max over all keys of the summed multiplicity. Several shards take
-  /// one key-range partitioned parallel pass over the dense arrays
-  /// (partition bounds derive from the data extent, not the thread
-  /// count); every scan adds a sorted pass over the spilled keys.
+  /// one key-range partitioned parallel pass over the window (partition
+  /// bounds derive from the window, not the thread count); every scan
+  /// adds a sorted pass over the spilled keys.
   std::uint64_t max_run() {
     std::uint64_t best = 0;
     if (used_ == 1) {
       best = shards_.front().dense_max();
-    } else if (const std::uint64_t extent = dense_extent(); extent > 0) {
+    } else if (const KeyWindow win = window(); win.size() > 0) {
       const unsigned parts = runtime::ParallelFor::shard_count(
-          extent, std::uint64_t{1} << 15, kCommitShards);
+          win.size(), std::uint64_t{1} << 15, kCommitShards);
       std::array<std::uint64_t, kCommitShards> part_max{};
       runtime::ParallelFor::pool().for_shards(
-          extent, parts, [&](unsigned s, std::uint64_t lo, std::uint64_t hi) {
+          win.size(), parts,
+          [&](unsigned s, std::uint64_t lo, std::uint64_t hi) {
             std::uint64_t m = 0;
-            for (std::uint64_t k = lo; k < hi; ++k) {
+            for (std::uint64_t k = win.lo + lo; k < win.lo + hi; ++k) {
               std::uint64_t tot = 0;
               for (const KeyHistogram& h : used()) tot += h.count(k);
               m = std::max(m, tot);
@@ -270,7 +300,7 @@ class PhaseScan {
           });
       for (unsigned s = 0; s < parts; ++s) best = std::max(best, part_max[s]);
     }
-    return std::max(best, sort_max_run(sorted_spill()));
+    return std::max(best, longest_run(sorted_spill()));
   }
 
   /// Smallest key counted by both scans, or nullopt — the read-xor-write
@@ -282,15 +312,15 @@ class PhaseScan {
       const KeyHistogram& r = reads.shards_.front();
       for (const std::uint64_t k : writes.shards_.front().touched())
         if (r.count(k) > 0 && (!clash || k < *clash)) clash = k;
-    } else if (const std::uint64_t extent = std::min(reads.dense_extent(),
-                                                     writes.dense_extent());
-               extent > 0) {
+    } else if (const KeyWindow win = overlap(reads.window(), writes.window());
+               win.size() > 0) {
       const unsigned parts = runtime::ParallelFor::shard_count(
-          extent, std::uint64_t{1} << 15, kCommitShards);
+          win.size(), std::uint64_t{1} << 15, kCommitShards);
       std::array<std::optional<std::uint64_t>, kCommitShards> part_min{};
       runtime::ParallelFor::pool().for_shards(
-          extent, parts, [&](unsigned s, std::uint64_t lo, std::uint64_t hi) {
-            for (std::uint64_t k = lo; k < hi; ++k) {
+          win.size(), parts,
+          [&](unsigned s, std::uint64_t lo, std::uint64_t hi) {
+            for (std::uint64_t k = win.lo + lo; k < win.lo + hi; ++k) {
               std::uint64_t r = 0, w = 0;
               for (const KeyHistogram& h : reads.used()) r += h.count(k);
               if (r == 0) continue;
@@ -310,11 +340,16 @@ class PhaseScan {
     return clash;
   }
 
-  /// Upper bound (exclusive) on the dense keys counted this round.
-  std::uint64_t dense_extent() const {
-    std::uint64_t e = 0;
-    for (const KeyHistogram& h : used()) e = std::max(e, h.dense_size());
-    return e;
+  /// The dense keys counted this round, over all shards.
+  KeyWindow window() const {
+    KeyWindow w;
+    for (const KeyHistogram& h : used()) {
+      const KeyWindow hw = h.window();
+      if (hw.size() == 0) continue;
+      if (w.size() == 0) w = hw;
+      w = {std::min(w.lo, hw.lo), std::max(w.hi, hw.hi)};
+    }
+    return w;
   }
 
   /// True when every key this round was dense — the precondition the
@@ -326,20 +361,28 @@ class PhaseScan {
   }
 
  private:
+  static KeyWindow overlap(KeyWindow a, KeyWindow b) {
+    const std::uint64_t lo = std::max(a.lo, b.lo);
+    const std::uint64_t hi = std::min(a.hi, b.hi);
+    return lo < hi ? KeyWindow{lo, hi} : KeyWindow{};
+  }
+
   std::span<KeyHistogram> used() { return {shards_.data(), used_}; }
   std::span<const KeyHistogram> used() const {
     return {shards_.data(), used_};
   }
 
   /// The spilled keys of every shard, concatenated and sorted once per
-  /// scan.
+  /// scan. Shards hold contiguous slices in order, so a stream issued in
+  /// key order concatenates already sorted and skips the sort.
   std::vector<std::uint64_t>& sorted_spill() {
     if (!spill_sorted_) {
       spill_all_.clear();
       for (const KeyHistogram& h : used())
         spill_all_.insert(spill_all_.end(), h.spill().begin(),
                           h.spill().end());
-      std::sort(spill_all_.begin(), spill_all_.end());
+      if (!std::is_sorted(spill_all_.begin(), spill_all_.end()))
+        std::sort(spill_all_.begin(), spill_all_.end());
       spill_sorted_ = true;
     }
     return spill_all_;

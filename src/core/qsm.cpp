@@ -8,8 +8,6 @@
 
 namespace parbounds {
 
-const std::vector<Word> QsmMachine::kEmptyInbox = {};
-
 QsmMachine::QsmMachine(QsmConfig cfg)
     : cfg_(cfg), rng_(cfg.seed), mem_(cfg.mem_dense_limit) {
   if (cfg_.g == 0) throw std::invalid_argument("QSM gap g must be >= 1");
@@ -75,10 +73,9 @@ const PhaseTrace& QsmMachine::commit_phase() {
 
   // Per-processor r_i / w_i, charged as separate maxima (a processor's
   // reads and writes overlap in the pipeline, they do not add): one
-  // processor scan serves both, readers last so delivery can use it.
-  // Then per-cell contention and the queue rule (reads XOR writes per
-  // cell); the reported clash is the smallest conflicting address, so
-  // the violation stays deterministic.
+  // processor scan serves both. Then per-cell contention and the queue
+  // rule (reads XOR writes per cell); the reported clash is the
+  // smallest conflicting address, so the violation stays deterministic.
   const unsigned shards = detail::commit_shard_count(st.reads + st.writes);
   if (shards > 1) ph.commit_shards = shards;
   proc_.scan(shards, st.writes,
@@ -116,7 +113,7 @@ const PhaseTrace& QsmMachine::commit_phase() {
   auto& pool = runtime::ParallelFor::pool();
   const bool par_apply =
       shards > 1 && !cfg_.record_detail && pool.threads() > 1;
-  detail::deliver_word_reads(reads_, mem_, inboxes_, proc_, par_apply,
+  detail::deliver_word_reads(reads_, mem_, inboxes_, par_apply,
                              cfg_.record_detail ? &ph.events : nullptr);
 
   // Apply writes. With multiple writers to one cell, an arbitrary write
@@ -125,18 +122,19 @@ const PhaseTrace& QsmMachine::commit_phase() {
   // winner sequence is a pure function of the seed (an unordered_map
   // walk here would feed rng_ in library-specific order).
   if (cfg_.writes == WriteResolution::LastQueued) {
-    // Parallel path: address ranges. A cell's writes are all applied by
-    // the one shard owning its range, in issue order — the surviving
-    // value is the last queued write, exactly as in the serial loop.
+    // Parallel path: ranges of the phase's written-address window. A
+    // cell's writes are all applied by the one shard owning its range,
+    // in issue order — the surviving value is the last queued write,
+    // exactly as in the serial loop.
     bool applied = false;
-    if (par_apply && waddr_.all_dense() &&
-        mem_.reserve_dense(waddr_.dense_extent())) {
-      pool.for_shards(waddr_.dense_extent(), detail::kCommitShards,
-                      [&](unsigned s, std::uint64_t alo, std::uint64_t ahi) {
+    const detail::KeyWindow win = waddr_.window();
+    if (par_apply && waddr_.all_dense() && mem_.reserve_dense(win.hi)) {
+      pool.for_shards(win.size(), detail::kCommitShards,
+                      [&](unsigned s, std::uint64_t lo, std::uint64_t hi) {
                         obs::Span span(obs::process_tracer(), "commit.shard",
                                        s);
                         for (const auto& w : writes_)
-                          if (w.addr >= alo && w.addr < ahi)
+                          if (w.addr >= win.lo + lo && w.addr < win.lo + hi)
                             mem_.slot(w.addr) = w.value;
                       });
       applied = true;
@@ -179,8 +177,7 @@ const PhaseTrace& QsmMachine::commit_phase() {
 }
 
 std::span<const Word> QsmMachine::inbox(ProcId p) const {
-  const std::vector<Word>* box = inboxes_.find(p);
-  return (box == nullptr) ? kEmptyInbox : *box;
+  return inboxes_.of(p);
 }
 
 Word QsmMachine::peek(Addr a) const {

@@ -123,7 +123,7 @@ class QsmMachine {
   std::vector<ReadReq> reads_;
   std::vector<WriteReq> writes_;
   std::vector<std::pair<ProcId, std::uint64_t>> locals_;
-  InboxTable<std::vector<Word>> inboxes_;
+  FlatInbox<Word> inboxes_;
 
   // Reusable accounting scratch for commit_phase (counters and buffer
   // capacity persist across phases; a steady-state commit performs no
@@ -132,8 +132,6 @@ class QsmMachine {
   detail::PhaseScan raddr_{detail::kAddrHistogramLimit};
   detail::PhaseScan waddr_{detail::kAddrHistogramLimit};
   std::vector<std::pair<Addr, std::uint32_t>> wgroup_scratch_;
-
-  static const std::vector<Word> kEmptyInbox;
 };
 
 }  // namespace parbounds

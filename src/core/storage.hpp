@@ -13,20 +13,24 @@
 //    turns the arena off entirely — the map-only reference configuration
 //    the equivalence tests compare against.
 //
-//  * InboxTable<Box> — per-processor delivery boxes indexed by dense
-//    ProcId with an epoch counter instead of a per-phase `clear()`. A
-//    box is lazily reset the first time it is touched in a phase, so
-//    its heap capacity survives across phases and nothing is rehashed.
-//    Processor ids beyond the dense range spill into a map whose boxes
-//    are epoch-reset the same way (erased never, cleared lazily).
+//  * FlatInbox<Value> — the values one phase's reads delivered, as one
+//    flat array grouped by reader (CSR form), rebuilt at every commit in
+//    two linear passes: count and rank, then fill. There is no
+//    per-processor box and no per-phase clear; `of(p)` is O(1) through a
+//    sparse-set slot index whose size is bounded by the phase's reads,
+//    not by the processor id range (ids beyond it: a binary search).
 //
-// Both containers preserve the observable "present vs absent" semantics
-// of the maps they replace: a cell that was never stored reports absent
+// CellStore preserves the observable "present vs absent" semantics of
+// the map it replaces: a cell that was never stored reports absent
 // (reads deliver the model's default contents), and `for_each` visits
 // exactly the cells that were ever materialised — the GSM time-0
-// snapshot and the trace analysis depend on that.
+// snapshot and the trace analysis depend on that. A reader with no
+// reads in the last phase gets an empty FlatInbox span.
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -111,79 +115,127 @@ class CellStore {
   std::unordered_map<Addr, Cell> sparse_;
 };
 
-template <class Box>
-class InboxTable {
+/// One phase's delivered read values, grouped by reader. index() is the
+/// count pass: it groups the reads by reader and ranks each read within
+/// its group, so fill() can store the values in any order of contiguous
+/// slices. of(p) is then reader p's values, contiguous and in issue
+/// order.
+///
+/// A reader id below the slot index's span finds its group through a
+/// sparse set: slot_[p] is trusted only when it points back at p
+/// (readers_[slot_[p]] == p), so stale entries from earlier phases need
+/// no clearing. Ids at or above the span are grouped by a sort and found
+/// by binary search. Read indices and offsets are 32-bit: a phase of
+/// 2^32 reads would exhaust memory in the request buffers first.
+template <class Value>
+class FlatInbox {
  public:
-  /// Dense range for processor ids; ids beyond it use the spill map.
-  static constexpr ProcId kDenseLimit = ProcId{1} << 20;
+  /// The slot index covers reader ids below min(largest id + 1,
+  /// kIndexPerRead * reads) of the largest phase so far.
+  static constexpr std::uint64_t kIndexPerRead = 4;
 
-  /// Invalidate every box (lazily): boxes keep their heap capacity and
-  /// are cleared on first touch in the new phase.
-  void begin_phase() { ++epoch_; }
+  /// Pass one over the reads [0, n): group them by reader(i) and rank
+  /// each within its group in issue order. Ids beyond the slot index
+  /// are grouped by sorting (reader, read) pairs; the sort is skipped
+  /// when they already arrive in id order.
+  template <class ReaderFn>
+  void index(std::uint64_t n, ReaderFn&& reader) {
+    std::uint64_t top = 0;
+    for (std::uint64_t i = 0; i < n; ++i) top = std::max(top, reader(i));
+    const std::uint64_t span = std::min(top + 1, kIndexPerRead * n);
+    if (span > slot_.size()) resize_exact(slot_, span);
+    resize_exact(rank_, n);
+    readers_.clear();
+    readers_.reserve(n);
+    start_.clear();
+    start_.reserve(n + 1);
+    start_.push_back(0);
+    spill_.clear();
 
-  /// Mutable box for processor p in the current phase.
-  Box& box(ProcId p) {
-    if (p < kDenseLimit) {
-      const auto i = static_cast<std::size_t>(p);
-      if (i >= dense_.size()) grow(i + 1);
-      if (epochs_[i] != epoch_) {
-        dense_[i].clear();
-        epochs_[i] = epoch_;
+    // start_[s + 1] counts group s until the prefix sum below.
+    const auto open_group = [this](ProcId p) {
+      readers_.push_back(p);
+      start_.push_back(0);
+      return static_cast<std::uint32_t>(readers_.size() - 1);
+    };
+    const std::uint64_t cover = slot_.size();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const ProcId p = reader(i);
+      if (p >= cover) {
+        spill_.push_back({p, i});
+        continue;
       }
-      return dense_[i];
+      std::uint32_t s = slot_[p];
+      if (s >= readers_.size() || readers_[s] != p)
+        slot_[p] = s = open_group(p);
+      rank_[i] = start_[s + 1]++;
     }
-    auto& e = sparse_[p];
-    if (e.first != epoch_) {
-      e.second.clear();
-      e.first = epoch_;
+    indexed_ = readers_.size();
+    if (!std::is_sorted(spill_.begin(), spill_.end()))
+      std::sort(spill_.begin(), spill_.end());
+    for (const auto& [p, i] : spill_) {
+      if (readers_.size() == indexed_ || readers_.back() != p) open_group(p);
+      rank_[i] = start_.back()++;
     }
-    return e.second;
+    for (std::size_t s = 1; s < start_.size(); ++s) start_[s] += start_[s - 1];
+    resize_exact(values_, n);
   }
 
-  /// Pre-grow the dense table so every processor id below `hi` has a
-  /// box, and stamp those boxes into the current phase's epoch (clearing
-  /// stale contents). After this, concurrent box() calls on *disjoint
-  /// dense* ids below `hi` neither grow nor epoch-clear — each touches
-  /// only its own Box — so a proc-range-partitioned parallel delivery
-  /// pass is race-free. Returns true when the whole range is dense;
-  /// callers deliver serially when it is false.
-  bool reserve_dense(ProcId hi) {
-    if (hi > kDenseLimit) return false;
-    const auto need = static_cast<std::size_t>(hi);
-    if (need > dense_.size()) grow(need);
-    for (std::size_t i = 0; i < need; ++i) {
-      if (epochs_[i] != epoch_) {
-        dense_[i].clear();
-        epochs_[i] = epoch_;
-      }
-    }
-    return true;
+  /// Pass two over the reads [lo, hi) of the indexed phase, with the
+  /// same reader(i): fill(i, slot) stores read i's value. Disjoint
+  /// ranges write disjoint slots, so contiguous slices may be filled
+  /// concurrently.
+  template <class ReaderFn, class FillFn>
+  void fill(std::uint64_t lo, std::uint64_t hi, ReaderFn&& reader,
+            FillFn&& fill) {
+    for (std::uint64_t i = lo; i < hi; ++i)
+      fill(i, values_[start_[group(reader(i))] + rank_[i]]);
   }
 
-  /// Box delivered to p in the current phase; nullptr when nothing was.
-  const Box* find(ProcId p) const {
-    if (p < kDenseLimit) {
-      const auto i = static_cast<std::size_t>(p);
-      return (i < dense_.size() && epochs_[i] == epoch_) ? &dense_[i]
-                                                         : nullptr;
-    }
-    const auto it = sparse_.find(p);
-    return (it != sparse_.end() && it->second.first == epoch_)
-               ? &it->second.second
-               : nullptr;
+  /// Values delivered to reader p, in issue order; empty when p read
+  /// nothing in the last indexed phase.
+  std::span<const Value> of(ProcId p) const {
+    const std::size_t s = group(p);
+    if (s == kAbsent) return {};
+    return {values_.data() + start_[s], start_[s + 1] - start_[s]};
   }
 
  private:
-  void grow(std::size_t need) {
-    const std::size_t next = std::max<std::size_t>(need, dense_.size() * 2);
-    dense_.resize(next);
-    epochs_.resize(next, 0);
+  static constexpr std::size_t kAbsent = ~std::size_t{0};
+
+  std::size_t group(ProcId p) const {
+    if (p < slot_.size()) {
+      const std::size_t s = slot_[p];
+      return (s < indexed_ && readers_[s] == p) ? s : kAbsent;
+    }
+    const auto first =
+        readers_.begin() + static_cast<std::ptrdiff_t>(indexed_);
+    const auto it = std::lower_bound(first, readers_.end(), p);
+    return (it != readers_.end() && *it == p)
+               ? static_cast<std::size_t>(it - readers_.begin())
+               : kAbsent;
   }
 
-  std::uint64_t epoch_ = 1;  // 0 marks "never touched" in epochs_
-  std::vector<Box> dense_;
-  std::vector<std::uint64_t> epochs_;
-  std::unordered_map<ProcId, std::pair<std::uint64_t, Box>> sparse_;
+  /// Resize to n elements, allocating exactly n when the vector must
+  /// grow. Every buffer is rebuilt from scratch, so a reallocation drops
+  /// the old contents instead of copying them, and a fresh machine does
+  /// not pay for geometric growth.
+  template <class T>
+  static void resize_exact(std::vector<T>& v, std::size_t n) {
+    if (n > v.capacity()) {
+      v.clear();
+      v.reserve(n);
+    }
+    v.resize(n);
+  }
+
+  std::vector<std::uint32_t> slot_;   ///< sparse-set index: reader -> group
+  std::vector<ProcId> readers_;       ///< group -> reader (spilled: sorted)
+  std::size_t indexed_ = 0;           ///< groups reached through slot_
+  std::vector<std::uint32_t> start_;  ///< group s is [start_[s], start_[s+1])
+  std::vector<std::uint32_t> rank_;   ///< read -> place within its group
+  std::vector<std::pair<ProcId, std::uint64_t>> spill_;  ///< (reader, read)
+  std::vector<Value> values_;
 };
 
 }  // namespace parbounds

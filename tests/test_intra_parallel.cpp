@@ -12,8 +12,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <numeric>
+#include <optional>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -540,6 +543,90 @@ TEST(ShardedCommit, CrcwCommonConflictAndPrefixStateStable) {
     KnobGuard kg(kKnob);
     PoolGuard pg(t);
     EXPECT_EQ(crcw_common_outcome(), serial) << "threads=" << t;
+  }
+}
+
+// ----- PhaseScan key window -------------------------------------------------
+
+std::uint64_t brute_max_run(const std::vector<std::uint64_t>& keys) {
+  std::map<std::uint64_t, std::uint64_t> count;
+  std::uint64_t best = 0;
+  for (const std::uint64_t k : keys) best = std::max(best, ++count[k]);
+  return best;
+}
+
+std::optional<std::uint64_t> brute_min_common(
+    const std::vector<std::uint64_t>& a, const std::vector<std::uint64_t>& b) {
+  const std::set<std::uint64_t> in_a(a.begin(), a.end());
+  std::optional<std::uint64_t> best;
+  for (const std::uint64_t k : b)
+    if (in_a.count(k) != 0 && (!best || k < *best)) best = k;
+  return best;
+}
+
+// A phase that grows every counter array to near the dense limit, then
+// sharded phases over a high window [kLo, kLo + kSpan): the aggregates
+// walk only this phase's window, and must still match brute force —
+// including clashes at either window edge, windows that only touch, and
+// a heavy key of the growing phase that sits inside the later window.
+TEST(PhaseScan, ShardedHighWindowAfterAGrowingPhaseMatchesBruteForce) {
+  constexpr std::uint64_t kLimit = std::uint64_t{1} << 20;
+  constexpr std::uint64_t kLo = 600000;
+  constexpr std::uint64_t kSpan = 20000;
+  const auto scan = [](detail::PhaseScan& ps, unsigned shards,
+                       const std::vector<std::uint64_t>& keys) {
+    ps.scan(shards, keys.size(), [&](std::uint64_t i) { return keys[i]; });
+  };
+
+  Rng rng(11);
+  std::vector<std::uint64_t> grow;
+  for (std::uint64_t i = 0; i < 5000; ++i) grow.push_back(kLimit - 1 - i * 7);
+  for (int i = 0; i < 900; ++i) grow.push_back(kLo + 5);  // stale heavy key
+  std::vector<std::uint64_t> reads;
+  for (std::uint64_t i = 0; i < 30000; ++i)
+    reads.push_back(kLo + rng.next_below(kSpan));
+  for (int i = 0; i < 40; ++i) reads.push_back(kLo + 17);  // the max run
+  reads.push_back(kLo);
+  reads.push_back(kLo + kSpan - 1);
+  for (int i = 0; i < 30; ++i)  // spilled keys, out of order
+    reads.push_back(kLimit + 1000 - static_cast<std::uint64_t>(i % 5));
+
+  struct WriteCase {
+    std::uint64_t lo, hi;  // written window
+  };
+  const WriteCase cases[] = {
+      {kLo + kSpan - 1, kLo + 2 * kSpan},  // clash at the reads' top edge
+      {kLo - kSpan, kLo + 1},              // clash at the reads' bottom edge
+      {kLo + kSpan, kLo + 2 * kSpan},      // windows touch, no clash
+      {kLo - kSpan, kLo},                  // windows touch below, no clash
+  };
+  for (const WriteCase& wc : cases) {
+    std::vector<std::uint64_t> writes;
+    for (std::uint64_t k = wc.lo; k < wc.hi; k += 3) writes.push_back(k);
+    writes.push_back(wc.hi - 1);
+    writes.push_back(kLimit + 5);  // spilled, never read
+    for (const unsigned t : kPoolSizes)
+      for (const unsigned shards : {1u, detail::kCommitShards}) {
+        PoolGuard pg(t);
+        detail::PhaseScan r(kLimit), w(kLimit);
+        scan(r, shards, grow);
+        scan(w, shards, grow);
+        EXPECT_EQ(r.max_run(), brute_max_run(grow));
+        EXPECT_EQ(detail::PhaseScan::min_common(r, w), kLo + 5);
+
+        scan(r, shards, reads);
+        scan(w, shards, writes);
+        const std::string what = "threads=" + std::to_string(t) +
+                                 " shards=" + std::to_string(shards) +
+                                 " writes from " + std::to_string(wc.lo);
+        EXPECT_EQ(r.window().lo, kLo) << what;
+        EXPECT_EQ(r.window().hi, kLo + kSpan) << what;
+        EXPECT_EQ(r.max_run(), brute_max_run(reads)) << what;
+        EXPECT_EQ(w.max_run(), brute_max_run(writes)) << what;
+        EXPECT_EQ(detail::PhaseScan::min_common(r, w),
+                  brute_min_common(reads, writes))
+            << what;
+      }
   }
 }
 

@@ -1,5 +1,6 @@
 // Equivalence tests for the flat-arena shared-memory fast path
-// (CellStore / InboxTable, core/storage.hpp). Engine configs expose
+// (CellStore, core/storage.hpp), and the flat per-phase inbox
+// (FlatInbox) against a brute-force per-reader reference. Engine configs expose
 // `mem_dense_limit`: addresses below it take a direct vector index,
 // addresses at or above it fall back to the sparse map, and a limit of
 // 0 disables the arena entirely — the map-only reference configuration.
@@ -10,13 +11,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "algos/parity.hpp"
 #include "core/crcw.hpp"
 #include "core/gsm.hpp"
 #include "core/qsm.hpp"
 #include "core/storage.hpp"
+#include "runtime/parallel_for.hpp"
 #include "util/rng.hpp"
 
 namespace parbounds {
@@ -85,21 +92,225 @@ TEST(CellStore, ForEachVisitsExactlyMaterialisedCells) {
   EXPECT_EQ(seen[2], (std::pair<Addr, Word>{kSmallLimit + 9, 90}));
 }
 
-TEST(InboxTable, EpochClearsBoxesLazily) {
-  InboxTable<std::vector<Word>> inboxes;
-  inboxes.begin_phase();
-  inboxes.box(3).push_back(7);
-  ASSERT_NE(inboxes.find(3), nullptr);
-  EXPECT_EQ(inboxes.find(3)->size(), 1u);
+// Rebuild `inbox` from one phase's (reader, value) stream, filling the
+// value pass in `slices` contiguous slices taken last-first — any
+// slicing must land every value in the same place.
+template <class Value>
+void deliver(FlatInbox<Value>& inbox,
+             const std::vector<std::pair<ProcId, Value>>& reads,
+             unsigned slices = 1) {
+  const std::uint64_t n = reads.size();
+  const auto reader = [&](std::uint64_t i) { return reads[i].first; };
+  inbox.index(n, reader);
+  for (unsigned s = slices; s-- > 0;)
+    inbox.fill(n * s / slices, n * (s + 1) / slices, reader,
+               [&](std::uint64_t i, Value& slot) { slot = reads[i].second; });
+}
 
-  // New phase: the old box is invisible until touched, and the first
-  // touch hands back an empty box (the stale 7 must not leak through).
-  inboxes.begin_phase();
-  EXPECT_EQ(inboxes.find(3), nullptr);
-  inboxes.box(3).push_back(9);
-  ASSERT_NE(inboxes.find(3), nullptr);
-  ASSERT_EQ(inboxes.find(3)->size(), 1u);
-  EXPECT_EQ((*inboxes.find(3))[0], 9);
+// Brute force: every reader's values, appended in issue order.
+template <class Value>
+std::map<ProcId, std::vector<Value>> by_reader(
+    const std::vector<std::pair<ProcId, Value>>& reads) {
+  std::map<ProcId, std::vector<Value>> want;
+  for (const auto& [p, v] : reads) want[p].push_back(v);
+  return want;
+}
+
+template <class Value>
+void expect_inboxes(const FlatInbox<Value>& inbox,
+                    const std::vector<std::pair<ProcId, Value>>& reads,
+                    const std::vector<ProcId>& absent) {
+  for (const auto& [p, values] : by_reader(reads)) {
+    const auto got = inbox.of(p);
+    EXPECT_EQ(std::vector<Value>(got.begin(), got.end()), values)
+        << "reader " << p;
+  }
+  for (const ProcId p : absent) EXPECT_TRUE(inbox.of(p).empty()) << p;
+}
+
+TEST(FlatInbox, PerReaderIssueOrderInAnInterleavedStream) {
+  const std::vector<std::pair<ProcId, Word>> reads = {
+      {5, 50}, {2, 20}, {5, 51}, {9, 90}, {2, 21}, {5, 52}, {0, 1}, {9, 91}};
+  for (const unsigned slices : {1u, 3u, 8u}) {
+    FlatInbox<Word> inbox;
+    deliver(inbox, reads, slices);
+    expect_inboxes(inbox, reads, {});
+    const auto five = inbox.of(5);
+    ASSERT_EQ(five.size(), 3u);
+    EXPECT_EQ(five[0], 50);
+    EXPECT_EQ(five[2], 52);
+  }
+}
+
+TEST(FlatInbox, AbsentReaderIsEmpty) {
+  FlatInbox<Word> inbox;
+  EXPECT_TRUE(inbox.of(0).empty());  // before any phase
+  EXPECT_TRUE(inbox.of(ProcId{1} << 40).empty());
+  const std::vector<std::pair<ProcId, Word>> reads = {{1, 10}, {3, 30}};
+  deliver(inbox, reads);
+  // Inside the index (0, 2), beyond the largest reader (4) and far out.
+  expect_inboxes(inbox, reads, {0, 2, 4, 7, ProcId{1} << 40});
+}
+
+TEST(FlatInbox, NoStaleValuesAfterAPhaseWithNoReads) {
+  FlatInbox<Word> inbox;
+  const std::vector<std::pair<ProcId, Word>> first = {
+      {0, 7}, {1, 8}, {ProcId{1} << 33, 9}};
+  deliver(inbox, first);
+  ASSERT_EQ(inbox.of(1).size(), 1u);
+  deliver(inbox, std::vector<std::pair<ProcId, Word>>{});
+  expect_inboxes(inbox, {}, {0, 1, ProcId{1} << 33});
+
+  // A smaller phase after a larger one: the slot index keeps the old
+  // entries, which must not resolve for readers that did not read.
+  deliver(inbox, first);
+  const std::vector<std::pair<ProcId, Word>> second = {{1, 11}};
+  deliver(inbox, second);
+  expect_inboxes(inbox, second, {0, ProcId{1} << 33});
+}
+
+// Ids beyond the slot index take the sorted path: 2^40 always, and
+// kIndexPerRead * reads until an earlier, larger phase grew the index
+// past it. Mixed with indexed ids, issued out of order, over phases of
+// varying size.
+TEST(FlatInbox, IdsBeyondTheSlotIndex) {
+  Rng rng(7);
+  FlatInbox<Word> inbox;
+  for (int phase = 0; phase < 30; ++phase) {
+    const std::uint64_t n = 1 + rng.next_below(200);
+    std::vector<std::pair<ProcId, Word>> reads;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      ProcId p = rng.next_below(2 * n);  // mostly indexed
+      if (rng.next_below(3) == 0)
+        p = FlatInbox<Word>::kIndexPerRead * n + rng.next_below(50);
+      if (rng.next_below(5) == 0) p = (ProcId{1} << 40) + rng.next_below(4);
+      reads.push_back({p, static_cast<Word>(rng.next_below(1000))});
+    }
+    deliver(inbox, reads, 1 + static_cast<unsigned>(rng.next_below(8)));
+    expect_inboxes(inbox, reads,
+                   {FlatInbox<Word>::kIndexPerRead * n + 50,
+                    (ProcId{1} << 40) + 4, ProcId{1} << 50});
+  }
+
+  // Spilled ids already in id order (the common, sort-free case).
+  std::vector<std::pair<ProcId, Word>> sorted;
+  for (ProcId p = 100; p < 110; ++p)
+    for (Word v = 0; v < 3; ++v) sorted.push_back({p * 1000, v});
+  deliver(inbox, sorted, 4);
+  expect_inboxes(inbox, sorted, {100, 100 * 1000 + 1, 110 * 1000});
+}
+
+TEST(FlatInbox, HoldsGsmCellContents) {
+  using Cell = std::vector<Word>;
+  FlatInbox<Cell> inbox;
+  const std::vector<std::pair<ProcId, Cell>> reads = {
+      {2, {1, 2, 3}}, {0, {}}, {2, {4}}, {ProcId{1} << 40, {5, 6}}};
+  deliver(inbox, reads, 2);
+  expect_inboxes(inbox, reads, {1, 3});
+  // A second, shorter phase reuses the slots: no words of the old
+  // contents survive.
+  const std::vector<std::pair<ProcId, Cell>> next = {{2, {9}}};
+  deliver(inbox, next);
+  expect_inboxes(inbox, next, {0, ProcId{1} << 40});
+}
+
+// ----- QsmCrFree parity_circuit: reader ids beyond 2^20 --------------------
+
+// Per phase: (reader, value) pairs sorted by reader, in issue order
+// within a reader.
+using ExpectedInboxes = std::vector<std::vector<std::pair<ProcId, Word>>>;
+
+// Checks QsmMachine::inbox after every phase against `expected`. A
+// phase with no expectation yet first appends one, built by brute force
+// from its detail events: the read events, valued from a shadow memory
+// that replays the write events.
+class InboxAudit : public AnalysisObserver {
+ public:
+  InboxAudit(const QsmMachine& m, ExpectedInboxes& expected,
+             std::unordered_map<Addr, Word> memory)
+      : m_(m), expected_(expected), shadow_(std::move(memory)) {}
+
+  void on_phase_committed(const ExecutionTrace& t, std::size_t index) override {
+    const PhaseTrace& ph = t.phases[index];
+    if (expected_.size() == index) {
+      std::vector<std::pair<ProcId, Word>> reads;
+      for (const MemEvent& e : ph.events) {
+        if (e.is_write) continue;
+        const auto it = shadow_.find(e.addr);
+        reads.push_back({e.proc, it == shadow_.end() ? 0 : it->second});
+      }
+      std::stable_sort(
+          reads.begin(), reads.end(),
+          [](const auto& a, const auto& b) { return a.first < b.first; });
+      for (const MemEvent& e : ph.events)
+        if (e.is_write) shadow_[e.addr] = e.value;
+      expected_.push_back(std::move(reads));
+    }
+    ASSERT_LT(index, expected_.size());
+    const auto& want = expected_[index];
+    for (std::size_t lo = 0; lo < want.size();) {
+      const ProcId p = want[lo].first;
+      std::size_t hi = lo;
+      while (hi < want.size() && want[hi].first == p) ++hi;
+      const auto got = m_.inbox(p);
+      ASSERT_EQ(got.size(), hi - lo) << "phase " << index << " reader " << p;
+      for (std::size_t i = lo; i < hi; ++i)
+        ASSERT_EQ(got[i - lo], want[i].second)
+            << "phase " << index << " reader " << p;
+      lo = hi;
+    }
+    if (want.empty()) return;
+    max_reader = std::max(max_reader, want.back().first);
+    EXPECT_TRUE(m_.inbox(want.back().first + 1).empty());
+    EXPECT_TRUE(m_.inbox(ProcId{1} << 40).empty());
+  }
+
+  ProcId max_reader = 0;
+
+ private:
+  const QsmMachine& m_;
+  ExpectedInboxes& expected_;
+  std::unordered_map<Addr, Word> shadow_;
+};
+
+// The circuit names its processors (block, assignment, position); at
+// n = 2^12, g = 64 the first phase's readers reach ids above 4.5M, far
+// beyond 2^20. A serial run with detail events builds and checks the
+// expectation; a run with every phase sharded over four pool threads
+// must deliver the same inboxes, phase by phase.
+TEST(FlatInbox, QsmCrFreeParityCircuitMatchesBruteForce) {
+  constexpr std::uint64_t n = std::uint64_t{1} << 12;
+  Rng rng(3);
+  std::vector<Word> input(n);
+  Word parity = 0;
+  for (Word& b : input) parity ^= b = static_cast<Word>(rng.next_below(2));
+
+  ExpectedInboxes expected;
+  const auto run = [&](bool detail) {
+    QsmMachine m({.g = 64, .model = CostModel::QsmCrFree,
+                  .record_detail = detail});
+    const Addr in = m.alloc(n);
+    m.preload(in, input);
+    std::unordered_map<Addr, Word> memory;
+    for (std::uint64_t i = 0; i < n; ++i)
+      if (input[i] != 0) memory[in + i] = input[i];
+    InboxAudit audit(m, expected, std::move(memory));
+    m.set_observer(&audit);
+    EXPECT_EQ(parity_circuit(m, in, n), parity);
+    EXPECT_EQ(m.phases(), expected.size());
+    return audit.max_reader;
+  };
+
+  EXPECT_GT(run(true), ProcId{1} << 20);
+
+  auto& pool = runtime::ParallelFor::pool();
+  const unsigned saved_threads = pool.threads();
+  const std::uint64_t saved_knob = detail::commit_shard_min_requests();
+  pool.set_threads(4);
+  detail::commit_shard_min_requests() = 64;
+  EXPECT_GT(run(false), ProcId{1} << 20);
+  detail::commit_shard_min_requests() = saved_knob;
+  pool.set_threads(saved_threads);
 }
 
 // ----- QSM arena-vs-map equivalence ---------------------------------------
