@@ -19,18 +19,12 @@
 // wall time, so the report bytes are the same at any --jobs value; the
 // ratios go to the ops file (BENCH_hotpath.ops.json) only.
 //
-// Since the intra-trial parallelism PR the binary also carries the
-// shard-equivalence oracle: a phase-commit instance large enough to
-// cross commit_shard_min_requests() runs once with sharding forced off
-// and once per pool size in {1, 2, 8}, and every model cost, Random-
-// write winner (via a memory checksum) and delivered read must match
-// bit for bit. The same sweep times the sharded path at each pool size
-// and records the single-instance speedups (the "shard_speedup/..."
-// ratios), as does a degree(n=26) instance that lands in the chunked
-// Moebius tier.
+// The binary also times a degree(n=26) instance that lands in the
+// chunked Moebius tier at pool sizes 1, 2 and 8 and records the
+// single-instance speedups (the "shard_speedup/degree26/..." ratios).
 //
-// Since the SIMD dispatch PR the oracle generalizes to the full kernel
-// matrix: kernel_digest folds every dispatch-kernel-touched quantity
+// The dispatch-equivalence oracle covers the full kernel matrix:
+// kernel_digest folds every dispatch-kernel-touched quantity
 // (connective words, popcounts, integer/GF(2) degrees, both sides of
 // the dense/chunked tier boundary, multilinear coefficients, a commit
 // model cost) into one checksum, and that digest must be identical at
@@ -41,9 +35,9 @@
 // Extra flags (stripped before the harness parses argv):
 //   --min-phase-speedup=X   fail (exit 1) if the commit speedup < X
 //   --min-degree-speedup=X  fail (exit 1) if the degree speedup < X
-//   --min-shard-speedup=X   fail (exit 1) if the 8-thread sharded
-//                           commit or degree(26) speedup over the same
-//                           instance at 1 thread < X
+//   --min-shard-speedup=X   fail (exit 1) if the 8-thread degree(26)
+//                           speedup over the same instance at 1
+//                           thread < X
 //   --min-simd-speedup=X    fail (exit 1) if the best-tier word-loop
 //                           speedup over pinned-portable < X for the
 //                           connectives or the chunked-degree workload
@@ -441,71 +435,6 @@ double degree_and22in24(std::uint64_t) {
   return static_cast<double>(pb::degree(f));
 }
 
-// ----- sharded phase commit: equivalence oracle + thread sweep ---------------
-
-// A single instance big enough to cross commit_shard_min_requests():
-// every processor issues 2 reads (lower address half) and 2 writes
-// (upper half) per phase, under Random write resolution so the sharded
-// winner sort is on the line, not just the counters.
-constexpr std::uint64_t kShardProcs = std::uint64_t{1} << 16;
-constexpr std::uint64_t kShardCells = std::uint64_t{1} << 18;
-constexpr unsigned kShardPhases = 4;
-
-struct ShardRun {
-  std::uint64_t cost = 0;      ///< model time after all phases
-  std::uint64_t checksum = 0;  ///< folded memory + delivered reads
-
-  bool operator==(const ShardRun& o) const = default;
-};
-
-// The op stream for the sharded instance, generated once in main and
-// replayed by every timed run (generation is noise next to the commit
-// work, and holding it out keeps the timing a pure pipeline measure).
-std::vector<Op> make_shard_ops(std::uint64_t seed) {
-  pb::Rng rng(seed);
-  std::vector<Op> v;
-  v.reserve(kShardProcs * 4);
-  const std::uint64_t half = kShardCells / 2;
-  for (pb::ProcId p = 0; p < kShardProcs; ++p) {
-    for (int r = 0; r < 2; ++r)
-      v.push_back({false, p, rng.next_below(half), 0});
-    for (int w = 0; w < 2; ++w)
-      v.push_back({true, p, half + rng.next_below(half),
-                   static_cast<pb::Word>(1 + rng.next_below(1000))});
-  }
-  return v;
-}
-
-// Runs the instance once at the current pool size and folds everything
-// a divergent shard merge could corrupt into the checksum: the final
-// contents of every written cell (Random winners) and the values
-// delivered to a stride of inboxes (delivery order). Pure integers;
-// main wraps the call in the wall clock.
-ShardRun qsm_shard_run(std::uint64_t seed, const std::vector<Op>& ops) {
-  ShardRun out;
-  pb::QsmMachine m(
-      {.g = 2, .writes = pb::WriteResolution::Random, .seed = seed});
-  (void)m.alloc(kShardCells);
-  for (unsigned ph = 0; ph < kShardPhases; ++ph) {
-    m.begin_phase();
-    for (const auto& op : ops) {
-      if (op.is_write)
-        m.write(op.proc, op.addr, op.value);
-      else
-        m.read(op.proc, op.addr);
-    }
-    m.commit_phase();
-    for (pb::ProcId p = 0; p < kShardProcs; p += 257)
-      for (const pb::Word w : m.inbox(p))
-        out.checksum = out.checksum * 31 + static_cast<std::uint64_t>(w);
-  }
-  for (pb::Addr a = kShardCells / 2; a < kShardCells; ++a)
-    out.checksum =
-        out.checksum * 31 + static_cast<std::uint64_t>(m.peek(a));
-  out.cost = m.time();
-  return out;
-}
-
 double ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
@@ -651,7 +580,7 @@ int main(int argc, char** argv) {
   // legacy replicas; pin the intra-trial pool to one thread so the
   // ratio isolates the algorithmic rewrite (on an oversubscribed box a
   // --threads-sized pool would slow only the new side). Pool scaling is
-  // measured separately by the shard sweep below, which restores the
+  // measured separately by the thread sweep below, which restores the
   // session's --threads value when it finishes.
   auto& pool = pb::runtime::ParallelFor::pool();
   const unsigned session_threads = pool.threads();
@@ -794,88 +723,49 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // ----- shard-equivalence oracle + intra-trial thread sweep --------------
-  // One large instance, four ways: sharding forced off (the serial
-  // reference), then the sharded path at pool sizes 1, 2 and 8. Model
-  // cost and checksum must agree bit for bit every time — the path and
-  // the pool size may only change the wall clock.
-  const std::uint64_t shard_seed = session.next_base_seed();
-  const auto shard_ops = make_shard_ops(shard_seed);
-
-  auto& shard_knob = pb::detail::commit_shard_min_requests();
-  const std::uint64_t knob_saved = shard_knob;
-  shard_knob = ~std::uint64_t{0};  // no phase qualifies: serial path
-  pool.set_threads(1);
-  const ShardRun serial_ref = qsm_shard_run(shard_seed, shard_ops);
-  shard_knob = knob_saved;
-
+  // ----- intra-trial thread sweep ----------------------------------------
+  // One chunked-tier degree instance at pool sizes 1, 2 and 8 on the
+  // main thread, where the pool fans out. The degree oracle inside
+  // degree26_wall_ms must hold at every pool size.
   const pb::BoolFn deg26 = pb::BoolFn::from(26, [](std::uint32_t x) {
     return (x & 0xFFFFFFu) == 0xFFFFFFu;  // AND of the first 24 of 26
   });
 
   constexpr unsigned kPools[3] = {1, 2, 8};
-  double commit_wall[3] = {};
   double deg_wall[3] = {};
-  bool shard_ok = true;
   for (int i = 0; i < 3; ++i) {
     pool.set_threads(kPools[i]);
     for (int rep = 0; rep < 2; ++rep) {  // best-of-2 per pool size
-      const auto t0 = std::chrono::steady_clock::now();
-      const ShardRun r = qsm_shard_run(shard_seed, shard_ops);
-      const double wall = ms_since(t0);
-      if (!(r == serial_ref)) shard_ok = false;
-      commit_wall[i] = (rep == 0) ? wall : std::min(commit_wall[i], wall);
       const double d = degree26_wall_ms(deg26);
       deg_wall[i] = (rep == 0) ? d : std::min(deg_wall[i], d);
     }
   }
   pool.set_threads(session_threads);
-  if (!shard_ok) {
-    std::fprintf(stderr,
-                 "bench_hotpath: sharded commit DIVERGED from the serial "
-                 "path (cost or checksum)\n");
-    return 1;
-  }
 
   const auto ratio = [](double base, double x) {
     return base / std::max(1e-9, x);
   };
-  const double shard_commit2 = ratio(commit_wall[0], commit_wall[1]);
-  const double shard_commit8 = ratio(commit_wall[0], commit_wall[2]);
   const double shard_deg2 = ratio(deg_wall[0], deg_wall[1]);
   const double shard_deg8 = ratio(deg_wall[0], deg_wall[2]);
 
-  pb::TextTable st({"sharded instance", "1 thr ms", "2 thr ms", "8 thr ms",
-                    "x2", "x8"});
-  st.add_row({"qsm commit p65536x4 (random writes)",
-              pb::TextTable::num(commit_wall[0], 1),
-              pb::TextTable::num(commit_wall[1], 1),
-              pb::TextTable::num(commit_wall[2], 1),
-              pb::TextTable::num(shard_commit2, 2),
-              pb::TextTable::num(shard_commit8, 2)});
+  pb::TextTable st({"pool-parallel instance", "1 thr ms", "2 thr ms",
+                    "8 thr ms", "x2", "x8"});
   st.add_row({"boolfn degree n=26 (chunked tier)",
               pb::TextTable::num(deg_wall[0], 1),
               pb::TextTable::num(deg_wall[1], 1),
               pb::TextTable::num(deg_wall[2], 1),
               pb::TextTable::num(shard_deg2, 2),
               pb::TextTable::num(shard_deg8, 2)});
-  std::printf("%s(shard oracle: cost=%llu checksum=%llu identical on the "
-              "serial path and at every pool size)\n\n",
-              st.render().c_str(),
-              static_cast<unsigned long long>(serial_ref.cost),
-              static_cast<unsigned long long>(serial_ref.checksum));
+  std::printf("%s\n", st.render().c_str());
 
-  session.ratio("shard_speedup/phase_commit/threads2", shard_commit2);
-  session.ratio("shard_speedup/phase_commit/threads8", shard_commit8);
   session.ratio("shard_speedup/degree26/threads2", shard_deg2);
   session.ratio("shard_speedup/degree26/threads8", shard_deg8);
 
-  if (min_shard > 0.0 &&
-      std::min(shard_commit8, shard_deg8) < min_shard) {
+  if (min_shard > 0.0 && shard_deg8 < min_shard) {
     std::fprintf(stderr,
-                 "bench_hotpath: 8-thread shard speedup (commit %.2f, "
-                 "degree26 %.2f) below floor %.2f\n",
-                 shard_commit8, shard_deg8, min_shard);
+                 "bench_hotpath: 8-thread degree26 speedup %.2f below "
+                 "floor %.2f\n",
+                 shard_deg8, min_shard);
     return 1;
   }
 

@@ -10,7 +10,7 @@
 // baseline:
 //
 //   baseline::Qsm is a faithful copy of today's QsmMachine commit
-//   pipeline (same PhaseScan accounting, CellStore memory,
+//   pipeline (same KeyHistogram accounting, CellStore memory,
 //   FlatInbox delivery, same clash/EREW branches) minus ONLY the
 //   observer and phase_hook calls. Paired runs replay the SAME
 //   deterministic op stream through the engine and the replica; model
@@ -81,13 +81,11 @@ std::vector<Op> make_ops(pb::Rng& rng) {
 namespace baseline {
 
 // Copy of QsmMachine's phase protocol with the observer slot and
-// obs::phase_hook removed — nothing else (its parallel write-apply pass
-// never runs on this bench's one-shard phases). Every
-// accounting pass, branch (clash, EREW, record_detail, write
-// resolution), container, and throw site matches the engine, and
-// noinline keeps the whole protocol outlined calls the way the library
-// build's are (the engine defines them in qsm.cpp) — so any wall gap
-// between the two is the hook itself.
+// obs::phase_hook removed — nothing else. Every accounting pass, branch
+// (clash, EREW, record_detail, write resolution), container, and throw
+// site matches the engine, and noinline keeps the whole protocol
+// outlined calls the way the library build's are (the engine defines
+// them in qsm.cpp) — so any wall gap between the two is the hook itself.
 class Qsm {
  public:
   explicit Qsm(pb::QsmConfig cfg = {})
@@ -124,23 +122,17 @@ class Qsm {
     st.reads = reads_.size();
     st.writes = writes_.size();
 
-    const unsigned shards =
-        pb::detail::commit_shard_count(st.reads + st.writes);
-    if (shards > 1) ph.commit_shards = shards;
-    proc_.scan(shards, st.writes,
-               [this](std::uint64_t i) { return writes_[i].proc; });
+    proc_.scan(st.writes, [this](std::uint64_t i) { return writes_[i].proc; });
     st.m_rw = std::max(st.m_rw, proc_.max_run());
-    proc_.scan(shards, st.reads,
-               [this](std::uint64_t i) { return reads_[i].proc; });
+    proc_.scan(st.reads, [this](std::uint64_t i) { return reads_[i].proc; });
     st.m_rw = std::max(st.m_rw, proc_.max_run());
-    raddr_.scan(shards, st.reads,
-                [this](std::uint64_t i) { return reads_[i].addr; });
-    waddr_.scan(shards, st.writes,
+    raddr_.scan(st.reads, [this](std::uint64_t i) { return reads_[i].addr; });
+    waddr_.scan(st.writes,
                 [this](std::uint64_t i) { return writes_[i].addr; });
     st.kappa_r = std::max(st.kappa_r, raddr_.max_run());
     st.kappa_w = std::max(st.kappa_w, waddr_.max_run());
     const std::optional<pb::Addr> clash =
-        pb::detail::PhaseScan::min_common(raddr_, waddr_);
+        pb::detail::KeyHistogram::min_common(raddr_, waddr_);
     pb::detail::charge_local_ops(locals_, st);
 
     if (clash)
@@ -154,10 +146,7 @@ class Qsm {
     ph.cost = pb::phase_cost(cfg_.model, cfg_.g, st, cfg_.d);
     time_ += ph.cost;
 
-    auto& pool = pb::runtime::ParallelFor::pool();
-    const bool par_apply =
-        shards > 1 && !cfg_.record_detail && pool.threads() > 1;
-    pb::detail::deliver_word_reads(reads_, mem_, inboxes_, par_apply,
+    pb::detail::deliver_word_reads(reads_, mem_, inboxes_,
                                    cfg_.record_detail ? &ph.events : nullptr);
 
     if (cfg_.writes == pb::WriteResolution::LastQueued) {
@@ -215,9 +204,9 @@ class Qsm {
   std::vector<std::pair<pb::ProcId, std::uint64_t>> locals_;
   pb::FlatInbox<pb::Word> inboxes_;
 
-  pb::detail::PhaseScan proc_{pb::detail::kProcHistogramLimit};
-  pb::detail::PhaseScan raddr_{pb::detail::kAddrHistogramLimit};
-  pb::detail::PhaseScan waddr_{pb::detail::kAddrHistogramLimit};
+  pb::detail::KeyHistogram proc_{pb::detail::kProcHistogramLimit};
+  pb::detail::KeyHistogram raddr_{pb::detail::kAddrHistogramLimit};
+  pb::detail::KeyHistogram waddr_{pb::detail::kAddrHistogramLimit};
   std::vector<std::pair<pb::Addr, std::uint32_t>> wgroup_scratch_;
 };
 

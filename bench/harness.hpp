@@ -143,8 +143,8 @@ class BenchSession {
     runner_ = std::make_unique<runtime::ExperimentRunner>(
         runtime::RunnerConfig{.jobs = flags.workers > 0 ? 1u : flags.jobs});
     report_.jobs = runner_->jobs();
-    // One pool governs all intra-trial parallelism (sharded commit,
-    // BoolFn transforms); it follows --jobs unless --threads overrides.
+    // One pool governs all intra-trial parallelism (BoolFn transforms,
+    // adversary folds); it follows --jobs unless --threads overrides.
     runtime::ParallelFor::pool().set_threads(
         flags.workers > 0 ? 1u : flags.resolved_threads(runner_->jobs()));
     report_.threads = runtime::ParallelFor::pool().threads();

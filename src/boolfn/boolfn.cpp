@@ -31,7 +31,7 @@ void for_ranges(std::size_t n, F&& body) {
   auto& pool = runtime::ParallelFor::pool();
   const unsigned shards =
       runtime::ParallelFor::shard_count(n, kParWords, kParShards);
-  if (shards <= 1 || pool.threads() <= 1) {
+  if (shards <= 1 || !pool.fans_out()) {
     body(0u, std::size_t{0}, n);
     return;
   }
@@ -101,8 +101,7 @@ void moebius_i32(std::vector<std::int32_t>& c, unsigned t) {
   const std::uint64_t half = size / 2;
   const auto& k = simd::kernels();
   auto& pool = runtime::ParallelFor::pool();
-  if (half < kParWords || pool.threads() <= 1 ||
-      runtime::ParallelFor::in_pool_worker()) {
+  if (half < kParWords || !pool.fans_out()) {
     for (std::uint32_t h = 1; h < size; h <<= 1)
       k.moebius_level(c.data(), 0, half, h);
     return;
@@ -156,14 +155,15 @@ unsigned dense_degree_impl(const BoolFn& f) {
 // coefficients alpha_{(Sl, Sh)}. Bounds: |g_Sh| <= 2^(n-t) and
 // |alpha| <= 2^n <= 2^30, so int32 never overflows.
 //
-// The high subsets fan out over the pool, each worker with its own
-// slice buffer and its own prune bound: `part[shard]` is a shard-local
-// maximum, merged serially after the join. Pruning a subset against the
-// shard-local bound is sound (a skipped Sh could contribute at most
-// hi_pc + t <= the shard's own maximum <= the final answer), and —
-// unlike the shared-atomic bound this replaces — the set of subsets a
-// shard actually expands is a pure function of its range, so the work
-// done and the result are bit-identical at any thread count.
+// When the pool fans out, the high subsets are split over up to
+// kParShards shards, each with its own slice buffer and its own prune
+// bound: `part[shard]` is a shard-local maximum, merged serially after
+// the join. Otherwise one shard walks every subset with one buffer and
+// one bound. Pruning a subset against a shard-local bound is sound (a
+// skipped Sh could contribute at most hi_pc + t <= the shard's own
+// maximum <= the final answer), so the degree is the same in either
+// layout; and the set of subsets a shard expands is a pure function of
+// its range, so each layout does the same work at any thread count.
 //
 // Slices that are identically zero are detected once up front and
 // skipped in every subset expansion; a subset whose contributing slices
@@ -210,7 +210,7 @@ unsigned chunked_degree_impl(const BoolFn& f, unsigned t) {
         th = (th - 1) & sh;
       }
       if (!any) continue;  // g_Sh == 0: no coefficient with this high part
-      moebius_i32(g, t);  // runs inline inside a pool worker
+      moebius_i32(g, t);  // serial: fans_out() is false in here
       const unsigned d = k.max_degree_scan(
           g.data(), 0, static_cast<std::uint32_t>(g.size()));
       // d == 0 means either all-zero or only the empty low set survives;
@@ -224,7 +224,7 @@ unsigned chunked_degree_impl(const BoolFn& f, unsigned t) {
   };
   auto& pool = runtime::ParallelFor::pool();
   const unsigned shards = std::min<std::uint32_t>(hi_count, kParShards);
-  if (pool.threads() > 1 && shards > 1) {
+  if (pool.fans_out() && shards > 1) {
     pool.for_shards(hi_count, shards,
                     [&](unsigned s, std::uint64_t lo, std::uint64_t hi) {
                       run(s, static_cast<std::uint32_t>(lo),

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/commit_tail.hpp"
-#include "runtime/parallel_for.hpp"
 
 namespace parbounds {
 
@@ -48,12 +47,8 @@ const PhaseTrace& BspMachine::commit_superstep() {
 
   // Per-processor send and receive counts (endpoints are range-checked
   // at issue time); h is the larger of the two maxima.
-  const unsigned shards = detail::commit_shard_count(sends_.size());
-  if (shards > 1) ph.commit_shards = shards;
-  src_.scan(shards, sends_.size(),
-            [this](std::uint64_t i) { return sends_[i].src; });
-  dst_.scan(shards, sends_.size(),
-            [this](std::uint64_t i) { return sends_[i].dst; });
+  src_.scan(sends_.size(), [this](std::uint64_t i) { return sends_[i].src; });
+  dst_.scan(sends_.size(), [this](std::uint64_t i) { return sends_[i].dst; });
   const std::uint64_t fan_in = dst_.max_run();
   const std::uint64_t h = std::max(src_.max_run(), fan_in);
   for (const auto& [proc, ops] : locals_) {
@@ -77,27 +72,12 @@ const PhaseTrace& BspMachine::commit_superstep() {
   time_ += ph.cost;
 
   // Deliver: each destination's box receives its messages in issue
-  // order. The parallel path partitions destinations into ranges, so a
-  // box is cleared and appended to by exactly one shard — the delivered
-  // state is identical to the serial loop.
-  auto& pool = runtime::ParallelFor::pool();
-  if (shards > 1 && !cfg_.record_detail && pool.threads() > 1) {
-    pool.for_shards(cfg_.p, detail::kCommitShards,
-                    [&](unsigned s, std::uint64_t plo, std::uint64_t phi) {
-                      obs::Span span(obs::process_tracer(), "commit.shard", s);
-                      for (std::uint64_t d = plo; d < phi; ++d)
-                        inboxes_[d].clear();
-                      for (const auto& sr : sends_)
-                        if (sr.dst >= plo && sr.dst < phi)
-                          inboxes_[sr.dst].push_back(sr.msg);
-                    });
-  } else {
-    for (auto& box : inboxes_) box.clear();
-    for (const auto& s : sends_) {
-      inboxes_[s.dst].push_back(s.msg);
-      if (cfg_.record_detail)
-        ph.events.push_back({s.src, s.dst, s.msg.value, true});
-    }
+  // order.
+  for (auto& box : inboxes_) box.clear();
+  for (const auto& s : sends_) {
+    inboxes_[s.dst].push_back(s.msg);
+    if (cfg_.record_detail)
+      ph.events.push_back({s.src, s.dst, s.msg.value, true});
   }
 
   return detail::publish_phase(trace_, std::move(ph), observer_);

@@ -99,8 +99,8 @@ class BspMachine {
   // Reusable accounting scratch for commit_superstep: per-processor
   // send/receive scans and dense local-work counters (p is fixed at
   // construction), zero between supersteps.
-  detail::PhaseScan src_{detail::kProcHistogramLimit};
-  detail::PhaseScan dst_{detail::kProcHistogramLimit};
+  detail::KeyHistogram src_{detail::kProcHistogramLimit};
+  detail::KeyHistogram dst_{detail::kProcHistogramLimit};
   std::vector<std::uint64_t> work_cnt_;
 };
 

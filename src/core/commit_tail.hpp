@@ -13,9 +13,7 @@
 #include "core/phase_scan.hpp"
 #include "core/storage.hpp"
 #include "core/trace.hpp"
-#include "obs/span.hpp"
 #include "obs/telemetry.hpp"
-#include "runtime/parallel_for.hpp"
 
 namespace parbounds::detail {
 
@@ -31,32 +29,19 @@ inline void charge_local_ops(
 }
 
 /// Deliver every read the start-of-phase contents of its cell (0 when
-/// unset) into `inbox`, grouped by reader in issue order. The count pass
-/// is serial; with `parallel` the value pass runs over kCommitShards
-/// contiguous slices of the read stream, each writing the slots its own
-/// reads were given, so the delivered state equals the serial pass.
-/// `events`, when non-null, records the reads in issue order.
+/// unset) into `inbox`, grouped by reader in issue order. `events`, when
+/// non-null, records the reads in issue order.
 template <class Read>
 void deliver_word_reads(const std::vector<Read>& reads,
                         const CellStore<Word>& mem, FlatInbox<Word>& inbox,
-                        bool parallel, std::vector<MemEvent>* events) {
+                        std::vector<MemEvent>* events) {
   const auto value = [&](std::uint64_t i) {
     const Word* cell = mem.find(reads[i].addr);
     return cell == nullptr ? Word{0} : *cell;
   };
   const auto reader = [&](std::uint64_t i) { return reads[i].proc; };
-  const auto fill = [&](std::uint64_t i, Word& slot) { slot = value(i); };
   inbox.index(reads.size(), reader);
-  if (parallel) {
-    runtime::ParallelFor::pool().for_shards(
-        reads.size(), kCommitShards,
-        [&](unsigned s, std::uint64_t lo, std::uint64_t hi) {
-          obs::Span span(obs::process_tracer(), "commit.shard", s);
-          inbox.fill(lo, hi, reader, fill);
-        });
-  } else {
-    inbox.fill(0, reads.size(), reader, fill);
-  }
+  inbox.fill(reader, [&](std::uint64_t i, Word& slot) { slot = value(i); });
   if (events != nullptr)
     for (std::uint64_t i = 0; i < reads.size(); ++i)
       events->push_back({reads[i].proc, reads[i].addr, value(i), false});

@@ -90,8 +90,8 @@ class CrcwMachine {
   FlatInbox<Word> inboxes_;
 
   // Reusable accounting scratch for commit_step.
-  detail::PhaseScan proc_{detail::kProcHistogramLimit};
-  detail::PhaseScan addr_{detail::kAddrHistogramLimit};
+  detail::KeyHistogram proc_{detail::kProcHistogramLimit};
+  detail::KeyHistogram addr_{detail::kAddrHistogramLimit};
   std::vector<std::pair<Addr, std::uint32_t>> wgroup_scratch_;
 };
 

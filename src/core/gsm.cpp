@@ -77,18 +77,15 @@ const PhaseTrace& GsmMachine::commit_phase() {
   // The GSM charges reads and writes jointly per processor; per-cell
   // contention comes with the read-xor-write queue rule.
   const std::uint64_t nr = st.reads;
-  const unsigned shards = detail::commit_shard_count(nr + st.writes);
-  if (shards > 1) ph.commit_shards = shards;
-  proc_.scan(shards, nr + st.writes, [&](std::uint64_t i) {
+  proc_.scan(nr + st.writes, [&](std::uint64_t i) {
     return i < nr ? reads_[i].proc : writes_[i - nr].proc;
   });
-  raddr_.scan(shards, nr, [this](std::uint64_t i) { return reads_[i].addr; });
-  waddr_.scan(shards, st.writes,
-              [this](std::uint64_t i) { return writes_[i].addr; });
+  raddr_.scan(nr, [this](std::uint64_t i) { return reads_[i].addr; });
+  waddr_.scan(st.writes, [this](std::uint64_t i) { return writes_[i].addr; });
   st.m_rw = std::max(st.m_rw, proc_.max_run());
   st.kappa_r = std::max(st.kappa_r, raddr_.max_run());
   st.kappa_w = std::max(st.kappa_w, waddr_.max_run());
-  if (detail::PhaseScan::min_common(raddr_, waddr_))
+  if (detail::KeyHistogram::min_common(raddr_, waddr_))
     throw ModelViolation("GSM cell both read and written in one phase");
 
   // Big-step accounting (Section 2.2): a phase with b big-steps costs
@@ -102,14 +99,13 @@ const PhaseTrace& GsmMachine::commit_phase() {
 
   const auto reader = [this](std::uint64_t i) { return reads_[i].proc; };
   inboxes_.index(nr, reader);
-  inboxes_.fill(0, nr, reader,
-                [this](std::uint64_t i, std::vector<Word>& slot) {
-                  const std::vector<Word>* cell = mem_.find(reads_[i].addr);
-                  if (cell == nullptr)
-                    slot.clear();
-                  else
-                    slot = *cell;
-                });
+  inboxes_.fill(reader, [this](std::uint64_t i, std::vector<Word>& slot) {
+    const std::vector<Word>* cell = mem_.find(reads_[i].addr);
+    if (cell == nullptr)
+      slot.clear();
+    else
+      slot = *cell;
+  });
   if (cfg_.record_detail)
     for (const auto& r : reads_)
       ph.events.push_back({r.proc, r.addr, 0, false});

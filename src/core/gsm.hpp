@@ -130,9 +130,9 @@ class GsmMachine {
   FlatInbox<std::vector<Word>> inboxes_;
 
   // Reusable accounting scratch for commit_phase.
-  detail::PhaseScan proc_{detail::kProcHistogramLimit};
-  detail::PhaseScan raddr_{detail::kAddrHistogramLimit};
-  detail::PhaseScan waddr_{detail::kAddrHistogramLimit};
+  detail::KeyHistogram proc_{detail::kProcHistogramLimit};
+  detail::KeyHistogram raddr_{detail::kAddrHistogramLimit};
+  detail::KeyHistogram waddr_{detail::kAddrHistogramLimit};
 };
 
 }  // namespace parbounds

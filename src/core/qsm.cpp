@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "core/commit_tail.hpp"
-#include "runtime/parallel_for.hpp"
 
 namespace parbounds {
 
@@ -76,22 +75,16 @@ const PhaseTrace& QsmMachine::commit_phase() {
   // processor scan serves both. Then per-cell contention and the queue
   // rule (reads XOR writes per cell); the reported clash is the
   // smallest conflicting address, so the violation stays deterministic.
-  const unsigned shards = detail::commit_shard_count(st.reads + st.writes);
-  if (shards > 1) ph.commit_shards = shards;
-  proc_.scan(shards, st.writes,
-             [this](std::uint64_t i) { return writes_[i].proc; });
+  proc_.scan(st.writes, [this](std::uint64_t i) { return writes_[i].proc; });
   st.m_rw = std::max(st.m_rw, proc_.max_run());
-  proc_.scan(shards, st.reads,
-             [this](std::uint64_t i) { return reads_[i].proc; });
+  proc_.scan(st.reads, [this](std::uint64_t i) { return reads_[i].proc; });
   st.m_rw = std::max(st.m_rw, proc_.max_run());
-  raddr_.scan(shards, st.reads,
-              [this](std::uint64_t i) { return reads_[i].addr; });
-  waddr_.scan(shards, st.writes,
-              [this](std::uint64_t i) { return writes_[i].addr; });
+  raddr_.scan(st.reads, [this](std::uint64_t i) { return reads_[i].addr; });
+  waddr_.scan(st.writes, [this](std::uint64_t i) { return writes_[i].addr; });
   st.kappa_r = std::max(st.kappa_r, raddr_.max_run());
   st.kappa_w = std::max(st.kappa_w, waddr_.max_run());
   const std::optional<Addr> clash =
-      detail::PhaseScan::min_common(raddr_, waddr_);
+      detail::KeyHistogram::min_common(raddr_, waddr_);
   detail::charge_local_ops(locals_, st);
 
   if (clash)
@@ -107,13 +100,7 @@ const PhaseTrace& QsmMachine::commit_phase() {
 
   // Deliver reads: values are the cell contents at the start of the phase
   // (writes below have not been applied yet), in issue order per processor.
-  // Strategy (not results) depends on the pool size: a 1-thread pool
-  // takes the serial loops rather than paying kCommitShards scans of the
-  // request streams.
-  auto& pool = runtime::ParallelFor::pool();
-  const bool par_apply =
-      shards > 1 && !cfg_.record_detail && pool.threads() > 1;
-  detail::deliver_word_reads(reads_, mem_, inboxes_, par_apply,
+  detail::deliver_word_reads(reads_, mem_, inboxes_,
                              cfg_.record_detail ? &ph.events : nullptr);
 
   // Apply writes. With multiple writers to one cell, an arbitrary write
@@ -122,39 +109,18 @@ const PhaseTrace& QsmMachine::commit_phase() {
   // winner sequence is a pure function of the seed (an unordered_map
   // walk here would feed rng_ in library-specific order).
   if (cfg_.writes == WriteResolution::LastQueued) {
-    // Parallel path: ranges of the phase's written-address window. A
-    // cell's writes are all applied by the one shard owning its range,
-    // in issue order — the surviving value is the last queued write,
-    // exactly as in the serial loop.
-    bool applied = false;
-    const detail::KeyWindow win = waddr_.window();
-    if (par_apply && waddr_.all_dense() && mem_.reserve_dense(win.hi)) {
-      pool.for_shards(win.size(), detail::kCommitShards,
-                      [&](unsigned s, std::uint64_t lo, std::uint64_t hi) {
-                        obs::Span span(obs::process_tracer(), "commit.shard",
-                                       s);
-                        for (const auto& w : writes_)
-                          if (w.addr >= win.lo + lo && w.addr < win.lo + hi)
-                            mem_.slot(w.addr) = w.value;
-                      });
-      applied = true;
-    }
-    if (!applied) {
-      for (const auto& w : writes_) {
-        mem_.slot(w.addr) = w.value;
-        if (cfg_.record_detail)
-          ph.events.push_back({w.proc, w.addr, w.value, true});
-      }
+    for (const auto& w : writes_) {
+      mem_.slot(w.addr) = w.value;
+      if (cfg_.record_detail)
+        ph.events.push_back({w.proc, w.addr, w.value, true});
     }
   } else {
-    // Random resolution draws rng_ in ascending cell order — the draw
-    // sequence is inherently serial, but the dominant cost (sorting the
-    // write groups) shards cleanly: (addr, issue index) pairs are
-    // distinct, so parallel_sort is byte-identical to std::sort.
+    // (addr, issue index) pairs are distinct, so the sorted order, and
+    // with it the draw sequence, is unique.
     wgroup_scratch_.clear();
     for (std::uint32_t i = 0; i < writes_.size(); ++i)
       wgroup_scratch_.push_back({writes_[i].addr, i});
-    runtime::parallel_sort(wgroup_scratch_, pool);
+    std::sort(wgroup_scratch_.begin(), wgroup_scratch_.end());
     for (std::size_t lo = 0; lo < wgroup_scratch_.size();) {
       std::size_t hi = lo;
       while (hi < wgroup_scratch_.size() &&

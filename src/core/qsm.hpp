@@ -128,9 +128,9 @@ class QsmMachine {
   // Reusable accounting scratch for commit_phase (counters and buffer
   // capacity persist across phases; a steady-state commit performs no
   // allocation).
-  detail::PhaseScan proc_{detail::kProcHistogramLimit};
-  detail::PhaseScan raddr_{detail::kAddrHistogramLimit};
-  detail::PhaseScan waddr_{detail::kAddrHistogramLimit};
+  detail::KeyHistogram proc_{detail::kProcHistogramLimit};
+  detail::KeyHistogram raddr_{detail::kAddrHistogramLimit};
+  detail::KeyHistogram waddr_{detail::kAddrHistogramLimit};
   std::vector<std::pair<Addr, std::uint32_t>> wgroup_scratch_;
 };
 

@@ -87,19 +87,6 @@ class CellStore {
 
   std::uint64_t dense_limit() const { return dense_limit_; }
 
-  /// Pre-grow the arena so every dense address below `hi` has a slot.
-  /// After this, concurrent slot() calls on *disjoint dense* addresses
-  /// below `hi` are race-free (vector storage is fixed; present_ flags
-  /// are distinct bytes). Returns true when the whole range is dense —
-  /// the precondition for a range-partitioned parallel write pass;
-  /// callers fall back to serial application when it is false.
-  bool reserve_dense(Addr hi) {
-    if (hi > dense_limit_) return false;
-    const auto need = static_cast<std::size_t>(hi);
-    if (need > dense_.size()) grow(need);
-    return true;
-  }
-
  private:
   void grow(std::size_t need) {
     std::size_t next = std::max<std::size_t>(need, dense_.size() * 2);
@@ -117,9 +104,8 @@ class CellStore {
 
 /// One phase's delivered read values, grouped by reader. index() is the
 /// count pass: it groups the reads by reader and ranks each read within
-/// its group, so fill() can store the values in any order of contiguous
-/// slices. of(p) is then reader p's values, contiguous and in issue
-/// order.
+/// its group, so fill() can store each value straight into its slot.
+/// of(p) is then reader p's values, contiguous and in issue order.
 ///
 /// A reader id below the slot index's span finds its group through a
 /// sparse set: slot_[p] is trusted only when it points back at p
@@ -181,14 +167,11 @@ class FlatInbox {
     resize_exact(values_, n);
   }
 
-  /// Pass two over the reads [lo, hi) of the indexed phase, with the
-  /// same reader(i): fill(i, slot) stores read i's value. Disjoint
-  /// ranges write disjoint slots, so contiguous slices may be filled
-  /// concurrently.
+  /// Pass two over the reads of the indexed phase, with the same
+  /// reader(i): fill(i, slot) stores read i's value.
   template <class ReaderFn, class FillFn>
-  void fill(std::uint64_t lo, std::uint64_t hi, ReaderFn&& reader,
-            FillFn&& fill) {
-    for (std::uint64_t i = lo; i < hi; ++i)
+  void fill(ReaderFn&& reader, FillFn&& fill) {
+    for (std::uint64_t i = 0; i < values_.size(); ++i)
       fill(i, values_[start_[group(reader(i))] + rank_[i]]);
   }
 

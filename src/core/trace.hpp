@@ -36,11 +36,6 @@ struct PhaseTrace {
   PhaseStats stats;            ///< raw quantities (m_op, m_rw, kappa, ...)
   std::uint64_t cost = 0;      ///< charged cost under the machine's policy
   std::uint64_t h = 0;         ///< BSP only: the routed h-relation
-  /// Shards the commit scan ran over (0 = a one-shard scan). A pure
-  /// function of the phase size, not a model quantity: stats and cost
-  /// are bit-identical at any shard count, so trace_io deliberately
-  /// leaves it out of the CSV.
-  std::uint32_t commit_shards = 0;
   std::vector<MemEvent> events;  ///< populated only in detail mode
 };
 

@@ -45,11 +45,6 @@ class TelemetryObserver final : public AnalysisObserver {
     MetricsRegistry::Id phases, cost, ops, reads, writes, traffic;
     MetricsRegistry::Id kappa_r_max, kappa_w_max, m_rw_max;
     MetricsRegistry::Id phase_cost_hist, kappa_hist;
-    // Shards the commit scans ran over (phase_scan.hpp), summed over
-    // the phases that split into more than one. Not a model quantity
-    // but deterministic: the shard count is a pure function of phase
-    // size. Commit wall time lives in the commit.shard spans only.
-    MetricsRegistry::Id commit_shards;
   };
 
   MetricsRegistry* reg_;

@@ -5,8 +5,9 @@
 // cell). Everything that determines a request's RESULT — its spec, its
 // base seed, its trial0/trials repetition block — is a pure function of
 // the request list, fixed before any worker exists; the discipline of
-// PR 5's sharded commit (shard boundaries a pure function of the phase,
-// never of pool size). The worker count decides only PLACEMENT: request
+// ParallelFor's static partition (shard boundaries a pure function of
+// the problem, never of pool size). The worker count decides only
+// PLACEMENT: request
 // i initially goes to owner_of(total, workers, i), the same contiguous
 // block map the ExperimentRunner seeds its shards with. Placement can
 // change at runtime (a crashed worker's block is reassigned to

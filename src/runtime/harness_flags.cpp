@@ -1,13 +1,25 @@
 #include "runtime/harness_flags.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <functional>
 #include <iterator>
+#include <limits>
+#include <system_error>
 #include <utility>
 #include <vector>
 
 namespace parbounds::runtime {
+
+bool parse_count(std::string_view text, std::uint64_t max,
+                 std::uint64_t& out) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || stop != end || v > max) return false;
+  out = v;
+  return true;
+}
 
 std::size_t edit_distance(const std::string& a, const std::string& b) {
   std::vector<std::size_t> prev(b.size() + 1);
@@ -59,15 +71,15 @@ void reject_unknown(const std::string& arg, HarnessFlags& out) {
       "unknown argument '" + name + "'; did you mean '" + best + "'?";
 }
 
-/// Parse a positive integer flag value into `dst`. None of these flags
-/// has an "auto" spelling — the default is spelled by omitting the
-/// flag — so a literal 0 is always a mistake; `why` says what to do.
+/// Parse an integer flag value of at least `min` into `dst`. Every flag
+/// but --jobs has no "auto" spelling — its default is spelled by
+/// omitting the flag — so for them a literal 0 is a mistake too; `why`
+/// says what to do.
 template <class T>
-void set_positive(const std::string& flag, const char* text, const char* why,
-                  T& dst, HarnessFlags& out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || v == 0) {
+void set_count(const std::string& flag, const char* text, std::uint64_t min,
+               const char* why, T& dst, HarnessFlags& out) {
+  std::uint64_t v = 0;
+  if (!parse_count(text, std::numeric_limits<T>::max(), v) || v < min) {
     out.error = true;
     out.error_message = flag + " " + text + ": " + why;
     return;
@@ -104,36 +116,39 @@ HarnessFlags parse_harness_flags(int& argc, char** argv,
   const std::pair<const char*, std::function<void(const char*)>> valued[] = {
       {"--jobs",
        [&](const char* v) {
-         out.jobs = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+         set_count("--jobs", v, 0,
+                   "worker count must be a non-negative integer "
+                   "(0 = all cores)",
+                   out.jobs, out);
        }},
       {"--threads",
        [&](const char* v) {
-         set_positive("--threads", v,
-                      "pool size must be a positive integer "
-                      "(omit --threads to follow --jobs)",
-                      out.threads, out);
+         set_count("--threads", v, 1,
+                   "pool size must be a positive integer "
+                   "(omit --threads to follow --jobs)",
+                   out.threads, out);
          out.threads_set = !out.error;
        }},
       {"--cache-dir", [&](const char* v) { out.cache_dir = v; }},
       {"--cache-bytes",
        [&](const char* v) {
-         set_positive("--cache-bytes", v,
-                      "size bound must be a positive byte count",
-                      out.cache_bytes, out);
+         set_count("--cache-bytes", v, 1,
+                   "size bound must be a positive byte count",
+                   out.cache_bytes, out);
        }},
       {"--workers",
        [&](const char* v) {
-         set_positive("--workers", v,
-                      "fleet width must be a positive integer "
-                      "(omit --workers for in-process execution)",
-                      out.workers, out);
+         set_count("--workers", v, 1,
+                   "fleet width must be a positive integer "
+                   "(omit --workers for in-process execution)",
+                   out.workers, out);
        }},
       {"--fleet-window",
        [&](const char* v) {
-         set_positive("--fleet-window", v,
-                      "credit window must be a positive integer "
-                      "(omit --fleet-window for the default of 8)",
-                      out.fleet_window, out);
+         set_count("--fleet-window", v, 1,
+                   "credit window must be a positive integer "
+                   "(omit --fleet-window for the default of 8)",
+                   out.fleet_window, out);
        }},
   };
   for (int i = 1; i < argc && !out.error; ++i) {

@@ -4,7 +4,8 @@
 //
 // Every bench binary accepts:
 //
-//   --jobs N        worker threads (0 = hardware concurrency)
+//   --jobs N        worker threads (0 = hardware concurrency); N must
+//                   be a non-negative integer that fits `unsigned`
 //   --threads N     intra-trial pool size (ParallelFor); defaults to
 //                   the resolved --jobs value. N must be >= 1: unlike
 //                   --jobs there is no "auto" spelling, so --threads 0
@@ -42,6 +43,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace parbounds::runtime {
 
@@ -71,6 +73,12 @@ struct HarnessFlags {
 HarnessFlags parse_harness_flags(int& argc, char** argv,
                                  const std::string& default_json_path,
                                  const std::string& default_trace_path);
+
+/// Parse all of `text` as a non-negative decimal integer no larger than
+/// `max`: digits only, so a sign, a space, a trailing unit or an empty
+/// value is rejected instead of read as some other number. Returns false
+/// (and leaves `out` alone) on any such input.
+bool parse_count(std::string_view text, std::uint64_t max, std::uint64_t& out);
 
 /// Plain Levenshtein distance — small strings, tiny table. Shared by
 /// every did-you-mean rejection (unknown harness flags here,

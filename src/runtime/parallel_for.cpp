@@ -14,7 +14,9 @@ namespace {
 thread_local bool t_in_pool_worker = false;
 }  // namespace
 
-bool ParallelFor::in_pool_worker() noexcept { return t_in_pool_worker; }
+bool ParallelFor::fans_out() const noexcept {
+  return threads_ > 1 && !t_in_pool_worker && !detail::in_worker();
+}
 
 // All job fields are published under `mu` before workers are woken and
 // are only recycled once `running` has returned to zero, so workers read
@@ -124,8 +126,7 @@ void ParallelFor::set_threads(unsigned t) {
 void ParallelFor::for_shards(std::uint64_t n, unsigned shards,
                              const Body& body) {
   if (n == 0 || shards == 0) return;
-  if (shards == 1 || threads_ <= 1 || t_in_pool_worker ||
-      detail::in_worker()) {
+  if (shards == 1 || !fans_out()) {
     // Inline: same boundaries, shard order 0..shards-1.
     const bool was_in_pool = t_in_pool_worker;
     t_in_pool_worker = true;

@@ -2,12 +2,15 @@
 // ParallelFor — the process-wide intra-trial worker pool.
 //
 // The ExperimentRunner (runner.hpp) fans out *across* trials; this pool
-// fans out *inside* one trial: the sharded phase commit
-// (core/phase_scan.hpp), the BoolFn Möbius/GF(2) transforms, and the
-// adversary's per-entity refinement loops all run their inner loops
-// through for_shards(). One pool serves the whole process; benches size
-// it once from --threads (default: --jobs; see bench/harness.hpp), so
-// one knob governs the intra-trial thread budget.
+// fans out *inside* one trial: the BoolFn Möbius/GF(2) transforms and
+// the adversary's per-entity refinement loops run their inner loops
+// through for_shards(). The phase commit does not use it: its
+// aggregates are one serial pass per key space (core/phase_scan.hpp).
+// One pool serves the whole process; benches size it once from
+// --threads (default: --jobs; see bench/harness.hpp), so one knob
+// governs the intra-trial thread budget. Only a trial that runs on the
+// main thread (--jobs 1, or a one-trial sweep) actually fans out;
+// inside runner workers every for_shards runs inline (fans_out()).
 //
 // Determinism contract (the reason this is not a generic task pool):
 //
@@ -25,8 +28,8 @@
 //  3. Callers combine shard results with commutative, exact operations
 //     (integer sums, maxima, minima), so the combined value is
 //     bit-identical at every thread count. The pool guarantees (1) and
-//     (2); the algorithms built on it (sharded commit, parallel Möbius)
-//     are each documented with their own merge argument in docs/PERF.md.
+//     (2); the algorithms built on it (parallel Möbius, the adversary
+//     folds) are each documented with their own merge argument.
 //
 // Threads park on a condition variable between jobs, so an idle pool
 // costs nothing and a --threads 1 (or single-shard) call never touches
@@ -36,7 +39,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <vector>
 
 namespace parbounds::runtime {
 
@@ -63,9 +65,8 @@ class ParallelFor {
 
   /// Run body over the static partition of [0, n): shard s covers
   /// [s*n/shards, (s+1)*n/shards). Returns after every shard completed.
-  /// Runs inline (shard order 0..shards-1) when the pool has one
-  /// thread, when shards <= 1, or when called from inside any pool /
-  /// ExperimentRunner worker. The first exception a body throws is
+  /// Runs inline (shard order 0..shards-1) when shards <= 1 or when
+  /// fans_out() is false. The first exception a body throws is
   /// rethrown on the caller after all shards finish.
   void for_shards(std::uint64_t n, unsigned shards, const Body& body);
 
@@ -80,9 +81,12 @@ class ParallelFor {
         by_grain, 1, std::max<unsigned>(1, max_shards)));
   }
 
-  /// True while the calling thread is a pool worker (nested calls run
-  /// inline; algorithms can consult this to skip parallel-only setup).
-  static bool in_pool_worker() noexcept;
+  /// True when a for_shards call from this thread would use pool
+  /// threads: the pool has more than one thread, and the caller is
+  /// neither a pool worker nor an ExperimentRunner worker. Callers
+  /// consult it to pick a one-shard layout when the shards would only
+  /// run inline, one after another.
+  bool fans_out() const noexcept;
 
  private:
   ParallelFor();
@@ -90,43 +94,5 @@ class ParallelFor {
   std::unique_ptr<Impl> impl_;
   unsigned threads_ = 1;
 };
-
-/// Deterministic parallel sort for distinct elements: fixed shard
-/// boundaries are sorted independently and merged pairwise, so with
-/// all-distinct elements the result is the unique sorted order —
-/// byte-identical to std::sort at any thread count. The engines sort
-/// (address, issue-index) pairs, which are distinct by construction.
-/// Falls back to std::sort below `grain` elements or on a 1-thread pool.
-template <class T>
-void parallel_sort(std::vector<T>& v, ParallelFor& pool,
-                   std::size_t grain = std::size_t{1} << 16) {
-  constexpr unsigned kShards = 8;  // power of two for the merge tree
-  if (v.size() < grain || v.size() < kShards || pool.threads() <= 1 ||
-      ParallelFor::in_pool_worker()) {
-    std::sort(v.begin(), v.end());
-    return;
-  }
-  const std::uint64_t n = v.size();
-  auto bound = [n](unsigned s) {
-    return static_cast<std::ptrdiff_t>(n * s / kShards);
-  };
-  pool.for_shards(n, kShards,
-                  [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
-                    std::sort(v.begin() + static_cast<std::ptrdiff_t>(lo),
-                              v.begin() + static_cast<std::ptrdiff_t>(hi));
-                  });
-  for (unsigned width = 1; width < kShards; width *= 2) {
-    const unsigned pairs = kShards / (2 * width);
-    pool.for_shards(pairs, pairs,
-                    [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
-                      for (std::uint64_t p = lo; p < hi; ++p) {
-                        const unsigned s = static_cast<unsigned>(p) * 2 * width;
-                        std::inplace_merge(v.begin() + bound(s),
-                                           v.begin() + bound(s + width),
-                                           v.begin() + bound(s + 2 * width));
-                      }
-                    });
-  }
-}
 
 }  // namespace parbounds::runtime

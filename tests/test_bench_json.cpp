@@ -500,6 +500,46 @@ TEST(HarnessFlags, JobsWithoutValueIsAnError) {
   EXPECT_NE(f.error_message.find("--jobs"), std::string::npos);
 }
 
+TEST(HarnessFlags, JobsRejectsNegativesGarbageAndOverflow) {
+  // A sign, trailing text, an empty value and 2^32 are typed errors in
+  // the --threads style, never some other worker count. Only the parser
+  // runs: nothing here builds a runner or a pool.
+  for (const char* value : {"-1", "abc", "4x", "", "4294967296"}) {
+    Argv split({"bench", "--jobs", value});
+    Argv equals({"bench", ("--jobs=" + std::string(value)).c_str()});
+    for (Argv* argv : {&split, &equals}) {
+      const auto f = argv->parse();
+      EXPECT_TRUE(f.error) << "--jobs '" << value << "'";
+      EXPECT_NE(f.error_message.find("--jobs"), std::string::npos)
+          << f.error_message;
+      EXPECT_NE(f.error_message.find("non-negative integer"),
+                std::string::npos)
+          << f.error_message;
+    }
+  }
+  // 0 keeps meaning all cores; the largest `unsigned` is still a count.
+  Argv zero({"bench", "--jobs", "0"});
+  EXPECT_FALSE(zero.parse().error);
+  Argv top({"bench", "--jobs=4294967295"});
+  const auto t = top.parse();
+  EXPECT_FALSE(t.error);
+  EXPECT_EQ(t.jobs, 4294967295u);
+}
+
+TEST(HarnessFlags, ParseCountTakesWholeDigitStringsThatFit) {
+  std::uint64_t v = 7;
+  EXPECT_TRUE(runtime::parse_count("0", 10, v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(runtime::parse_count("18446744073709551615", ~std::uint64_t{0},
+                                   v));
+  EXPECT_EQ(v, ~std::uint64_t{0});
+  v = 7;
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "11", "0x1",
+                          "18446744073709551616"})
+    EXPECT_FALSE(runtime::parse_count(bad, 10, v)) << "'" << bad << "'";
+  EXPECT_EQ(v, 7u);  // untouched by every rejection
+}
+
 TEST(HarnessFlags, BareJsonTakesTheDefaultPath) {
   Argv bare({"bench", "--json"});
   const auto f = bare.parse();

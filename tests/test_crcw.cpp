@@ -41,6 +41,28 @@ TEST(Crcw, CommonRuleRejectsConflicts) {
   m.write(0, a, 1);
   m.write(1, a, 2);
   EXPECT_THROW(m.commit_step(), ModelViolation);
+
+  // A step of 2^16 writes that disagree at cells 300 and 41: the error
+  // names the smallest, and exactly the cells below it are applied, in
+  // ascending address order, before the throw.
+  CrcwMachine big({.rule = CrcwWriteRule::Common});
+  (void)big.alloc(2048);
+  big.begin_step();
+  for (ProcId p = 0; p < (1u << 14); ++p) {
+    big.write(p, p % 40, 7);
+    big.write(p, 300, static_cast<Word>(p % 2));  // disagree
+    big.write(p, 41, static_cast<Word>(p % 3));   // disagree, smaller
+    big.write(p, 1000 + p % 50, 9);
+  }
+  try {
+    big.commit_step();
+    ADD_FAILURE() << "expected a Common conflict";
+  } catch (const ModelViolation& e) {
+    EXPECT_STREQ(e.what(), "CRCW-Common: conflicting writes to cell 41");
+  }
+  for (Addr c = 0; c < 40; ++c) EXPECT_EQ(big.peek(c), 7) << c;
+  for (const Addr c : {Addr{41}, Addr{300}, Addr{1000}, Addr{1049}})
+    EXPECT_EQ(big.peek(c), 0) << c;
 }
 
 TEST(Crcw, PriorityRuleLowestProcWins) {

@@ -317,9 +317,8 @@ std::filesystem::path fresh_dir(const std::string& name) {
 }
 
 /// fleet_cells() plus one cell whose first phase issues 2^16 reads
-/// (parity_circuit at g=8 reads each of n=8192 inputs 8 times), so its
-/// commit scans split into kCommitShards shards.
-std::vector<SweepCell> threshold_crossing_cells() {
+/// (parity_circuit at g=8 reads each of n=8192 inputs 8 times).
+std::vector<SweepCell> large_phase_cells() {
   std::vector<SweepCell> cells = fleet_cells();
   cells.push_back(
       {.key = "n=8192",
@@ -336,25 +335,13 @@ std::vector<SweepCell> threshold_crossing_cells() {
   return cells;
 }
 
-/// The value of counter `name` in a report's metrics block.
-std::uint64_t report_counter(const std::string& report,
-                             const std::string& name) {
-  const std::string key = "\"" + name + "\":";
-  const std::size_t at = report.find(key);
-  if (at == std::string::npos) return 0;
-  return std::stoull(report.substr(at + key.size()));
-}
-
 TEST(FleetEndToEnd, AnyWorkerCountReproducesTheInProcessBytes) {
-  const std::string reference =
-      in_process_reference(threshold_crossing_cells());
-  // The sharded commit scan ran, so byte identity covers it too.
-  EXPECT_GT(report_counter(reference, "qsm.commit.shards"), 0u);
+  const std::string reference = in_process_reference(large_phase_cells());
   for (const unsigned workers : {1u, 2u, 4u}) {
     FleetConfig cfg;
     cfg.workers = workers;
     FleetCoordinator fc(cfg);
-    EXPECT_EQ(fleet_report(fc, threshold_crossing_cells()), reference)
+    EXPECT_EQ(fleet_report(fc, large_phase_cells()), reference)
         << "fleet report diverged at workers=" << workers;
     EXPECT_EQ(fc.counter("fleet.worker.spawn"), workers);
     EXPECT_EQ(fc.counter("fleet.worker.retry"), 0u);

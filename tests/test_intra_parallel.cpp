@@ -1,26 +1,19 @@
-// Intra-trial parallelism suite: the ParallelFor determinism contract
-// and the bit-identity of everything built on it — sharded phase
-// commit in all four engines (costs, Random-write winners, delivered
-// reads, violation messages), the parallel BoolFn transforms, and the
-// adversary's per-entity fan-outs. Every test runs the same workload at
-// pool sizes 1, 2 and 8 (and against the sharding-disabled serial
-// path) and requires exact equality; `ctest -L intra` is rebuilt under
-// TSan by tools/run_checks.sh, so these loops are also the data-race
-// proof for the sharded path.
+// Intra-trial parallelism suite: the ParallelFor determinism contract,
+// its fan-out predicate, and the bit-identity of everything built on
+// it — the parallel BoolFn transforms and the adversary's per-entity
+// fan-outs. Every test runs the same workload at pool sizes 1, 2 and 8
+// and requires exact equality; `ctest -L intra` is rebuilt under TSan
+// by tools/run_checks.sh, so these loops are also the data-race proof
+// for the pool's users.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <mutex>
-#include <numeric>
-#include <optional>
-#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -28,11 +21,9 @@
 #include "adversary/or_adversary.hpp"
 #include "adversary/trace_analysis.hpp"
 #include "boolfn/boolfn.hpp"
-#include "core/bsp.hpp"
-#include "core/crcw.hpp"
 #include "core/gsm.hpp"
-#include "core/qsm.hpp"
 #include "runtime/parallel_for.hpp"
+#include "runtime/runner.hpp"
 #include "runtime/simd_level.hpp"
 #include "util/rng.hpp"
 
@@ -50,18 +41,6 @@ struct PoolGuard {
   unsigned saved;
 };
 
-// RAII: lower (or raise) the sharded-commit threshold for one scope so
-// small test phases exercise the sharded path.
-struct KnobGuard {
-  explicit KnobGuard(std::uint64_t v)
-      : saved(detail::commit_shard_min_requests()) {
-    detail::commit_shard_min_requests() = v;
-  }
-  ~KnobGuard() { detail::commit_shard_min_requests() = saved; }
-  std::uint64_t saved;
-};
-
-constexpr std::uint64_t kForceSerial = ~std::uint64_t{0};
 const unsigned kPoolSizes[] = {1, 2, 8};
 
 // ----- ParallelFor ----------------------------------------------------------
@@ -151,483 +130,28 @@ TEST(ParallelFor, FirstShardExceptionIsRethrownAndPoolSurvives) {
   EXPECT_EQ(sum, 100u);
 }
 
-TEST(ParallelFor, ParallelSortMatchesStdSortOnDistinctKeys) {
-  Rng rng(99);
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> v;
-  for (std::uint32_t i = 0; i < (1u << 17); ++i)
-    v.push_back({rng.next_below(1 << 20), i});  // issue index breaks ties
-  auto want = v;
-  std::sort(want.begin(), want.end());
-  for (const unsigned t : kPoolSizes) {
-    PoolGuard pg(t);
-    auto got = v;
-    runtime::parallel_sort(got, ParallelFor::pool(), /*grain=*/1024);
-    EXPECT_EQ(got, want) << "threads=" << t;
+TEST(ParallelFor, FansOutOnlyOnTheCallerOfAMultiThreadPool) {
+  auto& pool = ParallelFor::pool();
+  {
+    PoolGuard pg(1);
+    EXPECT_FALSE(pool.fans_out());
   }
-}
-
-// ----- sharded phase commit: engines ----------------------------------------
-
-constexpr std::uint64_t kProcs = 512;
-constexpr std::uint64_t kCells = 2048;  // reads below kCells/2, writes above
-constexpr unsigned kPhases = 3;
-constexpr std::uint64_t kKnob = 64;  // every test phase takes the sharded path
-// First cell address past the dense histogram range: its counts spill.
-constexpr Addr kSpill = detail::kAddrHistogramLimit;
-
-struct EngineResult {
-  std::vector<std::uint64_t> phase_costs;
-  std::vector<std::uint64_t> commit_shards;  // per phase, from the trace
-  std::uint64_t time = 0;
-  std::uint64_t inbox_hash = 0;
-  std::uint64_t mem_hash = 0;
-  std::uint64_t spill_kappa = 0;  // kappa of the spilled-address phase
-};
-
-template <class T>
-void fold(std::uint64_t& h, T v) {
-  h = h * 1000003 + static_cast<std::uint64_t>(v);
-}
-
-EngineResult run_qsm(std::uint64_t seed, WriteResolution wr) {
-  EngineResult out;
-  QsmMachine m({.g = 2, .writes = wr, .seed = seed});
-  (void)m.alloc(kCells);
-  const std::uint64_t half = kCells / 2;
-  for (unsigned ph = 0; ph < kPhases; ++ph) {
-    Rng ops(seed + ph);
-    m.begin_phase();
-    for (ProcId p = 0; p < kProcs; ++p) {
-      m.read(p, ops.next_below(half));
-      m.read(p, ops.next_below(half));
-      m.write(p, half + ops.next_below(half),
-              static_cast<Word>(1 + ops.next_below(1000)));
-      m.write(p, half + ops.next_below(half),
-              static_cast<Word>(1 + ops.next_below(1000)));
-    }
-    const PhaseTrace& t = m.commit_phase();
-    out.phase_costs.push_back(t.cost);
-    out.commit_shards.push_back(t.commit_shards);
-    for (ProcId p = 0; p < kProcs; ++p)
-      for (const Word w : m.inbox(p)) fold(out.inbox_hash, w);
-  }
-  // A last phase whose contention maximum sits at a spilled address:
-  // every processor reads kSpill and writes one of four spilled cells.
-  m.begin_phase();
-  for (ProcId p = 0; p < kProcs; ++p) {
-    m.read(p, kSpill);
-    m.write(p, kSpill + 1 + p % 4, static_cast<Word>(p + 1));
-  }
-  const PhaseTrace& t = m.commit_phase();
-  out.phase_costs.push_back(t.cost);
-  out.commit_shards.push_back(t.commit_shards);
-  out.spill_kappa = t.stats.kappa();
-  for (Addr a = 0; a < kCells; ++a) fold(out.mem_hash, m.peek(a));
-  for (Addr a = kSpill; a <= kSpill + 4; ++a) fold(out.mem_hash, m.peek(a));
-  out.time = m.time();
-  return out;
-}
-
-void expect_equal(const EngineResult& a, const EngineResult& b,
-                  const char* what) {
-  EXPECT_EQ(a.phase_costs, b.phase_costs) << what;
-  EXPECT_EQ(a.time, b.time) << what;
-  EXPECT_EQ(a.inbox_hash, b.inbox_hash) << what;
-  EXPECT_EQ(a.mem_hash, b.mem_hash) << what;
-  EXPECT_EQ(a.spill_kappa, b.spill_kappa) << what;
-}
-
-TEST(ShardedCommit, QsmBitIdenticalAcrossPathAndPoolSizes) {
-  for (const WriteResolution wr :
-       {WriteResolution::LastQueued, WriteResolution::Random}) {
-    EngineResult serial;
-    {
-      KnobGuard kg(kForceSerial);
-      PoolGuard pg(1);
-      serial = run_qsm(7, wr);
-    }
-    EXPECT_TRUE(std::all_of(serial.commit_shards.begin(),
-                            serial.commit_shards.end(),
-                            [](std::uint64_t s) { return s == 0; }));
-    EXPECT_EQ(serial.spill_kappa, kProcs);
-    for (const unsigned t : kPoolSizes) {
-      KnobGuard kg(kKnob);
-      PoolGuard pg(t);
-      const EngineResult sharded = run_qsm(7, wr);
-      expect_equal(serial, sharded, "qsm");
-      // The trace records that the sharded path actually ran.
-      EXPECT_TRUE(std::all_of(
-          sharded.commit_shards.begin(), sharded.commit_shards.end(),
-          [](std::uint64_t s) { return s == detail::kCommitShards; }));
-    }
-  }
-}
-
-EngineResult run_gsm(std::uint64_t seed) {
-  EngineResult out;
-  GsmMachine m({.alpha = 2, .beta = 3});
-  (void)m.alloc(kCells);
-  const std::uint64_t half = kCells / 2;
-  for (unsigned ph = 0; ph < kPhases; ++ph) {
-    Rng ops(seed + ph);
-    m.begin_phase();
-    for (ProcId p = 0; p < kProcs; ++p) {
-      m.read(p, ops.next_below(half));
-      m.write(p, half + ops.next_below(half),
-              static_cast<Word>(1 + ops.next_below(1000)));
-    }
-    out.phase_costs.push_back(m.commit_phase().cost);
-    for (ProcId p = 0; p < kProcs; ++p)
-      for (const auto& cell : m.inbox(p))
-        for (const Word w : cell) fold(out.inbox_hash, w);
-  }
-  // The spilled-address phase, as for the QSM.
-  m.begin_phase();
-  for (ProcId p = 0; p < kProcs; ++p) {
-    m.read(p, kSpill);
-    m.write(p, kSpill + 1 + p % 4, static_cast<Word>(p + 1));
-  }
-  const PhaseTrace& t = m.commit_phase();
-  out.phase_costs.push_back(t.cost);
-  out.spill_kappa = t.stats.kappa();
-  // Strong queuing appends; canonicalize the cell walk by address.
-  std::vector<std::pair<Addr, std::uint64_t>> cells;
-  m.for_each_cell([&](Addr a, const std::vector<Word>& c) {
-    std::uint64_t h = 0;
-    for (const Word w : c) fold(h, w);
-    cells.push_back({a, h});
+  PoolGuard pg(4);
+  EXPECT_TRUE(pool.fans_out());
+  // Inside a shard body (pool worker or the participating caller) and
+  // inside an ExperimentRunner worker every for_shards runs inline.
+  std::mutex mu;
+  std::vector<bool> in_shard;
+  pool.for_shards(4, 4, [&](unsigned, std::uint64_t, std::uint64_t) {
+    const bool f = pool.fans_out();
+    const std::lock_guard<std::mutex> lock(mu);
+    in_shard.push_back(f);
   });
-  std::sort(cells.begin(), cells.end());
-  for (const auto& [a, h] : cells) {
-    fold(out.mem_hash, a);
-    fold(out.mem_hash, h);
-  }
-  out.time = m.time();
-  return out;
-}
-
-TEST(ShardedCommit, GsmBitIdenticalAcrossPathAndPoolSizes) {
-  EngineResult serial;
-  {
-    KnobGuard kg(kForceSerial);
-    PoolGuard pg(1);
-    serial = run_gsm(11);
-  }
-  EXPECT_EQ(serial.spill_kappa, kProcs);
-  for (const unsigned t : kPoolSizes) {
-    KnobGuard kg(kKnob);
-    PoolGuard pg(t);
-    expect_equal(serial, run_gsm(11), "gsm");
-  }
-}
-
-EngineResult run_bsp(std::uint64_t seed) {
-  EngineResult out;
-  BspMachine m({.p = kProcs, .g = 2, .L = 8});
-  for (unsigned ph = 0; ph < kPhases; ++ph) {
-    Rng ops(seed + ph);
-    m.begin_superstep();
-    for (ProcId p = 0; p < kProcs; ++p)
-      for (int s = 0; s < 3; ++s)
-        m.send(p, ops.next_below(kProcs),
-               static_cast<Word>(ops.next_below(1000)),
-               static_cast<Word>(p));
-    out.phase_costs.push_back(m.commit_superstep().cost);
-    for (ProcId p = 0; p < kProcs; ++p)
-      for (const Message& msg : m.inbox(p)) {
-        fold(out.inbox_hash, msg.source);
-        fold(out.inbox_hash, msg.value);
-        fold(out.inbox_hash, msg.tag);
-      }
-  }
-  out.time = m.time();
-  return out;
-}
-
-TEST(ShardedCommit, BspBitIdenticalAcrossPathAndPoolSizes) {
-  EngineResult serial;
-  {
-    KnobGuard kg(kForceSerial);
-    PoolGuard pg(1);
-    serial = run_bsp(13);
-  }
-  for (const unsigned t : kPoolSizes) {
-    KnobGuard kg(kKnob);
-    PoolGuard pg(t);
-    expect_equal(serial, run_bsp(13), "bsp");
-  }
-}
-
-EngineResult run_crcw(std::uint64_t seed, CrcwWriteRule rule) {
-  EngineResult out;
-  CrcwMachine m({.rule = rule});
-  (void)m.alloc(kCells);
-  for (unsigned ph = 0; ph < kPhases; ++ph) {
-    Rng ops(seed + ph);
-    m.begin_step();
-    for (ProcId p = 0; p < kProcs; ++p) {
-      m.read(p, ops.next_below(kCells));
-      // Writes may collide under Arbitrary/Priority; give each address
-      // one value (derived from the address) so Common also passes.
-      const Addr a = ops.next_below(kCells);
-      m.write(p, a, static_cast<Word>(a * 3 + 1));
-    }
-    const PhaseTrace& t = m.commit_step();
-    fold(out.inbox_hash, t.stats.kappa());
-    out.phase_costs.push_back(t.cost);
-    for (ProcId p = 0; p < kProcs; ++p)
-      for (const Word w : m.inbox(p)) fold(out.inbox_hash, w);
-  }
-  for (Addr a = 0; a < kCells; ++a) fold(out.mem_hash, m.peek(a));
-  out.time = m.time();
-  return out;
-}
-
-TEST(ShardedCommit, CrcwBitIdenticalAcrossPathAndPoolSizes) {
-  for (const CrcwWriteRule rule :
-       {CrcwWriteRule::Common, CrcwWriteRule::Arbitrary,
-        CrcwWriteRule::Priority}) {
-    EngineResult serial;
-    {
-      KnobGuard kg(kForceSerial);
-      PoolGuard pg(1);
-      serial = run_crcw(17, rule);
-    }
-    for (const unsigned t : kPoolSizes) {
-      KnobGuard kg(kKnob);
-      PoolGuard pg(t);
-      expect_equal(serial, run_crcw(17, rule), "crcw");
-    }
-  }
-}
-
-// ----- sharded phase commit: violation reporting -----------------------------
-
-// One queue-rule probe: every processor reads each of `reads` and
-// writes each of `writes`.
-template <class Machine>
-std::string clash_message(const std::vector<Addr>& reads,
-                          const std::vector<Addr>& writes) {
-  Machine m;
-  (void)m.alloc(kCells);
-  m.begin_phase();
-  for (ProcId p = 0; p < kProcs; ++p) {
-    for (const Addr a : reads) m.read(p, a);
-    for (const Addr a : writes) m.write(p, a, static_cast<Word>(a % 7 + 1));
-  }
-  try {
-    m.commit_phase();
-  } catch (const ModelViolation& e) {
-    return e.what();
-  }
-  return "(no violation)";
-}
-
-// Probes whose clashes (or non-clashes) sit at spilled addresses: the
-// violation text must be `expect` at one shard and at kCommitShards
-// shards, at every pool size.
-struct ClashCase {
-  std::vector<Addr> reads, writes;
-  std::string expect;
-};
-
-template <class Machine>
-void expect_stable_clashes(const std::vector<ClashCase>& cases) {
-  for (const ClashCase& c : cases)
-    for (const unsigned t : kPoolSizes)
-      for (const std::uint64_t knob : {kForceSerial, kKnob}) {
-        KnobGuard kg(knob);
-        PoolGuard pg(t);
-        EXPECT_EQ(clash_message<Machine>(c.reads, c.writes), c.expect)
-            << "threads=" << t << " knob=" << knob;
-      }
-}
-
-std::string qsm_clash_cell(Addr a) {
-  return "cell " + std::to_string(a) + " both read and written in one phase";
-}
-
-// A QSM phase reading and writing cells 120 and 37 must name the
-// smallest conflicting address — on the serial path and on every
-// sharded configuration.
-std::string qsm_clash_message() {
-  return clash_message<QsmMachine>({120, 37}, {120, 37});
-}
-
-TEST(ShardedCommit, QsmClashNamesSmallestAddressAtEveryPoolSize) {
-  std::string serial;
-  {
-    KnobGuard kg(kForceSerial);
-    PoolGuard pg(1);
-    serial = qsm_clash_message();
-  }
-  EXPECT_EQ(serial, "cell 37 both read and written in one phase");
-  for (const unsigned t : kPoolSizes) {
-    KnobGuard kg(kKnob);
-    PoolGuard pg(t);
-    EXPECT_EQ(qsm_clash_message(), serial) << "threads=" << t;
-  }
-  expect_stable_clashes<QsmMachine>({
-      {{37, kSpill + 7}, {120, kSpill + 7}, qsm_clash_cell(kSpill + 7)},
-      {{kSpill + 9, 37, kSpill + 3},
-       {kSpill + 3, kSpill + 9},
-       qsm_clash_cell(kSpill + 3)},
-      {{kSpill + 9, 37}, {kSpill + 9, 37}, qsm_clash_cell(37)},
-      {{37, kSpill}, {120, kSpill + 1}, "(no violation)"},
-  });
-}
-
-std::string gsm_clash_message() {
-  return clash_message<GsmMachine>({99}, {99});
-}
-
-TEST(ShardedCommit, GsmClashMessageStableAtEveryPoolSize) {
-  std::string serial;
-  {
-    KnobGuard kg(kForceSerial);
-    PoolGuard pg(1);
-    serial = gsm_clash_message();
-  }
-  EXPECT_EQ(serial, "GSM cell both read and written in one phase");
-  for (const unsigned t : kPoolSizes) {
-    KnobGuard kg(kKnob);
-    PoolGuard pg(t);
-    EXPECT_EQ(gsm_clash_message(), serial) << "threads=" << t;
-  }
-  expect_stable_clashes<GsmMachine>({
-      {{37, kSpill + 7}, {120, kSpill + 7}, serial},
-      {{37, kSpill}, {120, kSpill + 1}, "(no violation)"},
-  });
-}
-
-// CRCW-Common: disagreeing writes to cells 300 and 41; the violation
-// must name the smallest address AND leave exactly the groups below it
-// applied (the detect-then-apply-prefix contract).
-struct CommonOutcome {
-  std::string message;
-  std::uint64_t mem_hash = 0;
-  bool operator==(const CommonOutcome&) const = default;
-};
-
-CommonOutcome crcw_common_outcome() {
-  CrcwMachine m({.rule = CrcwWriteRule::Common});
-  (void)m.alloc(kCells);
-  m.begin_step();
-  for (ProcId p = 0; p < kProcs; ++p) {
-    // Agreeing writes everywhere below the conflicts keep the prefix
-    // non-trivial.
-    m.write(p, p % 40, 7);
-    m.write(p, 300, static_cast<Word>(p % 2));  // disagree
-    m.write(p, 41, static_cast<Word>(p % 3));   // disagree, smaller
-  }
-  CommonOutcome out;
-  try {
-    m.commit_step();
-    out.message = "(no violation)";
-  } catch (const ModelViolation& e) {
-    out.message = e.what();
-  }
-  for (Addr a = 0; a < kCells; ++a) fold(out.mem_hash, m.peek(a));
-  return out;
-}
-
-TEST(ShardedCommit, CrcwCommonConflictAndPrefixStateStable) {
-  CommonOutcome serial;
-  {
-    KnobGuard kg(kForceSerial);
-    PoolGuard pg(1);
-    serial = crcw_common_outcome();
-  }
-  EXPECT_EQ(serial.message, "CRCW-Common: conflicting writes to cell 41");
-  for (const unsigned t : kPoolSizes) {
-    KnobGuard kg(kKnob);
-    PoolGuard pg(t);
-    EXPECT_EQ(crcw_common_outcome(), serial) << "threads=" << t;
-  }
-}
-
-// ----- PhaseScan key window -------------------------------------------------
-
-std::uint64_t brute_max_run(const std::vector<std::uint64_t>& keys) {
-  std::map<std::uint64_t, std::uint64_t> count;
-  std::uint64_t best = 0;
-  for (const std::uint64_t k : keys) best = std::max(best, ++count[k]);
-  return best;
-}
-
-std::optional<std::uint64_t> brute_min_common(
-    const std::vector<std::uint64_t>& a, const std::vector<std::uint64_t>& b) {
-  const std::set<std::uint64_t> in_a(a.begin(), a.end());
-  std::optional<std::uint64_t> best;
-  for (const std::uint64_t k : b)
-    if (in_a.count(k) != 0 && (!best || k < *best)) best = k;
-  return best;
-}
-
-// A phase that grows every counter array to near the dense limit, then
-// sharded phases over a high window [kLo, kLo + kSpan): the aggregates
-// walk only this phase's window, and must still match brute force —
-// including clashes at either window edge, windows that only touch, and
-// a heavy key of the growing phase that sits inside the later window.
-TEST(PhaseScan, ShardedHighWindowAfterAGrowingPhaseMatchesBruteForce) {
-  constexpr std::uint64_t kLimit = std::uint64_t{1} << 20;
-  constexpr std::uint64_t kLo = 600000;
-  constexpr std::uint64_t kSpan = 20000;
-  const auto scan = [](detail::PhaseScan& ps, unsigned shards,
-                       const std::vector<std::uint64_t>& keys) {
-    ps.scan(shards, keys.size(), [&](std::uint64_t i) { return keys[i]; });
-  };
-
-  Rng rng(11);
-  std::vector<std::uint64_t> grow;
-  for (std::uint64_t i = 0; i < 5000; ++i) grow.push_back(kLimit - 1 - i * 7);
-  for (int i = 0; i < 900; ++i) grow.push_back(kLo + 5);  // stale heavy key
-  std::vector<std::uint64_t> reads;
-  for (std::uint64_t i = 0; i < 30000; ++i)
-    reads.push_back(kLo + rng.next_below(kSpan));
-  for (int i = 0; i < 40; ++i) reads.push_back(kLo + 17);  // the max run
-  reads.push_back(kLo);
-  reads.push_back(kLo + kSpan - 1);
-  for (int i = 0; i < 30; ++i)  // spilled keys, out of order
-    reads.push_back(kLimit + 1000 - static_cast<std::uint64_t>(i % 5));
-
-  struct WriteCase {
-    std::uint64_t lo, hi;  // written window
-  };
-  const WriteCase cases[] = {
-      {kLo + kSpan - 1, kLo + 2 * kSpan},  // clash at the reads' top edge
-      {kLo - kSpan, kLo + 1},              // clash at the reads' bottom edge
-      {kLo + kSpan, kLo + 2 * kSpan},      // windows touch, no clash
-      {kLo - kSpan, kLo},                  // windows touch below, no clash
-  };
-  for (const WriteCase& wc : cases) {
-    std::vector<std::uint64_t> writes;
-    for (std::uint64_t k = wc.lo; k < wc.hi; k += 3) writes.push_back(k);
-    writes.push_back(wc.hi - 1);
-    writes.push_back(kLimit + 5);  // spilled, never read
-    for (const unsigned t : kPoolSizes)
-      for (const unsigned shards : {1u, detail::kCommitShards}) {
-        PoolGuard pg(t);
-        detail::PhaseScan r(kLimit), w(kLimit);
-        scan(r, shards, grow);
-        scan(w, shards, grow);
-        EXPECT_EQ(r.max_run(), brute_max_run(grow));
-        EXPECT_EQ(detail::PhaseScan::min_common(r, w), kLo + 5);
-
-        scan(r, shards, reads);
-        scan(w, shards, writes);
-        const std::string what = "threads=" + std::to_string(t) +
-                                 " shards=" + std::to_string(shards) +
-                                 " writes from " + std::to_string(wc.lo);
-        EXPECT_EQ(r.window().lo, kLo) << what;
-        EXPECT_EQ(r.window().hi, kLo + kSpan) << what;
-        EXPECT_EQ(r.max_run(), brute_max_run(reads)) << what;
-        EXPECT_EQ(w.max_run(), brute_max_run(writes)) << what;
-        EXPECT_EQ(detail::PhaseScan::min_common(r, w),
-                  brute_min_common(reads, writes))
-            << what;
-      }
-  }
+  EXPECT_EQ(in_shard, std::vector<bool>(4, false));
+  const auto in_worker = runtime::ExperimentRunner({.jobs = 2}).map<int>(
+      2, [&](std::uint64_t) { return pool.fans_out() ? 1 : 0; });
+  EXPECT_EQ(in_worker, (std::vector<int>{0, 0}));
+  EXPECT_TRUE(pool.fans_out());
 }
 
 // ----- parallel BoolFn transforms -------------------------------------------
@@ -668,10 +192,9 @@ TEST(ParallelBoolFn, TransformsBitIdenticalAcrossPoolSizes) {
 TEST(ParallelBoolFn, ChunkedDegreeTierStableAcrossPoolSizes) {
   // AND of the first 21 of 23 inputs: top coefficient and level n-1 are
   // zero and the dense tier caps at n = 22, so this lands in the
-  // chunked Moebius tier — the tier the pool parallelizes. Since the
-  // SIMD dispatch PR the prune bound is a per-shard maximum (a pure
-  // function of the shard range), so the scan does identical work at
-  // every pool size.
+  // chunked Moebius tier — the tier the pool parallelizes. Pool size 1
+  // takes the one-shard layout, sizes 2 and 8 the fanned-out one; the
+  // per-shard prune bound keeps the degree the same in both.
   const BoolFn f = BoolFn::from(23, [](std::uint32_t x) {
     return (x & 0x1FFFFFu) == 0x1FFFFFu;
   });

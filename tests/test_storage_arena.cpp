@@ -1,19 +1,23 @@
 // Equivalence tests for the flat-arena shared-memory fast path
-// (CellStore, core/storage.hpp), and the flat per-phase inbox
-// (FlatInbox) against a brute-force per-reader reference. Engine configs expose
-// `mem_dense_limit`: addresses below it take a direct vector index,
-// addresses at or above it fall back to the sparse map, and a limit of
-// 0 disables the arena entirely — the map-only reference configuration.
-// Every observable (phase costs, stats, delivered inboxes, memory
-// contents) must be bit-identical across those configurations; these
-// tests drive mixed sparse/dense workloads that deliberately straddle a
-// small limit and compare against the reference.
+// (CellStore, core/storage.hpp), the flat per-phase inbox (FlatInbox)
+// against a brute-force per-reader reference, and the commit's key
+// histograms (KeyHistogram, core/phase_scan.hpp) against brute force.
+// Engine configs expose `mem_dense_limit`: addresses below it take a
+// direct vector index, addresses at or above it fall back to the sparse
+// map, and a limit of 0 disables the arena entirely — the map-only
+// reference configuration. Every observable (phase costs, stats,
+// delivered inboxes, memory contents) must be bit-identical across those
+// configurations; these tests drive mixed sparse/dense workloads that
+// deliberately straddle a small limit and compare against the reference.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
+#include <set>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -21,9 +25,9 @@
 #include "algos/parity.hpp"
 #include "core/crcw.hpp"
 #include "core/gsm.hpp"
+#include "core/phase_scan.hpp"
 #include "core/qsm.hpp"
 #include "core/storage.hpp"
-#include "runtime/parallel_for.hpp"
 #include "util/rng.hpp"
 
 namespace parbounds {
@@ -92,19 +96,14 @@ TEST(CellStore, ForEachVisitsExactlyMaterialisedCells) {
   EXPECT_EQ(seen[2], (std::pair<Addr, Word>{kSmallLimit + 9, 90}));
 }
 
-// Rebuild `inbox` from one phase's (reader, value) stream, filling the
-// value pass in `slices` contiguous slices taken last-first — any
-// slicing must land every value in the same place.
+// Rebuild `inbox` from one phase's (reader, value) stream.
 template <class Value>
 void deliver(FlatInbox<Value>& inbox,
-             const std::vector<std::pair<ProcId, Value>>& reads,
-             unsigned slices = 1) {
-  const std::uint64_t n = reads.size();
+             const std::vector<std::pair<ProcId, Value>>& reads) {
   const auto reader = [&](std::uint64_t i) { return reads[i].first; };
-  inbox.index(n, reader);
-  for (unsigned s = slices; s-- > 0;)
-    inbox.fill(n * s / slices, n * (s + 1) / slices, reader,
-               [&](std::uint64_t i, Value& slot) { slot = reads[i].second; });
+  inbox.index(reads.size(), reader);
+  inbox.fill(reader,
+             [&](std::uint64_t i, Value& slot) { slot = reads[i].second; });
 }
 
 // Brute force: every reader's values, appended in issue order.
@@ -131,15 +130,13 @@ void expect_inboxes(const FlatInbox<Value>& inbox,
 TEST(FlatInbox, PerReaderIssueOrderInAnInterleavedStream) {
   const std::vector<std::pair<ProcId, Word>> reads = {
       {5, 50}, {2, 20}, {5, 51}, {9, 90}, {2, 21}, {5, 52}, {0, 1}, {9, 91}};
-  for (const unsigned slices : {1u, 3u, 8u}) {
-    FlatInbox<Word> inbox;
-    deliver(inbox, reads, slices);
-    expect_inboxes(inbox, reads, {});
-    const auto five = inbox.of(5);
-    ASSERT_EQ(five.size(), 3u);
-    EXPECT_EQ(five[0], 50);
-    EXPECT_EQ(five[2], 52);
-  }
+  FlatInbox<Word> inbox;
+  deliver(inbox, reads);
+  expect_inboxes(inbox, reads, {});
+  const auto five = inbox.of(5);
+  ASSERT_EQ(five.size(), 3u);
+  EXPECT_EQ(five[0], 50);
+  EXPECT_EQ(five[2], 52);
 }
 
 TEST(FlatInbox, AbsentReaderIsEmpty) {
@@ -186,7 +183,7 @@ TEST(FlatInbox, IdsBeyondTheSlotIndex) {
       if (rng.next_below(5) == 0) p = (ProcId{1} << 40) + rng.next_below(4);
       reads.push_back({p, static_cast<Word>(rng.next_below(1000))});
     }
-    deliver(inbox, reads, 1 + static_cast<unsigned>(rng.next_below(8)));
+    deliver(inbox, reads);
     expect_inboxes(inbox, reads,
                    {FlatInbox<Word>::kIndexPerRead * n + 50,
                     (ProcId{1} << 40) + 4, ProcId{1} << 50});
@@ -196,7 +193,7 @@ TEST(FlatInbox, IdsBeyondTheSlotIndex) {
   std::vector<std::pair<ProcId, Word>> sorted;
   for (ProcId p = 100; p < 110; ++p)
     for (Word v = 0; v < 3; ++v) sorted.push_back({p * 1000, v});
-  deliver(inbox, sorted, 4);
+  deliver(inbox, sorted);
   expect_inboxes(inbox, sorted, {100, 100 * 1000 + 1, 110 * 1000});
 }
 
@@ -205,13 +202,97 @@ TEST(FlatInbox, HoldsGsmCellContents) {
   FlatInbox<Cell> inbox;
   const std::vector<std::pair<ProcId, Cell>> reads = {
       {2, {1, 2, 3}}, {0, {}}, {2, {4}}, {ProcId{1} << 40, {5, 6}}};
-  deliver(inbox, reads, 2);
+  deliver(inbox, reads);
   expect_inboxes(inbox, reads, {1, 3});
   // A second, shorter phase reuses the slots: no words of the old
   // contents survive.
   const std::vector<std::pair<ProcId, Cell>> next = {{2, {9}}};
   deliver(inbox, next);
   expect_inboxes(inbox, next, {0, ProcId{1} << 40});
+}
+
+// ----- KeyHistogram: the commit's per-key-space counters --------------------
+
+std::uint64_t brute_max_run(const std::vector<std::uint64_t>& keys) {
+  std::map<std::uint64_t, std::uint64_t> count;
+  std::uint64_t best = 0;
+  for (const std::uint64_t k : keys) best = std::max(best, ++count[k]);
+  return best;
+}
+
+std::optional<std::uint64_t> brute_min_common(
+    const std::vector<std::uint64_t>& a, const std::vector<std::uint64_t>& b) {
+  const std::set<std::uint64_t> in_a(a.begin(), a.end());
+  std::optional<std::uint64_t> best;
+  for (const std::uint64_t k : b)
+    if (in_a.count(k) != 0 && (!best || k < *best)) best = k;
+  return best;
+}
+
+// A scan that grows both counter arrays to near the dense limit, then
+// scans over a high key range [kLo, kLo + kSpan) with spilled keys out
+// of order: the aggregates must match brute force — including clashes
+// at either edge of the range, ranges that only touch, and a heavy key
+// of the growing scan that sits inside the later range (its stale count
+// must be gone).
+TEST(KeyHistogram, AggregatesAfterAGrowingScanMatchBruteForce) {
+  constexpr std::uint64_t kLimit = std::uint64_t{1} << 20;
+  constexpr std::uint64_t kLo = 600000;
+  constexpr std::uint64_t kSpan = 20000;
+  const auto scan = [](detail::KeyHistogram& h,
+                       const std::vector<std::uint64_t>& keys) {
+    h.scan(keys.size(), [&](std::uint64_t i) { return keys[i]; });
+  };
+
+  Rng rng(11);
+  std::vector<std::uint64_t> grow;
+  for (std::uint64_t i = 0; i < 5000; ++i) grow.push_back(kLimit - 1 - i * 7);
+  for (int i = 0; i < 900; ++i) grow.push_back(kLo + 5);  // stale heavy key
+  std::vector<std::uint64_t> reads;
+  for (std::uint64_t i = 0; i < 70000; ++i)
+    reads.push_back(kLo + rng.next_below(kSpan));
+  for (int i = 0; i < 40; ++i) reads.push_back(kLo + 17);  // the max run
+  reads.push_back(kLo);
+  reads.push_back(kLo + kSpan - 1);
+  for (int i = 0; i < 30; ++i)  // spilled keys, out of order
+    reads.push_back(kLimit + 1000 - static_cast<std::uint64_t>(i % 5));
+
+  struct WriteCase {
+    std::uint64_t lo, hi;  // written range
+  };
+  const WriteCase cases[] = {
+      {kLo + kSpan - 1, kLo + 2 * kSpan},  // clash at the reads' top edge
+      {kLo - kSpan, kLo + 1},              // clash at the reads' bottom edge
+      {kLo + kSpan, kLo + 2 * kSpan},      // ranges touch, no clash
+      {kLo - kSpan, kLo},                  // ranges touch below, no clash
+  };
+  for (const WriteCase& wc : cases) {
+    std::vector<std::uint64_t> writes;
+    for (std::uint64_t k = wc.lo; k < wc.hi; k += 3) writes.push_back(k);
+    writes.push_back(wc.hi - 1);
+    writes.push_back(kLimit + 5);  // spilled, never read
+    detail::KeyHistogram r(kLimit), w(kLimit);
+    scan(r, grow);
+    scan(w, grow);
+    EXPECT_EQ(r.max_run(), brute_max_run(grow));
+    EXPECT_EQ(detail::KeyHistogram::min_common(r, w), kLo + 5);
+
+    scan(r, reads);
+    scan(w, writes);
+    const std::string what = "writes from " + std::to_string(wc.lo);
+    EXPECT_EQ(r.max_run(), brute_max_run(reads)) << what;
+    EXPECT_EQ(w.max_run(), brute_max_run(writes)) << what;
+    EXPECT_EQ(detail::KeyHistogram::min_common(r, w),
+              brute_min_common(reads, writes))
+        << what;
+  }
+
+  // A clash among spilled keys only, and the longest run among them.
+  detail::KeyHistogram r(kLimit), w(kLimit);
+  scan(r, {kLimit + 9, 3, kLimit + 2, kLimit + 9, kLimit + 9});
+  scan(w, {kLimit + 9, kLimit + 2, 4});
+  EXPECT_EQ(r.max_run(), 3u);
+  EXPECT_EQ(detail::KeyHistogram::min_common(r, w), kLimit + 2);
 }
 
 // ----- QsmCrFree parity_circuit: reader ids beyond 2^20 --------------------
@@ -275,9 +356,9 @@ class InboxAudit : public AnalysisObserver {
 
 // The circuit names its processors (block, assignment, position); at
 // n = 2^12, g = 64 the first phase's readers reach ids above 4.5M, far
-// beyond 2^20. A serial run with detail events builds and checks the
-// expectation; a run with every phase sharded over four pool threads
-// must deliver the same inboxes, phase by phase.
+// beyond 2^20. A run with detail events builds and checks the
+// expectation; a run without them, the way every bench runs, must
+// deliver the same inboxes, phase by phase.
 TEST(FlatInbox, QsmCrFreeParityCircuitMatchesBruteForce) {
   constexpr std::uint64_t n = std::uint64_t{1} << 12;
   Rng rng(3);
@@ -302,15 +383,7 @@ TEST(FlatInbox, QsmCrFreeParityCircuitMatchesBruteForce) {
   };
 
   EXPECT_GT(run(true), ProcId{1} << 20);
-
-  auto& pool = runtime::ParallelFor::pool();
-  const unsigned saved_threads = pool.threads();
-  const std::uint64_t saved_knob = detail::commit_shard_min_requests();
-  pool.set_threads(4);
-  detail::commit_shard_min_requests() = 64;
   EXPECT_GT(run(false), ProcId{1} << 20);
-  detail::commit_shard_min_requests() = saved_knob;
-  pool.set_threads(saved_threads);
 }
 
 // ----- QSM arena-vs-map equivalence ---------------------------------------

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "algos/reduce.hpp"
 #include "core/bsp.hpp"
 #include "core/gsm.hpp"
@@ -14,6 +18,29 @@
 namespace parbounds {
 namespace {
 
+// The violation text of one phase in which each of `procs` processors
+// reads every cell of `reads` and writes every cell of `writes`.
+template <class Machine>
+std::string clash_text(std::uint64_t procs, const std::vector<Addr>& reads,
+                       const std::vector<Addr>& writes) {
+  Machine m;
+  m.begin_phase();
+  for (ProcId p = 0; p < procs; ++p) {
+    for (const Addr a : reads) m.read(p, a);
+    for (const Addr a : writes) m.write(p, a, static_cast<Word>(a % 7 + 1));
+  }
+  try {
+    m.commit_phase();
+  } catch (const ModelViolation& e) {
+    return e.what();
+  }
+  return "(no violation)";
+}
+
+std::string qsm_clash(Addr a) {
+  return "cell " + std::to_string(a) + " both read and written in one phase";
+}
+
 TEST(Violations, ReadWriteMixAtOneCell) {
   // A "pipelined" tree that reads a level and writes it in the same phase
   // — the classic QSM rule violation.
@@ -23,6 +50,34 @@ TEST(Violations, ReadWriteMixAtOneCell) {
   m.read(0, a + 1);
   m.write(1, a + 1, 5);
   EXPECT_THROW(m.commit_phase(), ModelViolation);
+
+  // Several clashes: the message names the smallest cell, whether the
+  // cells are dense or spilled (at or above the address histogram's
+  // dense limit), in phases of 2^11 and of 2^16 requests.
+  constexpr Addr kSpill = detail::kAddrHistogramLimit;
+  struct Case {
+    std::vector<Addr> reads, writes;
+    std::string qsm, gsm;
+  };
+  const std::string gsm = "GSM cell both read and written in one phase";
+  const Case cases[] = {
+      {{120, 37}, {120, 37}, qsm_clash(37), gsm},
+      {{37, kSpill + 7}, {120, kSpill + 7}, qsm_clash(kSpill + 7), gsm},
+      {{kSpill + 9, 37, kSpill + 3},
+       {kSpill + 3, kSpill + 9},
+       qsm_clash(kSpill + 3),
+       gsm},
+      {{kSpill + 9, 37}, {kSpill + 9, 37}, qsm_clash(37), gsm},
+      {{37, kSpill}, {120, kSpill + 1}, "(no violation)", "(no violation)"},
+  };
+  for (const std::uint64_t procs : {512u, 1u << 14}) {
+    for (const Case& c : cases) {
+      EXPECT_EQ(clash_text<QsmMachine>(procs, c.reads, c.writes), c.qsm)
+          << "procs=" << procs;
+      EXPECT_EQ(clash_text<GsmMachine>(procs, c.reads, c.writes), c.gsm)
+          << "procs=" << procs;
+    }
+  }
 }
 
 TEST(Violations, MachineUsableAfterFailedCommit) {

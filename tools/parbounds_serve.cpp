@@ -22,9 +22,9 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,6 +32,7 @@
 #include "runtime/fleet/coordinator.hpp"
 #include "runtime/fleet/transport.hpp"
 #include "runtime/fleet/worker.hpp"
+#include "runtime/harness_flags.hpp"
 #include "runtime/sweep_service/registry.hpp"
 #include "runtime/sweep_service/serve.hpp"
 #include "runtime/sweep_service/service.hpp"
@@ -48,12 +49,6 @@ int usage(const char* argv0) {
       << "       [--cache-dir PATH] [--cache-bytes N] [--queue N] "
          "[--jobs N] [--workers N]\n";
   return 1;
-}
-
-bool parse_u64(const char* text, std::uint64_t& out) {
-  char* end = nullptr;
-  out = std::strtoull(text, &end, 10);
-  return end != text && *end == '\0';
 }
 
 // Socket connections reuse the fleet's FdTransport (read fd == write
@@ -211,8 +206,12 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto need_value = [&](std::uint64_t& out) {
-      return ++i < argc && parse_u64(argv[i], out);
+    // A numeric value is all digits and fits its field: a sign or any
+    // trailing text is an error, never some other number.
+    const auto need_value = [&](std::uint64_t& out,
+                                std::uint64_t max =
+                                    std::numeric_limits<std::uint64_t>::max()) {
+      return ++i < argc && parbounds::runtime::parse_count(argv[i], max, out);
     };
     if (arg == "--stdio" || arg == "--list-workloads") {
       mode = arg;
@@ -231,11 +230,15 @@ int main(int argc, char** argv) {
       cfg.queue_capacity = static_cast<std::size_t>(v);
     } else if (arg == "--jobs") {
       std::uint64_t v = 0;
-      if (!need_value(v)) return usage(argv[0]);
+      if (!need_value(v, std::numeric_limits<unsigned>::max())) {
+        std::cerr << "parbounds_serve: --jobs needs a non-negative integer "
+                     "(0 = all cores)\n";
+        return usage(argv[0]);
+      }
       cfg.jobs = static_cast<unsigned>(v);
     } else if (arg == "--workers") {
       std::uint64_t v = 0;
-      if (!need_value(v) || v == 0) {
+      if (!need_value(v, std::numeric_limits<unsigned>::max()) || v == 0) {
         std::cerr << "parbounds_serve: --workers needs a fleet width >= 1\n";
         return usage(argv[0]);
       }

@@ -22,8 +22,8 @@
 #      subsets — the ExperimentRunner determinism suite is the
 #      data-race proof for the trial-parallel path, the obs suite
 #      exercises the concurrent metric shards and span buffers, the
-#      intra suite drives the sharded phase commit and parallel BoolFn
-#      transforms at pool sizes 1/2/8, and the fleet coordinator
+#      intra suite drives the parallel BoolFn transforms and adversary
+#      folds at pool sizes 1/2/8, and the fleet coordinator
 #      promises a single-threaded poll loop, so all must pass under
 #      ThreadSanitizer;
 #   8. bench_hotpath and bench_obs_overhead smoke runs (--jobs 2
@@ -40,7 +40,7 @@
 #      kernel dispatch-equivalence oracle — identical digests at every
 #      level x pool size — enforced inside the bench_hotpath smoke.
 #      Speedup floors scale with the host: >=4 cores gates the 8-thread
-#      shard sweep at 1.5x, smaller boxes gate only pathological
+#      degree(26) sweep at 1.5x, smaller boxes gate only pathological
 #      slowdowns, and the SIMD floor is skipped on portable-only cpus;
 #  10. the sweep-service stage (docs/SERVICE.md): the `service`-labelled
 #      subset (result cache + protocol fuzz + daemon core), then an
@@ -74,8 +74,7 @@
 #      (bench_table{1,2,3}_*) at --jobs 1, --jobs 4 and --workers 4.
 #      Every run must also write its .ops.json with a host block. A
 #      compared report with no cells fails the stage: two empty reports
-#      are trivially identical. Table 1 and Table 4 run phases above
-#      the 2^16-request shard threshold.
+#      are trivially identical.
 #
 # Usage: tools/run_checks.sh [--quick] [--require-tidy] [build-dir]
 #
@@ -114,8 +113,8 @@ done
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
 # Shard-speedup floor: real parallel speedup needs real cores. On a
-# >=4-core host the 8-thread sweep must beat 1 thread by 1.5x; on
-# smaller (CI) boxes the in-binary equivalence oracle stays the
+# >=4-core host the 8-thread degree(26) sweep must beat 1 thread by
+# 1.5x; on smaller (CI) boxes the in-binary degree oracle stays the
 # correctness gate and the floor only catches pathological slowdowns
 # (the 8-thread sweep runs oversubscribed there).
 if [[ "${JOBS}" -ge 4 ]]; then
@@ -359,11 +358,6 @@ run_determinism_stage() {
     same "${t}_jobs1" "${t}_jobs4"
     same "${t}_jobs1" "${t}_workers4"
   done
-  if ! grep -q '"qsm.commit.shards":[1-9]' \
-      "${dir}/table1_qsm_time_jobs4.json"; then
-    echo "determinism: no phase crossed the shard threshold" >&2
-    exit 1
-  fi
   echo "    reports byte-identical (cmp), every ops file has a host block"
   rm -rf "${dir}"
 }
@@ -389,7 +383,7 @@ if [[ "${QUICK}" == 1 ]]; then
   ctest --test-dir "${BUILD_DIR}" -L runtime --output-on-failure
   echo "==> [quick] obs-labelled subset"
   ctest --test-dir "${BUILD_DIR}" -L obs --output-on-failure
-  echo "==> [quick] intra-labelled subset (sharded-commit determinism)"
+  echo "==> [quick] intra-labelled subset (pool-size determinism)"
   ctest --test-dir "${BUILD_DIR}" -L intra --output-on-failure
   run_simd_stage "${BUILD_DIR}"
   echo "==> [quick] service-labelled subset (cache + protocol + daemon core)"
@@ -404,8 +398,8 @@ if [[ "${QUICK}" == 1 ]]; then
   "${BUILD_DIR}/tools/parprof_cli" "${BUILD_DIR}/CHECK_prof_demo.csv" \
     --chrome "${BUILD_DIR}/CHECK_prof_demo_trace.json" >/dev/null
   echo "==> [quick] bench_hotpath smoke (self-verified, speedup floors)"
-  # Shard floor per host size (see MIN_SHARD above); the dispatch and
-  # shard equivalence oracles inside bench_hotpath are the correctness
+  # Shard floor per host size (see MIN_SHARD above); the replica and
+  # dispatch equivalence oracles inside bench_hotpath are the correctness
   # gates at any core count.
   "${BUILD_DIR}/bench/bench_hotpath" --jobs 2 \
     --json "${BUILD_DIR}/BENCH_hotpath.json" \
@@ -488,8 +482,8 @@ cmake --build "${BUILD_DIR}-bench" -j "${JOBS}" \
   bench_table2_sqsm_time bench_table3_bsp_time
 
 echo "==> bench_hotpath smoke (self-verified, speedup floors)"
-# Shard floor per host size (see MIN_SHARD above); the dispatch and
-# shard equivalence oracles inside bench_hotpath are the correctness
+# Shard floor per host size (see MIN_SHARD above); the replica and
+# dispatch equivalence oracles inside bench_hotpath are the correctness
 # gates at any core count.
 "${BUILD_DIR}-bench/bench/bench_hotpath" --jobs 2 \
   --json "${BUILD_DIR}-bench/BENCH_hotpath.json" \
