@@ -1,8 +1,10 @@
 // Intra-trial parallelism suite: the ParallelFor determinism contract,
 // its fan-out predicate, and the bit-identity of everything built on
-// it — the parallel BoolFn transforms and the adversary's per-entity
-// fan-outs. Every test runs the same workload at pool sizes 1, 2 and 8
-// and requires exact equality; `ctest -L intra` is rebuilt under TSan
+// it or run beside it — the phase commit of all four engines (costs,
+// Random-write winners, delivered reads, violation messages), the
+// parallel BoolFn transforms and the adversary's per-entity fan-outs.
+// Every test runs the same workload at pool sizes 1, 2 and 8 and
+// requires exact equality; `ctest -L intra` is rebuilt under TSan
 // by tools/run_checks.sh, so these loops are also the data-race proof
 // for the pool's users.
 
@@ -21,7 +23,10 @@
 #include "adversary/or_adversary.hpp"
 #include "adversary/trace_analysis.hpp"
 #include "boolfn/boolfn.hpp"
+#include "core/bsp.hpp"
+#include "core/crcw.hpp"
 #include "core/gsm.hpp"
+#include "core/qsm.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/runner.hpp"
 #include "runtime/simd_level.hpp"
@@ -152,6 +157,327 @@ TEST(ParallelFor, FansOutOnlyOnTheCallerOfAMultiThreadPool) {
       2, [&](std::uint64_t) { return pool.fans_out() ? 1 : 0; });
   EXPECT_EQ(in_worker, (std::vector<int>{0, 0}));
   EXPECT_TRUE(pool.fans_out());
+}
+
+// ----- phase commit: pool sizes and runner workers ---------------------------
+//
+// The ShardedCommit tests once compared an 8-shard commit with the
+// serial one. Every engine now commits in one serial pass; these tests
+// keep the workloads and pin that pass to the same bits on the main
+// thread at every pool size and inside ExperimentRunner workers, where
+// ParallelFor::fans_out() differs.
+
+constexpr std::uint64_t kProcs = 512;
+constexpr std::uint64_t kCells = 2048;  // reads below kCells/2, writes above
+constexpr unsigned kPhases = 3;
+// First cell address past the dense histogram range: its counts spill.
+constexpr Addr kSpill = detail::kAddrHistogramLimit;
+
+// `run()` on the main thread at every pool size, then once per trial in
+// two runner workers under an 8-thread pool; each outcome is labelled
+// with where it ran. The first is the pool-of-1 main-thread run.
+template <class T, class F>
+std::vector<std::pair<std::string, T>> outcomes_everywhere(const F& run) {
+  std::vector<std::pair<std::string, T>> out;
+  for (const unsigned t : kPoolSizes) {
+    PoolGuard pg(t);
+    out.emplace_back("threads=" + std::to_string(t), run());
+  }
+  PoolGuard pg(8);
+  const std::vector<T> in_workers =
+      runtime::ExperimentRunner({.jobs = 2}).map<T>(
+          2, [&](std::uint64_t) { return run(); });
+  for (std::size_t i = 0; i < in_workers.size(); ++i)
+    out.emplace_back("runner worker trial " + std::to_string(i),
+                     in_workers[i]);
+  return out;
+}
+
+struct EngineResult {
+  std::vector<std::uint64_t> phase_costs;
+  std::uint64_t time = 0;
+  std::uint64_t inbox_hash = 0;
+  std::uint64_t mem_hash = 0;
+  std::uint64_t spill_kappa = 0;  // kappa of the spilled-address phase
+};
+
+template <class T>
+void fold(std::uint64_t& h, T v) {
+  h = h * 1000003 + static_cast<std::uint64_t>(v);
+}
+
+// Every outcome equals the first; returns the first.
+template <class F>
+EngineResult expect_same_engine_result(const F& run, const char* what) {
+  const auto all = outcomes_everywhere<EngineResult>(run);
+  const EngineResult& a = all.front().second;
+  for (const auto& [where, b] : all) {
+    EXPECT_EQ(a.phase_costs, b.phase_costs) << what << ' ' << where;
+    EXPECT_EQ(a.time, b.time) << what << ' ' << where;
+    EXPECT_EQ(a.inbox_hash, b.inbox_hash) << what << ' ' << where;
+    EXPECT_EQ(a.mem_hash, b.mem_hash) << what << ' ' << where;
+    EXPECT_EQ(a.spill_kappa, b.spill_kappa) << what << ' ' << where;
+  }
+  return a;
+}
+
+EngineResult run_qsm(std::uint64_t seed, WriteResolution wr) {
+  EngineResult out;
+  QsmMachine m({.g = 2, .writes = wr, .seed = seed});
+  (void)m.alloc(kCells);
+  const std::uint64_t half = kCells / 2;
+  for (unsigned ph = 0; ph < kPhases; ++ph) {
+    Rng ops(seed + ph);
+    m.begin_phase();
+    for (ProcId p = 0; p < kProcs; ++p) {
+      m.read(p, ops.next_below(half));
+      m.read(p, ops.next_below(half));
+      m.write(p, half + ops.next_below(half),
+              static_cast<Word>(1 + ops.next_below(1000)));
+      m.write(p, half + ops.next_below(half),
+              static_cast<Word>(1 + ops.next_below(1000)));
+    }
+    out.phase_costs.push_back(m.commit_phase().cost);
+    for (ProcId p = 0; p < kProcs; ++p)
+      for (const Word w : m.inbox(p)) fold(out.inbox_hash, w);
+  }
+  // A last phase whose contention maximum sits at a spilled address:
+  // every processor reads kSpill and writes one of four spilled cells.
+  m.begin_phase();
+  for (ProcId p = 0; p < kProcs; ++p) {
+    m.read(p, kSpill);
+    m.write(p, kSpill + 1 + p % 4, static_cast<Word>(p + 1));
+  }
+  const PhaseTrace& t = m.commit_phase();
+  out.phase_costs.push_back(t.cost);
+  out.spill_kappa = t.stats.kappa();
+  for (Addr a = 0; a < kCells; ++a) fold(out.mem_hash, m.peek(a));
+  for (Addr a = kSpill; a <= kSpill + 4; ++a) fold(out.mem_hash, m.peek(a));
+  out.time = m.time();
+  return out;
+}
+
+TEST(ShardedCommit, QsmBitIdenticalAcrossPathAndPoolSizes) {
+  for (const WriteResolution wr :
+       {WriteResolution::LastQueued, WriteResolution::Random}) {
+    const EngineResult r =
+        expect_same_engine_result([wr] { return run_qsm(7, wr); }, "qsm");
+    EXPECT_EQ(r.spill_kappa, kProcs);
+  }
+}
+
+EngineResult run_gsm(std::uint64_t seed) {
+  EngineResult out;
+  GsmMachine m({.alpha = 2, .beta = 3});
+  (void)m.alloc(kCells);
+  const std::uint64_t half = kCells / 2;
+  for (unsigned ph = 0; ph < kPhases; ++ph) {
+    Rng ops(seed + ph);
+    m.begin_phase();
+    for (ProcId p = 0; p < kProcs; ++p) {
+      m.read(p, ops.next_below(half));
+      m.write(p, half + ops.next_below(half),
+              static_cast<Word>(1 + ops.next_below(1000)));
+    }
+    out.phase_costs.push_back(m.commit_phase().cost);
+    for (ProcId p = 0; p < kProcs; ++p)
+      for (const auto& cell : m.inbox(p))
+        for (const Word w : cell) fold(out.inbox_hash, w);
+  }
+  // The spilled-address phase, as for the QSM.
+  m.begin_phase();
+  for (ProcId p = 0; p < kProcs; ++p) {
+    m.read(p, kSpill);
+    m.write(p, kSpill + 1 + p % 4, static_cast<Word>(p + 1));
+  }
+  const PhaseTrace& t = m.commit_phase();
+  out.phase_costs.push_back(t.cost);
+  out.spill_kappa = t.stats.kappa();
+  // Strong queuing appends; canonicalize the cell walk by address.
+  std::vector<std::pair<Addr, std::uint64_t>> cells;
+  m.for_each_cell([&](Addr a, const std::vector<Word>& c) {
+    std::uint64_t h = 0;
+    for (const Word w : c) fold(h, w);
+    cells.push_back({a, h});
+  });
+  std::sort(cells.begin(), cells.end());
+  for (const auto& [a, h] : cells) {
+    fold(out.mem_hash, a);
+    fold(out.mem_hash, h);
+  }
+  out.time = m.time();
+  return out;
+}
+
+TEST(ShardedCommit, GsmBitIdenticalAcrossPathAndPoolSizes) {
+  const EngineResult r =
+      expect_same_engine_result([] { return run_gsm(11); }, "gsm");
+  EXPECT_EQ(r.spill_kappa, kProcs);
+}
+
+EngineResult run_bsp(std::uint64_t seed) {
+  EngineResult out;
+  BspMachine m({.p = kProcs, .g = 2, .L = 8});
+  for (unsigned ph = 0; ph < kPhases; ++ph) {
+    Rng ops(seed + ph);
+    m.begin_superstep();
+    for (ProcId p = 0; p < kProcs; ++p)
+      for (int s = 0; s < 3; ++s)
+        m.send(p, ops.next_below(kProcs),
+               static_cast<Word>(ops.next_below(1000)),
+               static_cast<Word>(p));
+    out.phase_costs.push_back(m.commit_superstep().cost);
+    for (ProcId p = 0; p < kProcs; ++p)
+      for (const Message& msg : m.inbox(p)) {
+        fold(out.inbox_hash, msg.source);
+        fold(out.inbox_hash, msg.value);
+        fold(out.inbox_hash, msg.tag);
+      }
+  }
+  out.time = m.time();
+  return out;
+}
+
+TEST(ShardedCommit, BspBitIdenticalAcrossPathAndPoolSizes) {
+  const EngineResult r =
+      expect_same_engine_result([] { return run_bsp(13); }, "bsp");
+  EXPECT_EQ(r.phase_costs.size(), kPhases);
+  EXPECT_NE(r.inbox_hash, 0u);
+}
+
+EngineResult run_crcw(std::uint64_t seed, CrcwWriteRule rule) {
+  EngineResult out;
+  CrcwMachine m({.rule = rule});
+  (void)m.alloc(kCells);
+  for (unsigned ph = 0; ph < kPhases; ++ph) {
+    Rng ops(seed + ph);
+    m.begin_step();
+    for (ProcId p = 0; p < kProcs; ++p) {
+      m.read(p, ops.next_below(kCells));
+      // Writes may collide under Arbitrary/Priority; give each address
+      // one value (derived from the address) so Common also passes.
+      const Addr a = ops.next_below(kCells);
+      m.write(p, a, static_cast<Word>(a * 3 + 1));
+    }
+    const PhaseTrace& t = m.commit_step();
+    fold(out.inbox_hash, t.stats.kappa());
+    out.phase_costs.push_back(t.cost);
+    for (ProcId p = 0; p < kProcs; ++p)
+      for (const Word w : m.inbox(p)) fold(out.inbox_hash, w);
+  }
+  for (Addr a = 0; a < kCells; ++a) fold(out.mem_hash, m.peek(a));
+  out.time = m.time();
+  return out;
+}
+
+TEST(ShardedCommit, CrcwBitIdenticalAcrossPathAndPoolSizes) {
+  for (const CrcwWriteRule rule :
+       {CrcwWriteRule::Common, CrcwWriteRule::Arbitrary,
+        CrcwWriteRule::Priority})
+    expect_same_engine_result([rule] { return run_crcw(17, rule); }, "crcw");
+}
+
+// One queue-rule probe: every processor reads each of `reads` and
+// writes each of `writes`.
+template <class Machine>
+std::string clash_message(const std::vector<Addr>& reads,
+                          const std::vector<Addr>& writes) {
+  Machine m;
+  (void)m.alloc(kCells);
+  m.begin_phase();
+  for (ProcId p = 0; p < kProcs; ++p) {
+    for (const Addr a : reads) m.read(p, a);
+    for (const Addr a : writes) m.write(p, a, static_cast<Word>(a % 7 + 1));
+  }
+  try {
+    m.commit_phase();
+  } catch (const ModelViolation& e) {
+    return e.what();
+  }
+  return "(no violation)";
+}
+
+// Probes whose clashes (or non-clashes) sit at dense or spilled
+// addresses: the violation text must be `expect` everywhere.
+struct ClashCase {
+  std::vector<Addr> reads, writes;
+  std::string expect;
+};
+
+template <class Machine>
+void expect_stable_clashes(const std::vector<ClashCase>& cases) {
+  for (const ClashCase& c : cases)
+    for (const auto& [where, got] : outcomes_everywhere<std::string>(
+             [&] { return clash_message<Machine>(c.reads, c.writes); }))
+      EXPECT_EQ(got, c.expect) << where;
+}
+
+std::string qsm_clash_cell(Addr a) {
+  return "cell " + std::to_string(a) + " both read and written in one phase";
+}
+
+TEST(ShardedCommit, QsmClashNamesSmallestAddressAtEveryPoolSize) {
+  expect_stable_clashes<QsmMachine>({
+      {{120, 37}, {120, 37}, qsm_clash_cell(37)},
+      {{37, kSpill + 7}, {120, kSpill + 7}, qsm_clash_cell(kSpill + 7)},
+      {{kSpill + 9, 37, kSpill + 3},
+       {kSpill + 3, kSpill + 9},
+       qsm_clash_cell(kSpill + 3)},
+      {{kSpill + 9, 37}, {kSpill + 9, 37}, qsm_clash_cell(37)},
+      {{37, kSpill}, {120, kSpill + 1}, "(no violation)"},
+  });
+}
+
+TEST(ShardedCommit, GsmClashMessageStableAtEveryPoolSize) {
+  const std::string clash = "GSM cell both read and written in one phase";
+  expect_stable_clashes<GsmMachine>({
+      {{99}, {99}, clash},
+      {{37, kSpill + 7}, {120, kSpill + 7}, clash},
+      {{37, kSpill}, {120, kSpill + 1}, "(no violation)"},
+  });
+}
+
+// CRCW-Common: disagreeing writes to cells 300 and 41; the violation
+// must name the smallest address AND leave exactly the groups below it
+// applied.
+struct CommonOutcome {
+  std::string message;
+  std::uint64_t mem_hash = 0;
+  bool operator==(const CommonOutcome&) const = default;
+};
+
+CommonOutcome crcw_common_outcome() {
+  CrcwMachine m({.rule = CrcwWriteRule::Common});
+  (void)m.alloc(kCells);
+  m.begin_step();
+  for (ProcId p = 0; p < kProcs; ++p) {
+    // Agreeing writes everywhere below the conflicts keep the prefix
+    // non-trivial.
+    m.write(p, p % 40, 7);
+    m.write(p, 300, static_cast<Word>(p % 2));  // disagree
+    m.write(p, 41, static_cast<Word>(p % 3));   // disagree, smaller
+  }
+  CommonOutcome out;
+  try {
+    m.commit_step();
+    out.message = "(no violation)";
+  } catch (const ModelViolation& e) {
+    out.message = e.what();
+  }
+  for (Addr a = 0; a < kCells; ++a) fold(out.mem_hash, m.peek(a));
+  return out;
+}
+
+TEST(ShardedCommit, CrcwCommonConflictAndPrefixStateStable) {
+  // The applied prefix: cells 0..39 hold 7, nothing else was written.
+  std::uint64_t prefix_hash = 0;
+  for (Addr a = 0; a < kCells; ++a) fold(prefix_hash, a < 40 ? 7 : 0);
+  for (const auto& [where, got] :
+       outcomes_everywhere<CommonOutcome>(crcw_common_outcome)) {
+    EXPECT_EQ(got.message, "CRCW-Common: conflicting writes to cell 41")
+        << where;
+    EXPECT_EQ(got.mem_hash, prefix_hash) << where;
+  }
 }
 
 // ----- parallel BoolFn transforms -------------------------------------------
