@@ -59,10 +59,8 @@ void sweep_read_tree_fanin() {
   std::vector<SweepCell> cells;
   for (const unsigned k : {2u, 3u, 4u, 8u, 16u, 64u})
     cells.push_back({.key = std::to_string(k),
-                     .run = [n, g, k](std::uint64_t s) {
-                       return parity_tree_cost(pb::CostModel::SQsm, n, g, k,
-                                               s);
-                     }});
+                     .spec = {"sqsm", "parity_tree",
+                              {{"n", n}, {"g", g}, {"fanin", k}}}});
   std::printf("%s", pb::banner("Parity read tree on s-QSM: fan-in sweep "
                                "(every edge pays g; optimum at k = 2)")
                         .c_str());
@@ -78,9 +76,8 @@ void sweep_broadcast_fanout() {
   std::vector<SweepCell> cells;
   for (const std::uint64_t k : {2ull, 4ull, 16ull, 32ull, 64ull, 256ull})
     cells.push_back({.key = std::to_string(k),
-                     .run = [n, g, k](std::uint64_t) {
-                       return broadcast_cost(pb::CostModel::Qsm, n, g, k);
-                     }});
+                     .spec = {"qsm", "broadcast",
+                              {{"n", n}, {"g", g}, {"fanin", k}}}});
   std::printf("%s", pb::banner("Broadcast on QSM: fan-out sweep (optimum "
                                "at k = g = 32 — the [AGMR97] tight bound)")
                         .c_str());

@@ -65,13 +65,8 @@ std::vector<pb::runtime::SweepCell> tiny_cells() {
          .trials = 1,
          .lb = 1.0,
          .ub = static_cast<double>(n),
-         .run =
-             [n](std::uint64_t s) {
-               return parity_circuit_cost(pb::CostModel::Qsm, n, 2, s);
-             },
-         .spec = {.engine = "qsm",
-                  .workload = "parity_circuit",
-                  .params = {{"n", n}, {"g", 2}}}});
+         .spec = {"qsm", "parity_circuit", {{"n", n}, {"g", 2}}}});
+    cells.back().run = spec_body(cells.back());
   }
   return cells;
 }

@@ -23,6 +23,7 @@
 #include "harness.hpp"
 
 namespace pb = parbounds;
+namespace kernels = parbounds::kernels;
 using parbounds::TextTable;
 using namespace parbounds::bench;
 using parbounds::runtime::SweepCell;
@@ -93,12 +94,12 @@ void print_parity_separation() {
                        return static_cast<double>(pram.steps());
                      }});
     cells.push_back({.key = "qsm g=8" + at, .run = [n](std::uint64_t) {
-                       return parity_circuit_cost(pb::CostModel::Qsm, n, 8,
-                                                  kSeed);
+                       return kernels::parity_circuit_cost(pb::CostModel::Qsm,
+                                                           n, 8, kSeed);
                      }});
     cells.push_back({.key = "s-qsm g=8" + at, .run = [n](std::uint64_t) {
-                       return parity_tree_cost(pb::CostModel::SQsm, n, 8, 2,
-                                               kSeed);
+                       return kernels::parity_tree_cost(pb::CostModel::SQsm,
+                                                        n, 8, 2, kSeed);
                      }});
   }
   const auto& res = sweep("Parity: CRCW vs queued models", std::move(cells));

@@ -24,10 +24,6 @@ using parbounds::runtime::SweepCell;
 
 namespace {
 
-std::string key_ng(std::uint64_t n, std::uint64_t g) {
-  return "n=" + std::to_string(n) + ",g=" + std::to_string(g);
-}
-
 void print_parity_det() {
   std::vector<SweepCell> cells;
   for (const std::uint64_t n : {1u << 10, 1u << 12, 1u << 14})
@@ -35,13 +31,8 @@ void print_parity_det() {
       cells.push_back({.key = key_ng(n, g),
                        .lb = bb::qsm_parity_det_time(n, g),
                        .ub = bb::ub_parity_qsm(n, g),
-                       .run = [n, g](std::uint64_t s) {
-                         return parity_circuit_cost(pb::CostModel::Qsm, n, g,
-                                                    s);
-                       },
-                       .spec = {.engine = "qsm",
-                                .workload = "parity_circuit",
-                                .params = {{"n", n}, {"g", g}}}});
+                       .spec = {"qsm", "parity_circuit",
+                                {{"n", n}, {"g", g}}}});
   sweep_table("QSM / Parity, deterministic (circuit emulation; LB = Cor 3.1)",
               "n,g", std::move(cells));
 }
@@ -53,13 +44,8 @@ void print_parity_cr() {
       cells.push_back({.key = key_ng(n, g),
                        .lb = bb::qsm_parity_det_time(n, g),
                        .ub = bb::ub_parity_qsm_cr(n, g),
-                       .run = [n, g](std::uint64_t s) {
-                         return parity_circuit_cost(pb::CostModel::QsmCrFree,
-                                                    n, g, s);
-                       },
-                       .spec = {.engine = "qsm-crfree",
-                                .workload = "parity_circuit",
-                                .params = {{"n", n}, {"g", g}}}});
+                       .spec = {"qsm-crfree", "parity_circuit",
+                                {{"n", n}, {"g", g}}}});
   sweep_table("QSM / Parity with unit-time concurrent reads "
               "(THETA entry: LB = Thm 3.1 = UB)",
               "n,g", std::move(cells));
@@ -72,13 +58,8 @@ void print_or() {
       det.push_back({.key = key_ng(n, g),
                      .lb = bb::qsm_or_det_time(n, g),
                      .ub = bb::ub_or_qsm(n, g),
-                     .run = [n, g](std::uint64_t s) {
-                       return or_fanin_cost(pb::CostModel::Qsm, n, g,
-                                            /*ones=*/1, s);
-                     },
-                     .spec = {.engine = "qsm",
-                              .workload = "or_fanin",
-                              .params = {{"n", n}, {"g", g}, {"ones", 1}}}});
+                     .spec = {"qsm", "or_fanin",
+                              {{"n", n}, {"g", g}, {"ones", 1}}}});
   sweep_table("QSM / OR, deterministic (contention fan-in g; LB = Cor 7.2)",
               "n,g", std::move(det));
 
@@ -91,14 +72,8 @@ void print_or() {
                         .trials = kReps,
                         .lb = bb::qsm_or_rand_time(n, g),
                         .ub = bb::ub_or_cr_rand(n, g),
-                        .run = [n, g, ones](std::uint64_t s) {
-                          return or_rand_cr_cost(n, g, ones, s);
-                        },
-                        .spec = {.engine = "qsm-crfree",
-                                 .workload = "or_rand_cr",
-                                 .params = {{"n", n},
-                                            {"g", g},
-                                            {"ones", ones}}}});
+                        .spec = {"qsm-crfree", "or_rand_cr",
+                                 {{"n", n}, {"g", g}, {"ones", ones}}}});
   sweep_table("QSM / OR, randomized (sampling + flag under free concurrent "
               "reads; LB = Cor 7.1, g(log* n - log* g))",
               "n,g,density", std::move(rand));
@@ -112,13 +87,8 @@ void print_lac() {
                      .lb = bb::qsm_lac_det_time(n, g),
                      /*UB: the prefix algorithm is O(g log n)*/
                      .ub = g * pb::safe_log2(static_cast<double>(n)),
-                     .run = [n, g](std::uint64_t s) {
-                       return lac_prefix_cost(pb::CostModel::Qsm, n, g, n / 8,
-                                              s);
-                     },
-                     .spec = {.engine = "qsm",
-                              .workload = "lac_prefix",
-                              .params = {{"n", n}, {"g", g}, {"h", n / 8}}}});
+                     .spec = {"qsm", "lac_prefix",
+                              {{"n", n}, {"g", g}, {"h", n / 8}}}});
   sweep_table("QSM / LAC, deterministic (prefix sums; LB = Cor 6.4)", "n,g",
               std::move(det));
 
@@ -129,13 +99,8 @@ void print_lac() {
                       .trials = kReps,
                       .lb = bb::qsm_lac_rand_time(n, g),
                       .ub = bb::ub_lac_qsm(n, g),
-                      .run = [n, g](std::uint64_t s) {
-                        return lac_dart_cost(pb::CostModel::Qsm, n, g, n / 8,
-                                             s);
-                      },
-                      .spec = {.engine = "qsm",
-                               .workload = "lac_dart",
-                               .params = {{"n", n}, {"g", g}, {"h", n / 8}}}});
+                      .spec = {"qsm", "lac_dart",
+                               {{"n", n}, {"g", g}, {"h", n / 8}}}});
   sweep_table("QSM / LAC, randomized (dart throwing; LB = Cor 6.1, "
               "g loglog n / log g; UB claim = Sec 8)",
               "n,g", std::move(rand));

@@ -22,10 +22,6 @@ using parbounds::runtime::SweepCell;
 
 namespace {
 
-std::string key_ng(std::uint64_t n, std::uint64_t g) {
-  return "n=" + std::to_string(n) + ",g=" + std::to_string(g);
-}
-
 void print_parity() {
   std::vector<SweepCell> cells;
   for (const std::uint64_t n : {1u << 10, 1u << 13, 1u << 16})
@@ -33,10 +29,8 @@ void print_parity() {
       cells.push_back({.key = key_ng(n, g),
                        .lb = bb::sqsm_parity_det_time(n, g),
                        .ub = bb::ub_parity_sqsm(n, g),
-                       .run = [n, g](std::uint64_t s) {
-                         return parity_tree_cost(pb::CostModel::SQsm, n, g, 2,
-                                                 s);
-                       }});
+                       .spec = {"sqsm", "parity_tree",
+                                {{"n", n}, {"g", g}, {"fanin", 2}}}});
   sweep_table("s-QSM / Parity, deterministic binary tree "
               "(THETA entry: LB = Cor 3.1 = UB = g log n)",
               "n,g", std::move(cells));
@@ -49,10 +43,8 @@ void print_or() {
       det.push_back({.key = key_ng(n, g),
                      .lb = bb::sqsm_or_det_time(n, g),
                      .ub = bb::ub_or_sqsm(n, g),
-                     .run = [n, g](std::uint64_t s) {
-                       return or_fanin_cost(pb::CostModel::SQsm, n, g,
-                                            /*ones=*/1, s);
-                     }});
+                     .spec = {"sqsm", "or_fanin",
+                              {{"n", n}, {"g", g}, {"ones", 1}}}});
   sweep_table("s-QSM / OR, deterministic tree (LB = Cor 7.2 = "
               "g log n / loglog n; gap = loglog n, Sec 8)",
               "n,g", std::move(det));
@@ -63,10 +55,8 @@ void print_or() {
       rand.push_back({.key = key_ng(n, g),
                       .lb = bb::sqsm_or_rand_time(n, g),
                       .ub = bb::ub_or_sqsm(n, g),
-                      .run = [n, g](std::uint64_t s) {
-                        return or_fanin_cost(pb::CostModel::SQsm, n, g,
-                                             /*ones=*/1, s);
-                      }});
+                      .spec = {"sqsm", "or_fanin",
+                               {{"n", n}, {"g", g}, {"ones", 1}}}});
   sweep_table("s-QSM / OR randomized LB = Cor 7.1 (g log* n) against the "
               "same algorithm",
               "n,g", std::move(rand));
@@ -79,10 +69,9 @@ void print_lac() {
       det.push_back({.key = key_ng(n, g),
                      .lb = bb::sqsm_lac_det_time(n, g),
                      .ub = g * pb::safe_log2(static_cast<double>(n)),
-                     .run = [n, g](std::uint64_t s) {
-                       return lac_prefix_cost(pb::CostModel::SQsm, n, g,
-                                              n / 8, s, 2);
-                     }});
+                     .spec = {"sqsm", "lac_prefix",
+                              {{"n", n}, {"g", g}, {"h", n / 8},
+                               {"fanin", 2}}}});
   sweep_table("s-QSM / LAC, deterministic prefix sums "
               "(LB = Cor 6.4 = g sqrt(log n / loglog n))",
               "n,g", std::move(det));
@@ -94,10 +83,8 @@ void print_lac() {
                       .trials = kReps,
                       .lb = bb::sqsm_lac_rand_time(n, g),
                       .ub = bb::ub_lac_sqsm(n, g),
-                      .run = [n, g](std::uint64_t s) {
-                        return lac_dart_cost(pb::CostModel::SQsm, n, g, n / 8,
-                                             s);
-                      }});
+                      .spec = {"sqsm", "lac_dart",
+                               {{"n", n}, {"g", g}, {"h", n / 8}}}});
   sweep_table("s-QSM / LAC, randomized dart throwing (LB = Cor 6.1 = "
               "g loglog n; UB claim = g sqrt(log n))",
               "n,g", std::move(rand));
@@ -113,9 +100,8 @@ void print_broadcast() {
     for (const std::uint64_t g : {2ull, 8ull})
       cells.push_back({.key = key_ng(n, g),
                        .lb = g * pb::safe_log2(static_cast<double>(n)),
-                       .run = [n, g](std::uint64_t) {
-                         return broadcast_cost(pb::CostModel::SQsm, n, g, 2);
-                       }});
+                       .spec = {"sqsm", "broadcast",
+                                {{"n", n}, {"g", g}, {"fanin", 2}}}});
   const auto& res = sweep("s-QSM broadcast fan-out-2 tree vs g log n",
                           std::move(cells));
   TextTable t({"n,g", "measured", "g*log n", "ratio"});

@@ -43,30 +43,19 @@ void print_parity() {
                          .lb = bb::bsp_parity_det_time(n, g, L, p),
                          .ub = static_cast<double>(n) / p +
                                bb::ub_parity_bsp(p, g, L),
-                         .run = [n, p, g, L](std::uint64_t s) {
-                           return parity_bsp_cost(n, p, g, L, s);
-                         }});
+                         .spec = {"bsp", "parity_bsp",
+                                  {{"n", n}, {"p", p}, {"g", g}, {"L", L}}}});
   sweep_table("BSP / Parity, deterministic fan-in L/g tree "
               "(THETA entry: LB = Cor 3.1 = UB)",
               "n,p,(g,L)", std::move(cells));
 }
 
-void print_or() {
-  // Two lower bounds per cell: lb = deterministic, ub slot = randomized.
-  std::vector<SweepCell> cells;
-  for (const std::uint64_t n : {1u << 12, 1u << 16})
-    for (const std::uint64_t p : {64ull, 1024ull})
-      for (const auto [g, L] : kGrid)
-        cells.push_back({.key = key_npgl(n, p, g, L),
-                         .lb = bb::bsp_or_det_time(n, g, L, p),
-                         .ub = bb::bsp_or_rand_time(n, g, L, p),
-                         .run = [n, p, g, L](std::uint64_t s) {
-                           return or_bsp_cost(n, p, g, L, /*ones=*/1, s);
-                         }});
-  std::printf("%s", pb::banner("BSP / OR (LB det = Cor 7.2; LB rand = Cor "
-                               "7.1 = L(log* q - log*(L/g)))")
-                        .c_str());
-  const auto& res = sweep("BSP / OR det+rand lower bounds", std::move(cells));
+/// Run a sweep whose cells carry two lower bounds (lb = deterministic,
+/// the ub slot = randomized) and print the measured cost against both.
+void det_rand_table(const std::string& heading, const std::string& title,
+                    std::vector<SweepCell> cells) {
+  std::printf("%s", pb::banner(heading).c_str());
+  const auto& res = sweep(title, std::move(cells));
   TextTable t({"n,p,(g,L)", "measured", "LB-det", "meas/LBd", "LB-rand",
                "meas/LBr"});
   for (const auto& c : res.cells) {
@@ -80,6 +69,22 @@ void print_or() {
   std::printf("%s\n", t.render().c_str());
 }
 
+void print_or() {
+  std::vector<SweepCell> cells;
+  for (const std::uint64_t n : {1u << 12, 1u << 16})
+    for (const std::uint64_t p : {64ull, 1024ull})
+      for (const auto [g, L] : kGrid)
+        cells.push_back({.key = key_npgl(n, p, g, L),
+                         .lb = bb::bsp_or_det_time(n, g, L, p),
+                         .ub = bb::bsp_or_rand_time(n, g, L, p),
+                         .spec = {"bsp", "or_bsp",
+                                  {{"n", n}, {"p", p}, {"g", g}, {"L", L},
+                                   {"ones", 1}}}});
+  det_rand_table("BSP / OR (LB det = Cor 7.2; LB rand = Cor 7.1 = "
+                 "L(log* q - log*(L/g)))",
+                 "BSP / OR det+rand lower bounds", std::move(cells));
+}
+
 void print_lac() {
   std::vector<SweepCell> cells;
   for (const std::uint64_t n : {1u << 12, 1u << 16})
@@ -88,22 +93,12 @@ void print_lac() {
         cells.push_back({.key = key_npgl(n, p, g, L),
                          .lb = bb::bsp_lac_det_time(n, g, L, p),
                          .ub = bb::bsp_lac_rand_time(n, g, L, p),
-                         .run = [n, p, g, L](std::uint64_t s) {
-                           return lac_bsp_cost(n, p, g, L, /*h=*/n / 8, s);
-                         }});
-  std::printf("%s",
-              pb::banner("BSP / LAC via prefix compaction (LB det = Cor "
-                         "6.4; LB rand = Cor 6.1 printed for reference)")
-                  .c_str());
-  const auto& res = sweep("BSP / LAC det+rand lower bounds", std::move(cells));
-  TextTable t({"n,p,(g,L)", "measured", "LB-det", "meas/LBd", "LB-rand",
-               "meas/LBr"});
-  for (const auto& c : res.cells)
-    t.add_row({c.key, TextTable::num(c.mean, 0), TextTable::num(c.lb, 1),
-               TextTable::num(c.mean / std::max(c.lb, 1e-9), 2),
-               TextTable::num(c.ub, 1),
-               TextTable::num(c.mean / std::max(c.ub, 1e-9), 2)});
-  std::printf("%s\n", t.render().c_str());
+                         .spec = {"bsp", "lac_bsp",
+                                  {{"n", n}, {"p", p}, {"g", g}, {"L", L},
+                                   {"h", n / 8}}}});
+  det_rand_table("BSP / LAC via prefix compaction (LB det = Cor 6.4; LB "
+                 "rand = Cor 6.1 printed for reference)",
+                 "BSP / LAC det+rand lower bounds", std::move(cells));
 }
 
 void print_q_saturation() {
@@ -111,9 +106,8 @@ void print_q_saturation() {
   for (const std::uint64_t p : {64ull, 256ull, 1024ull, 4096ull})
     cells.push_back({.key = std::to_string(p),
                      .lb = bb::bsp_parity_det_time(1024, 2, 32, p),
-                     .run = [p](std::uint64_t s) {
-                       return parity_bsp_cost(1024, p, 2, 32, s);
-                     }});
+                     .spec = {"bsp", "parity_bsp",
+                              {{"n", 1024}, {"p", p}, {"g", 2}, {"L", 32}}}});
   std::printf("%s",
               pb::banner("q = min(n, p) saturation: once p > n the parity "
                          "cost stops growing with p (LB is in log q)")

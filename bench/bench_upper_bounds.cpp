@@ -13,6 +13,8 @@
 
 namespace pb = parbounds;
 namespace bb = parbounds::bounds;
+namespace kernels = parbounds::kernels;
+using parbounds::CostModel;
 using parbounds::TextTable;
 using namespace parbounds::bench;
 using parbounds::runtime::SweepCell;
@@ -81,18 +83,18 @@ int main(int argc, char** argv) {
       {
           {"parity tree (s-QSM) vs g log n",
            [&](std::uint64_t n) {
-             return parity_tree_cost(pb::CostModel::SQsm, n, g, 2, kSeed);
+             return kernels::parity_tree_cost(CostModel::SQsm, n, g, 2, kSeed);
            },
            [&](std::uint64_t n) { return bb::ub_parity_sqsm(n, g); }},
           {"parity circuit (QSM) vs g log n/loglog g",
            [&](std::uint64_t n) {
-             return parity_circuit_cost(pb::CostModel::Qsm, n, g, kSeed);
+             return kernels::parity_circuit_cost(CostModel::Qsm, n, g, kSeed);
            },
            [&](std::uint64_t n) { return bb::ub_parity_qsm(n, g); }},
           {"parity circuit (QSM+cr) vs g log n/log g",
            [&](std::uint64_t n) {
-             return parity_circuit_cost(pb::CostModel::QsmCrFree, n, g,
-                                        kSeed);
+             return kernels::parity_circuit_cost(CostModel::QsmCrFree, n,
+                                                 g, kSeed);
            },
            [&](std::uint64_t n) { return bb::ub_parity_qsm_cr(n, g); }},
       },
@@ -103,30 +105,30 @@ int main(int argc, char** argv) {
       {
           {"OR fan-in g (QSM) vs (g/log g) log n",
            [&](std::uint64_t n) {
-             return or_fanin_cost(pb::CostModel::Qsm, n, g, 1, kSeed);
+             return kernels::or_fanin_cost(CostModel::Qsm, n, g, 1, kSeed);
            },
            [&](std::uint64_t n) { return bb::ub_or_qsm(n, g); }},
           {"OR tree (s-QSM) vs g log n",
            [&](std::uint64_t n) {
-             return or_fanin_cost(pb::CostModel::SQsm, n, g, 1, kSeed);
+             return kernels::or_fanin_cost(CostModel::SQsm, n, g, 1, kSeed);
            },
            [&](std::uint64_t n) { return bb::ub_or_sqsm(n, g); }},
           {"broadcast fan-out g (QSM) vs g log n/log g",
            [&](std::uint64_t n) {
-             return broadcast_cost(pb::CostModel::Qsm, n, g);
+             return kernels::broadcast_cost(CostModel::Qsm, n, g);
            },
            [&](std::uint64_t n) { return bb::ub_parity_qsm_cr(n, g); }},
           {"LAC dart (QSM) vs sqrt(g log n)+g loglog n (Sec 8 claim)",
            [&](std::uint64_t n) {
              return avg_cost([&](std::uint64_t s) {
-               return lac_dart_cost(pb::CostModel::Qsm, n, g, n / 8, s);
+               return kernels::lac_dart_cost(CostModel::Qsm, n, g, n / 8, s);
              });
            },
            [&](std::uint64_t n) { return bb::ub_lac_qsm(n, g); }},
           {"LAC dart (QSM) vs g log n (what simple darts achieve)",
            [&](std::uint64_t n) {
              return avg_cost([&](std::uint64_t s) {
-               return lac_dart_cost(pb::CostModel::Qsm, n, g, n / 8, s);
+               return kernels::lac_dart_cost(CostModel::Qsm, n, g, n / 8, s);
              });
            },
            [&](std::uint64_t n) {
@@ -141,19 +143,21 @@ int main(int argc, char** argv) {
       {
           {"parity (BSP) vs n/p + L log p/log(L/g)",
            [&](std::uint64_t n) {
-             return parity_bsp_cost(n, p, 2, 32, kSeed);
+             return kernels::parity_bsp_cost(n, p, 2, 32, kSeed);
            },
            [&](std::uint64_t n) {
              return static_cast<double>(n) / p + bb::ub_parity_bsp(p, 2, 32);
            }},
           {"OR (BSP) vs n/p + L log p/log(L/g)",
-           [&](std::uint64_t n) { return or_bsp_cost(n, p, 2, 32, 1, kSeed); },
+           [&](std::uint64_t n) {
+             return kernels::or_bsp_cost(n, p, 2, 32, 1, kSeed);
+           },
            [&](std::uint64_t n) {
              return static_cast<double>(n) / p + bb::ub_or_bsp(p, 2, 32);
            }},
           {"LAC (BSP) vs n/p + g h/p + L log p/log(L/g)",
            [&](std::uint64_t n) {
-             return lac_bsp_cost(n, p, 2, 32, n / 8, kSeed);
+             return kernels::lac_bsp_cost(n, p, 2, 32, n / 8, kSeed);
            },
            [&](std::uint64_t n) {
              return static_cast<double>(n) / p +

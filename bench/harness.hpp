@@ -33,11 +33,11 @@
 // records the active level in its host block (docs/PERF.md, "SIMD
 // kernel dispatch").
 //
-// The cost kernels the benches call (parity_circuit_cost, ...) live in
-// src/algos/cost_kernels.hpp since the service PR and are pulled into
-// this namespace below — the service's workload registry dispatches to
-// literally the same functions, which is what makes a cached result
-// interchangeable with a local one.
+// A cell whose body is a registry workload at the trial seed is declared
+// by its ServiceSpec alone; sweep() runs it through service::run_spec
+// (spec_body), the call a fleet worker makes, so --workers can route it.
+// Other cells (fixed seeds, replays, audits) keep a closure and call
+// kernels:: (src/algos/cost_kernels.hpp) by its qualified name.
 
 #include <algorithm>
 #include <cstdint>
@@ -75,6 +75,7 @@
 #include "runtime/simd_level.hpp"
 #include "runtime/runner.hpp"
 #include "runtime/sweep.hpp"
+#include "runtime/sweep_service/registry.hpp"
 #include "util/mathx.hpp"
 #include "util/table.hpp"
 #include "workloads/generators.hpp"
@@ -178,7 +179,6 @@ class BenchSession {
   }
 
   const runtime::ExperimentRunner& runner() const { return *runner_; }
-  unsigned jobs() const { return runner_->jobs(); }
   bool json_enabled() const { return !json_path_.empty(); }
   bool via_fleet() const { return fleet_ != nullptr; }
   fleet::FleetCoordinator& fleet() { return *fleet_; }
@@ -203,9 +203,12 @@ class BenchSession {
     return runtime::derive_seed(kSeed, 0x5eedULL + sweep_ordinal_++);
   }
 
+  /// Append a sweep to the report and re-snapshot the registry into it,
+  /// so the metrics block counts exactly the sweeps' executions.
   const runtime::SweepResult& record(runtime::SweepResult s) {
     report_.sweeps.push_back(std::move(s));
-    capture_metrics();
+    if (telemetry_ != nullptr)
+      report_.metrics_json = registry_.snapshot().to_json();
     return report_.sweeps.back();
   }
 
@@ -213,12 +216,6 @@ class BenchSession {
   /// goes to the ops file only: the report holds model data alone.
   void ratio(std::string name, double value) {
     report_.ratios.emplace_back(std::move(name), value);
-  }
-
-  /// Re-snapshot the registry into the report after every sweep, so
-  /// the metrics block counts exactly the sweeps' executions.
-  void capture_metrics() {
-    if (telemetry_ != nullptr) report_.metrics_json = registry_.snapshot().to_json();
   }
 
   /// Write the JSON report and span trace if requested. Returns the
@@ -284,64 +281,75 @@ inline BenchSession& session_init(int& argc, char** argv, std::string name) {
   return s;
 }
 
-/// Run a sweep through the session runner. Under --workers a sweep of
-/// routable cells runs across the process fleet (same derived seeds,
-/// same kernels, same aggregation). A sweep with no ServiceSpec at all
-/// (audits, multi-value replays) runs on the session runner either way;
-/// one that mixes routable and closure-only cells is a hard error on
-/// the fleet, not a silent fallback.
+/// The local body of a cell declared by its spec alone: the registry
+/// kernel at the trial seed, through the run_spec a fleet worker calls.
+inline std::function<runtime::Trial(std::uint64_t)> spec_body(
+    const runtime::SweepCell& cell) {
+  return [key = cell.key, spec = cell.spec](std::uint64_t seed) {
+    double cost = 0.0;
+    std::string err;
+    if (!service::run_spec(spec, seed, cost, err))
+      throw std::invalid_argument("cell '" + key + "': " + err);
+    return runtime::Trial(cost);
+  };
+}
+
+/// Run a sweep through the session runner. A cell that carries a
+/// ServiceSpec must not also set `run`: its body is spec_body(). Under
+/// --workers a sweep of such cells runs across the process fleet (same
+/// derived seeds, same kernels, same aggregation). A sweep with no
+/// ServiceSpec at all (audits, multi-value replays) runs on the session
+/// runner either way; one that mixes routable and closure-only cells is
+/// a hard error on the fleet, not a silent fallback.
 inline const runtime::SweepResult& sweep(
     std::string title, std::vector<runtime::SweepCell> cells) {
   auto& s = BenchSession::get();
-  const bool routable =
-      std::any_of(cells.begin(), cells.end(),
-                  [](const runtime::SweepCell& c) { return c.spec.routable(); });
-  if (routable && s.via_fleet()) {
-    try {
+  try {
+    bool routable = false;
+    for (auto& c : cells) {
+      if (!c.spec.routable()) continue;
+      if (c.run)
+        throw std::invalid_argument("cell '" + c.key +
+                                    "' sets both .run and .spec");
+      c.run = spec_body(c);
+      routable = true;
+    }
+    if (routable && s.via_fleet()) {
       obs::MetricsSnapshot snap;
       const auto& res = s.record(fleet::run_sweep_fleet(
           s.fleet(), std::move(title), s.next_base_seed(), std::move(cells),
           s.json_enabled() ? &snap : nullptr));
       if (s.json_enabled()) s.merge_fleet_metrics(snap);
       return res;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "bench: --workers: %s\n", e.what());
-      std::exit(2);
     }
+    if (s.via_fleet() && s.json_enabled()) {
+      // The fleet's metrics block is merged from per-sweep snapshots, so
+      // a sweep run here contributes its own, observed on a fresh
+      // registry.
+      obs::MetricsRegistry registry;
+      obs::TelemetryObserver telemetry(registry);
+      obs::install_process_telemetry(&telemetry);
+      const auto& res = s.record(runtime::run_sweep(
+          s.runner(), std::move(title), s.next_base_seed(), std::move(cells)));
+      obs::install_process_telemetry(nullptr);
+      s.merge_fleet_metrics(registry.snapshot());
+      return res;
+    }
+    return s.record(runtime::run_sweep(s.runner(), std::move(title),
+                                       s.next_base_seed(), std::move(cells)));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench: %s%s\n", s.via_fleet() ? "--workers: " : "",
+                 e.what());
+    std::exit(2);
   }
-  if (s.via_fleet() && s.json_enabled()) {
-    // The fleet's metrics block is merged from per-sweep snapshots, so a
-    // sweep run here contributes its own, observed on a fresh registry.
-    obs::MetricsRegistry registry;
-    obs::TelemetryObserver telemetry(registry);
-    obs::install_process_telemetry(&telemetry);
-    const auto& res = s.record(runtime::run_sweep(
-        s.runner(), std::move(title), s.next_base_seed(), std::move(cells)));
-    obs::install_process_telemetry(nullptr);
-    s.merge_fleet_metrics(registry.snapshot());
-    return res;
-  }
-  return s.record(runtime::run_sweep(s.runner(), std::move(title),
-                                     s.next_base_seed(), std::move(cells)));
 }
 
-// ----- cost kernels (src/algos/cost_kernels.hpp) ----------------------------
-// Unqualified call sites across the bench binaries keep compiling; the
-// definitions are the shared library ones the service registry also uses.
-
-using kernels::broadcast_cost;
-using kernels::lac_bsp_cost;
-using kernels::lac_dart_cost;
-using kernels::lac_prefix_cost;
-using kernels::or_bsp_cost;
-using kernels::or_fanin_cost;
-using kernels::or_rand_cr_cost;
-using kernels::padded_sort_cost;
-using kernels::parity_bsp_cost;
-using kernels::parity_circuit_cost;
-using kernels::parity_tree_cost;
-
 // ----- formatting ----------------------------------------------------------------
+
+/// The "n=..,g=.." cell key of the shared-memory time tables.
+inline std::string key_ng(std::uint64_t n, std::uint64_t g) {
+  return "n=" + std::to_string(n) + ",g=" + std::to_string(g);
+}
 
 /// Standard columns: sweep key, measured, lower bound, measured/LB ratio,
 /// upper-bound formula, measured/UB ratio.

@@ -58,20 +58,10 @@ struct FaultKnob {
 service::Response run_one(const service::Request& req) {
   service::Response resp;
   resp.id = req.id;
-  double cost = 0.0;
-  std::string err;
-  try {
-    if (service::run_spec(req.spec, req.seed, cost, err)) {
-      resp.has_cost = true;
-      resp.cost = cost;
-    } else {
-      resp.status = service::Status::Error;
-      resp.error = err;
-    }
-  } catch (const std::exception& e) {
+  if (service::run_spec(req.spec, req.seed, resp.cost, resp.error))
+    resp.has_cost = true;
+  else
     resp.status = service::Status::Error;
-    resp.error = e.what();
-  }
   return resp;
 }
 
@@ -103,20 +93,12 @@ service::Response run_cell(const service::Request& req,
   obs::install_process_telemetry(&telemetry);
   for (std::uint64_t r = 0; r < req.trials; ++r) {
     double cost = 0.0;
-    std::string err;
-    bool ok = false;
-    try {
-      ok = service::run_spec(
-          req.spec, runtime::derive_seed(req.seed, req.trial0 + r), cost,
-          err);
-    } catch (const std::exception& e) {
-      err = e.what();
-    }
-    if (!ok) {
+    if (!service::run_spec(req.spec,
+                           runtime::derive_seed(req.seed, req.trial0 + r),
+                           cost, resp.error)) {
       obs::install_process_telemetry(nullptr);
       resp.costs.clear();
       resp.status = service::Status::Error;
-      resp.error = err.empty() ? "cell execution failed" : err;
       return resp;
     }
     resp.costs.push_back(cost);

@@ -31,9 +31,10 @@ namespace parbounds::runtime {
 /// on a named engine with integer parameters. A cell that carries one
 /// can be executed by a fleet worker process (--workers,
 /// docs/SERVICE.md#fleet) instead of its `run` closure; the two must
-/// compute the identical cost — FleetEndToEnd in test_fleet and the
-/// run_checks.sh determinism stage hold benches to that. An empty
-/// `workload` means "closure only, not routable".
+/// compute the identical cost. The bench harness declares such cells by
+/// the spec alone and builds `run` from it through the registry
+/// (bench/harness.hpp, spec_body). An empty `workload` means "closure
+/// only, not routable".
 struct ServiceSpec {
   std::string engine;    ///< "qsm" | "sqsm" | "qsm-crfree" | "bsp" | ...
   std::string workload;  ///< registry name, e.g. "parity_circuit"
@@ -65,7 +66,7 @@ struct SweepCell {
   unsigned trials = 1;
   double lb = 0.0;
   double ub = 0.0;
-  std::function<Trial(std::uint64_t seed)> run;
+  std::function<Trial(std::uint64_t seed)> run{};
   ServiceSpec spec{};  ///< optional service routing (see ServiceSpec)
 };
 
@@ -99,8 +100,8 @@ struct SweepResult {
 
 /// Slice per-trial results (in cell-concatenation trial order, i.e. the
 /// order run_sweep executes) back into per-cell aggregates. Shared by
-/// run_sweep and the service-backed executor so both summarize the
-/// same way — a precondition for their reports being byte-identical.
+/// run_sweep and fleet::run_sweep_fleet so both summarize the same way
+/// — a precondition for their reports being byte-identical.
 /// Throws std::invalid_argument if the trials of one cell report
 /// different value names.
 std::vector<CellResult> aggregate_cells(const std::vector<SweepCell>& cells,

@@ -1,145 +1,174 @@
 #include "runtime/sweep_service/registry.hpp"
 
-#include <map>
+#include <exception>
 
 #include "algos/cost_kernels.hpp"
-#include "core/cost.hpp"
 
 namespace parbounds::service {
 
 namespace {
 
-constexpr const char* kQsmEngines = "qsm|sqsm|qsm-crfree|crcw-like|erew";
+struct EngineEntry {
+  const char* name;
+  unsigned bit;
+  CostModel model;
+};
 
-/// Engine string → shared-memory cost model. Returns false for "bsp"
-/// and anything unknown; BSP workloads match the engine by name.
-bool qsm_model_of(const std::string& engine, CostModel& model) {
-  if (engine == "qsm") model = CostModel::Qsm;
-  else if (engine == "sqsm") model = CostModel::SQsm;
-  else if (engine == "qsm-crfree") model = CostModel::QsmCrFree;
-  else if (engine == "crcw-like") model = CostModel::CrcwLike;
-  else if (engine == "erew") model = CostModel::Erew;
-  else return false;
+constexpr EngineEntry kEngines[] = {
+    {"qsm", kQsm, CostModel::Qsm},
+    {"sqsm", kSQsm, CostModel::SQsm},
+    {"qsm-crfree", kQsmCrFree, CostModel::QsmCrFree},
+    {"crcw-like", kCrcwLike, CostModel::CrcwLike},
+    {"erew", kErew, CostModel::Erew},
+    {"bsp", kBsp, CostModel::Qsm},
+};
+
+// The generators draw a 32-bit permutation of n, and parity_tree and
+// lac_prefix take an `unsigned` fan-in.
+constexpr std::uint64_t kU32 = std::numeric_limits<std::uint32_t>::max();
+constexpr ParamDecl kN{"n", &Params::n};
+constexpr ParamDecl kN32{"n", &Params::n, 0, kU32};
+constexpr ParamDecl kG{"g", &Params::g};
+constexpr ParamDecl kP{"p", &Params::p};
+constexpr ParamDecl kL{"L", &Params::L};
+constexpr ParamDecl kH{"h", &Params::h};
+constexpr ParamDecl kOnes{"ones", &Params::ones};
+constexpr ParamDecl kFanin32{"fanin", &Params::fanin, 0, kU32};
+constexpr ParamDecl kFaninOr4{"fanin", &Params::fanin, 4, kU32};
+constexpr ParamDecl kFaninOr0{"fanin", &Params::fanin, 0};
+
+/// Fill `out` from the request's params: every name checked against the
+/// entry, duplicates and narrowing values rejected, required ones present.
+bool parse_params(const WorkloadInfo& w, const runtime::ServiceSpec& spec,
+                  Params& out, std::string& err) {
+  const std::size_t nreq = w.required.size();
+  const std::size_t ndecl = nreq + w.optional.size();
+  const auto decl = [&](std::size_t i) -> const ParamDecl& {
+    return i < nreq ? w.required[i] : w.optional[i - nreq];
+  };
+  for (const ParamDecl& d : w.optional) out.*d.field = d.fallback;
+  unsigned seen = 0;  // bit i: decl(i) was given
+  for (const auto& [name, value] : spec.params) {
+    std::size_t i = 0;
+    while (i < ndecl && name != decl(i).name) ++i;
+    if (i == ndecl) {
+      err = "workload '" + w.name + "' has no param '" + name + "'";
+      return false;
+    }
+    if ((seen >> i & 1u) != 0) {
+      err = "duplicate param '" + name + "'";
+      return false;
+    }
+    if (value > decl(i).max) {
+      err = "workload '" + w.name + "' param '" + name + "' = " +
+            std::to_string(value) + " exceeds " +
+            std::to_string(decl(i).max) + ", the largest its kernel takes";
+      return false;
+    }
+    seen |= 1u << i;
+    out.*decl(i).field = value;
+  }
+  for (std::size_t i = 0; i < nreq; ++i) {
+    if ((seen >> i & 1u) == 0) {
+      err = "workload '" + w.name + "' requires param '" + decl(i).name + "'";
+      return false;
+    }
+  }
   return true;
 }
 
-/// Validated view of a request's params: every name checked against the
-/// registry entry, duplicates rejected, required ones present.
-class ParamSet {
- public:
-  bool build(const WorkloadInfo& info, const runtime::ServiceSpec& spec,
-             std::string& err) {
-    for (const auto& [name, value] : spec.params) {
-      bool known = false;
-      for (const auto& r : info.required) known = known || r == name;
-      for (const auto& o : info.optional) known = known || o == name;
-      if (!known) {
-        err = "workload '" + info.name + "' has no param '" + name + "'";
-        return false;
-      }
-      if (!values_.emplace(name, value).second) {
-        err = "duplicate param '" + name + "'";
-        return false;
-      }
-    }
-    for (const auto& r : info.required) {
-      if (values_.find(r) == values_.end()) {
-        err = "workload '" + info.name + "' requires param '" + r + "'";
-        return false;
-      }
-    }
-    return true;
-  }
-
-  std::uint64_t get(const std::string& name, std::uint64_t fallback = 0) const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? fallback : it->second;
-  }
-
- private:
-  std::map<std::string, std::uint64_t> values_;
-};
-
 }  // namespace
 
+std::string engine_names(unsigned set) {
+  std::string out;
+  for (const EngineEntry& e : kEngines) {
+    if ((set & e.bit) == 0) continue;
+    if (!out.empty()) out += '|';
+    out += e.name;
+  }
+  return out;
+}
+
 const std::vector<WorkloadInfo>& workloads() {
-  static const std::vector<WorkloadInfo> kWorkloads = {
-      {"parity_tree", {"n", "g", "fanin"}, {}, kQsmEngines},
-      {"parity_circuit", {"n", "g"}, {}, kQsmEngines},
-      {"or_fanin", {"n", "g", "ones"}, {}, kQsmEngines},
-      {"or_rand_cr", {"n", "g", "ones"}, {}, "qsm-crfree"},
-      {"lac_prefix", {"n", "g", "h"}, {"fanin"}, kQsmEngines},
-      {"lac_dart", {"n", "g", "h"}, {}, kQsmEngines},
-      {"padded_sort", {"n", "g"}, {}, kQsmEngines},
-      {"broadcast", {"n", "g"}, {"fanin"}, kQsmEngines},
-      {"parity_bsp", {"n", "p", "g", "L"}, {}, "bsp"},
-      {"or_bsp", {"n", "p", "g", "L", "ones"}, {}, "bsp"},
-      {"lac_bsp", {"n", "p", "g", "L", "h"}, {"fanin"}, "bsp"},
+  using namespace kernels;
+  using M = CostModel;
+  using A = Params;
+  using S = std::uint64_t;
+  static const std::vector<WorkloadInfo> kTable = {
+      {"parity_tree", {kN, kG, kFanin32}, {}, kSharedMemory,
+       [](M m, A a, S s) {
+         return parity_tree_cost(m, a.n, a.g, static_cast<unsigned>(a.fanin),
+                                 s);
+       }},
+      {"parity_circuit", {kN, kG}, {}, kSharedMemory,
+       [](M m, A a, S s) { return parity_circuit_cost(m, a.n, a.g, s); }},
+      {"or_fanin", {kN32, kG, kOnes}, {}, kSharedMemory,
+       [](M m, A a, S s) { return or_fanin_cost(m, a.n, a.g, a.ones, s); }},
+      {"or_rand_cr", {kN32, kG, kOnes}, {}, kQsmCrFree,
+       [](M, A a, S s) { return or_rand_cr_cost(a.n, a.g, a.ones, s); }},
+      {"lac_prefix", {kN32, kG, kH}, {kFaninOr4}, kSharedMemory,
+       [](M m, A a, S s) {
+         return lac_prefix_cost(m, a.n, a.g, a.h, s,
+                                static_cast<unsigned>(a.fanin));
+       }},
+      {"lac_dart", {kN32, kG, kH}, {}, kSharedMemory,
+       [](M m, A a, S s) { return lac_dart_cost(m, a.n, a.g, a.h, s); }},
+      {"padded_sort", {kN, kG}, {}, kSharedMemory,
+       [](M m, A a, S s) { return padded_sort_cost(m, a.n, a.g, s); }},
+      {"broadcast", {kN, kG}, {kFaninOr0}, kSharedMemory,
+       [](M m, A a, S) { return broadcast_cost(m, a.n, a.g, a.fanin); }},
+      {"parity_bsp", {kN, kP, kG, kL}, {}, kBsp,
+       [](M, A a, S s) { return parity_bsp_cost(a.n, a.p, a.g, a.L, s); }},
+      {"or_bsp", {kN32, kP, kG, kL, kOnes}, {}, kBsp,
+       [](M, A a, S s) {
+         return or_bsp_cost(a.n, a.p, a.g, a.L, a.ones, s);
+       }},
+      {"lac_bsp", {kN32, kP, kG, kL, kH}, {kFaninOr0}, kBsp,
+       [](M, A a, S s) {
+         return lac_bsp_cost(a.n, a.p, a.g, a.L, a.h, s, a.fanin);
+       }},
   };
-  return kWorkloads;
+  return kTable;
 }
 
 bool run_spec(const runtime::ServiceSpec& spec, std::uint64_t seed,
               double& cost, std::string& err) {
-  const WorkloadInfo* info = nullptr;
-  for (const auto& w : workloads())
-    if (w.name == spec.workload) info = &w;
-  if (info == nullptr) {
+  const WorkloadInfo* w = nullptr;
+  for (const WorkloadInfo& entry : workloads())
+    if (entry.name == spec.workload) w = &entry;
+  if (w == nullptr) {
     err = "unknown workload '" + spec.workload + "'";
     return false;
   }
 
-  ParamSet params;
-  if (!params.build(*info, spec, err)) return false;
+  Params args;
+  if (!parse_params(*w, spec, args, err)) return false;
 
-  const bool wants_bsp = info->engines == std::string("bsp");
-  CostModel model = CostModel::Qsm;
-  if (wants_bsp) {
-    if (spec.engine != "bsp") {
-      err = "workload '" + info->name + "' requires engine 'bsp', got '" +
-            spec.engine + "'";
-      return false;
-    }
-  } else if (!qsm_model_of(spec.engine, model)) {
-    err = "unknown engine '" + spec.engine + "' (expected " + info->engines +
-          ")";
+  const EngineEntry* engine = nullptr;
+  for (const EngineEntry& e : kEngines)
+    if (spec.engine == e.name) engine = &e;
+  const unsigned bit = engine == nullptr ? 0 : engine->bit;
+  if (w->engines == kBsp && bit != kBsp) {
+    err = "workload '" + w->name + "' requires engine 'bsp', got '" +
+          spec.engine + "'";
     return false;
-  } else if (info->engines == std::string("qsm-crfree") &&
-             spec.engine != "qsm-crfree") {
-    err = "workload '" + info->name + "' requires engine 'qsm-crfree'";
+  }
+  if (w->engines != kBsp && (bit & kSharedMemory) == 0) {
+    err = "unknown engine '" + spec.engine + "' (expected " +
+          engine_names(w->engines) + ")";
+    return false;
+  }
+  if ((bit & w->engines) == 0) {
+    err = "workload '" + w->name + "' requires engine '" +
+          engine_names(w->engines) + "'";
     return false;
   }
 
-  const std::uint64_t n = params.get("n");
-  const std::uint64_t g = params.get("g");
-  if (spec.workload == "parity_tree") {
-    cost = kernels::parity_tree_cost(
-        model, n, g, static_cast<unsigned>(params.get("fanin")), seed);
-  } else if (spec.workload == "parity_circuit") {
-    cost = kernels::parity_circuit_cost(model, n, g, seed);
-  } else if (spec.workload == "or_fanin") {
-    cost = kernels::or_fanin_cost(model, n, g, params.get("ones"), seed);
-  } else if (spec.workload == "or_rand_cr") {
-    cost = kernels::or_rand_cr_cost(n, g, params.get("ones"), seed);
-  } else if (spec.workload == "lac_prefix") {
-    cost = kernels::lac_prefix_cost(
-        model, n, g, params.get("h"), seed,
-        static_cast<unsigned>(params.get("fanin", 4)));
-  } else if (spec.workload == "lac_dart") {
-    cost = kernels::lac_dart_cost(model, n, g, params.get("h"), seed);
-  } else if (spec.workload == "padded_sort") {
-    cost = kernels::padded_sort_cost(model, n, g, seed);
-  } else if (spec.workload == "broadcast") {
-    cost = kernels::broadcast_cost(model, n, g, params.get("fanin", 0));
-  } else if (spec.workload == "parity_bsp") {
-    cost = kernels::parity_bsp_cost(n, params.get("p"), g, params.get("L"),
-                                    seed);
-  } else if (spec.workload == "or_bsp") {
-    cost = kernels::or_bsp_cost(n, params.get("p"), g, params.get("L"),
-                                params.get("ones"), seed);
-  } else {  // lac_bsp (the registry above is exhaustive)
-    cost = kernels::lac_bsp_cost(n, params.get("p"), g, params.get("L"),
-                                 params.get("h"), seed, params.get("fanin", 0));
+  try {
+    cost = w->kernel(engine->model, args, seed);
+  } catch (const std::exception& e) {
+    err = e.what();
+    return false;
   }
   return true;
 }

@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cstdio>
-#include <exception>
 #include <future>
 #include <iterator>
 #include <map>
@@ -179,20 +178,10 @@ void SweepService::handle_batch(std::vector<Pending> batch) {
             const Request& req = batch[miss_of[miss_keys[j]].front()].req;
             Response resp;
             metrics_.add(exec_id_);
-            double cost = 0.0;
-            std::string err;
-            try {
-              if (run_spec(req.spec, req.seed, cost, err)) {
-                resp.has_cost = true;
-                resp.cost = cost;
-              } else {
-                resp.status = Status::Error;
-                resp.error = err;
-              }
-            } catch (const std::exception& e) {
+            if (run_spec(req.spec, req.seed, resp.cost, resp.error))
+              resp.has_cost = true;
+            else
               resp.status = Status::Error;
-              resp.error = e.what();
-            }
             return resp;
           });
     }

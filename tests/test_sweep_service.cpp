@@ -12,7 +12,8 @@
 // The service half drives SweepService directly: load shedding at a
 // full admission queue, in-batch dedup (N identical requests, one
 // execution), typed registry errors, and the corrupt-entry rule — a
-// garbled cache file is re-run, never served.
+// garbled cache file is re-run, never served. The registry half pins
+// every table entry's dispatch to its direct kernels:: call.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
@@ -32,6 +34,7 @@
 #include "core/cost.hpp"
 #include "runtime/runner.hpp"
 #include "runtime/sweep_service/protocol.hpp"
+#include "runtime/sweep_service/registry.hpp"
 #include "runtime/sweep_service/service.hpp"
 #include "util/rng.hpp"
 
@@ -977,6 +980,147 @@ TEST(SweepService, CorruptCacheEntryIsReRunNeverServed) {
   cfg2.cache.dir = dir;
   SweepService healed(cfg2);
   EXPECT_TRUE(healed.call(req).cached);
+}
+
+// ---------------------------------------------------------------------------
+// The workload table.
+
+TEST(SweepService, NarrowingParamsAreTypedErrors) {
+  ServiceConfig cfg;
+  cfg.cache.dir = fresh_dir("narrowing");
+  SweepService svc(cfg);
+
+  // parity_tree takes an `unsigned` fan-in: 2^32 + 2 would run as 2.
+  Request wide_fanin = parity_request(1, 0);
+  wide_fanin.spec.workload = "parity_tree";
+  wide_fanin.spec.params = {{"n", 64}, {"g", 2}, {"fanin", (1ull << 32) + 2}};
+  // or_fanin's generator draws a 32-bit permutation of n; at n = 2^32 it
+  // would read past it, after allocating 2^32 input words (32 GiB). The
+  // registry rejects the request before the kernel allocates anything.
+  Request wide_n = parity_request(2, 0);
+  wide_n.spec.workload = "or_fanin";
+  wide_n.spec.params = {{"n", 1ull << 32}, {"g", 2}, {"ones", 1}};
+
+  for (const Request& req : {wide_fanin, wide_n}) {
+    const Response resp = svc.call(req);
+    EXPECT_EQ(resp.status, Status::Error);
+    EXPECT_FALSE(resp.has_cost);
+    EXPECT_NE(resp.error.find("exceeds 4294967295"), std::string::npos)
+        << resp.error;
+  }
+  EXPECT_NE(svc.call(wide_fanin).error.find("'fanin'"), std::string::npos);
+  EXPECT_NE(svc.call(wide_n).error.find("'n'"), std::string::npos);
+
+  // The largest value that arrives unchanged is accepted.
+  wide_fanin.spec.params.back().second = 4294967295ull;
+  EXPECT_EQ(svc.call(wide_fanin).status, Status::Ok);
+}
+
+TEST(Registry, KernelExceptionsComeBackAsErrors) {
+  const std::vector<runtime::ServiceSpec> bad = {
+      {"qsm", "parity_circuit", {{"n", 64}, {"g", 0}}},
+      {"bsp", "parity_bsp", {{"n", 64}, {"p", 0}, {"g", 1}, {"L", 8}}},
+      {"qsm", "or_fanin", {{"n", 64}, {"g", 2}, {"ones", 65}}},
+      {"qsm", "parity_tree", {{"n", 64}, {"g", 2}, {"fanin", 1}}},
+  };
+  for (const auto& spec : bad) {
+    double cost = -1.0;
+    std::string err;
+    EXPECT_FALSE(run_spec(spec, 7, cost, err)) << spec.workload;
+    EXPECT_FALSE(err.empty()) << spec.workload;
+    EXPECT_EQ(cost, -1.0) << spec.workload;
+  }
+}
+
+/// One direct kernels:: call per table entry, with the engines the
+/// entry must accept.
+struct DirectCase {
+  runtime::ServiceSpec spec;  ///< engine left empty
+  std::vector<std::pair<std::string, CostModel>> engines;
+  std::function<double(CostModel, std::uint64_t seed)> direct;
+};
+
+std::vector<DirectCase> direct_cases() {
+  const std::vector<std::pair<std::string, CostModel>> shared = {
+      {"qsm", CostModel::Qsm},
+      {"sqsm", CostModel::SQsm},
+      {"qsm-crfree", CostModel::QsmCrFree},
+      {"crcw-like", CostModel::CrcwLike},
+      {"erew", CostModel::Erew}};
+  const std::vector<std::pair<std::string, CostModel>> bsp = {
+      {"bsp", CostModel::Qsm}};
+  using M = CostModel;
+  using S = std::uint64_t;
+  return {
+      {{"", "parity_tree", {{"n", 64}, {"g", 4}, {"fanin", 3}}},
+       shared,
+       [](M m, S s) { return kernels::parity_tree_cost(m, 64, 4, 3, s); }},
+      {{"", "parity_circuit", {{"n", 64}, {"g", 4}}},
+       shared,
+       [](M m, S s) { return kernels::parity_circuit_cost(m, 64, 4, s); }},
+      {{"", "or_fanin", {{"n", 64}, {"g", 4}, {"ones", 3}}},
+       shared,
+       [](M m, S s) { return kernels::or_fanin_cost(m, 64, 4, 3, s); }},
+      {{"", "or_rand_cr", {{"n", 64}, {"g", 4}, {"ones", 3}}},
+       {{"qsm-crfree", CostModel::QsmCrFree}},
+       [](M, S s) { return kernels::or_rand_cr_cost(64, 4, 3, s); }},
+      {{"", "lac_prefix", {{"n", 64}, {"g", 4}, {"h", 8}}},
+       shared,
+       [](M m, S s) { return kernels::lac_prefix_cost(m, 64, 4, 8, s); }},
+      {{"", "lac_dart", {{"n", 64}, {"g", 4}, {"h", 8}}},
+       shared,
+       [](M m, S s) { return kernels::lac_dart_cost(m, 64, 4, 8, s); }},
+      {{"", "padded_sort", {{"n", 64}, {"g", 4}}},
+       shared,
+       [](M m, S s) { return kernels::padded_sort_cost(m, 64, 4, s); }},
+      {{"", "broadcast", {{"n", 64}, {"g", 4}, {"fanin", 4}}},
+       shared,
+       [](M m, S) { return kernels::broadcast_cost(m, 64, 4, 4); }},
+      {{"", "parity_bsp", {{"n", 64}, {"p", 8}, {"g", 2}, {"L", 16}}},
+       bsp,
+       [](M, S s) { return kernels::parity_bsp_cost(64, 8, 2, 16, s); }},
+      {{"", "or_bsp",
+        {{"n", 64}, {"p", 8}, {"g", 2}, {"L", 16}, {"ones", 3}}},
+       bsp,
+       [](M, S s) { return kernels::or_bsp_cost(64, 8, 2, 16, 3, s); }},
+      {{"", "lac_bsp",
+        {{"n", 64}, {"p", 8}, {"g", 2}, {"L", 16}, {"h", 8}, {"fanin", 4}}},
+       bsp,
+       [](M, S s) { return kernels::lac_bsp_cost(64, 8, 2, 16, 8, s, 4); }},
+  };
+}
+
+TEST(Registry, EveryEntryDispatchesToItsKernelOnEveryEngine) {
+  const auto cases = direct_cases();
+  ASSERT_EQ(cases.size(), workloads().size());
+  for (std::size_t w = 0; w < cases.size(); ++w) {
+    const DirectCase& c = cases[w];
+    EXPECT_EQ(workloads()[w].name, c.spec.workload);
+    std::string listed;
+    for (const auto& [engine, model] : c.engines)
+      listed += (listed.empty() ? "" : "|") + engine;
+    EXPECT_EQ(engine_names(workloads()[w].engines), listed) << listed;
+
+    for (const auto& [engine, model] : c.engines) {
+      runtime::ServiceSpec spec = c.spec;
+      spec.engine = engine;
+      for (const std::uint64_t seed : {1ull, 99ull}) {
+        double cost = 0.0;
+        std::string err;
+        const bool ok = run_spec(spec, seed, cost, err);
+        try {
+          const double expected = c.direct(model, seed);
+          ASSERT_TRUE(ok) << spec.workload << "/" << engine << ": " << err;
+          EXPECT_EQ(cost, expected) << spec.workload << "/" << engine;
+        } catch (const std::exception& e) {
+          // The engine refuses the program (EREW and concurrent reads):
+          // run_spec reports the kernel's own message.
+          EXPECT_FALSE(ok) << spec.workload << "/" << engine;
+          EXPECT_EQ(err, e.what()) << spec.workload << "/" << engine;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

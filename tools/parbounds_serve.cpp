@@ -169,12 +169,13 @@ int run_client(const std::string& path) {
 
 int list_workloads() {
   for (const auto& w : workloads()) {
-    std::cout << w.name << " engines=" << w.engines << " required=";
+    std::cout << w.name << " engines=" << engine_names(w.engines)
+              << " required=";
     for (std::size_t i = 0; i < w.required.size(); ++i)
-      std::cout << (i ? "," : "") << w.required[i];
+      std::cout << (i ? "," : "") << w.required[i].name;
     std::cout << " optional=";
     for (std::size_t i = 0; i < w.optional.size(); ++i)
-      std::cout << (i ? "," : "") << w.optional[i];
+      std::cout << (i ? "," : "") << w.optional[i].name;
     std::cout << "\n";
   }
   return 0;
