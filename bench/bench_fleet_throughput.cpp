@@ -22,7 +22,8 @@
 // per configuration and timing starts after a warmup sweep, so spawn
 // cost is excluded and the number is steady-state pipe throughput.
 //
-// Extra flag (stripped before the harness parses argv):
+// Extra flag (stripped before the harness parses argv; X must be a
+// finite positive number, anything else exits 2):
 //   --min-pipeline-speedup=X  fail (exit 1) if the workers=4 speedup
 //                             < X (default 1.0; tools/run_checks.sh
 //                             passes 1.5 on hosts with >= 4 cores)
@@ -159,18 +160,8 @@ double cells_per_sec(const Measurement& m) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  double min_speedup = 1.0;
-  {
-    int w = 1;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--min-pipeline-speedup=", 0) == 0)
-        min_speedup = std::stod(arg.substr(23));
-      else
-        argv[w++] = argv[i];
-    }
-    argc = w;
-  }
+  const double min_speedup =
+      pb::runtime::take_floor_flag(argc, argv, "--min-pipeline-speedup", 1.0);
 
   auto& session = session_init(argc, argv, "fleet");
   std::printf("%s", pb::banner("FLEET THROUGHPUT — credit-window pipeline "

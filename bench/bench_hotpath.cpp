@@ -32,7 +32,8 @@
 // timing pass then pins the word loops at portable and at the highest
 // supported tier and records the ratios ("simd_speedup/..." ratios).
 //
-// Extra flags (stripped before the harness parses argv):
+// Extra flags (stripped before the harness parses argv; X must be a
+// finite positive number, anything else exits 2):
 //   --min-phase-speedup=X   fail (exit 1) if the commit speedup < X
 //   --min-degree-speedup=X  fail (exit 1) if the degree speedup < X
 //   --min-shard-speedup=X   fail (exit 1) if the 8-thread degree(26)
@@ -549,27 +550,14 @@ bool same_costs(const pb::runtime::SweepResult& a,
 
 int main(int argc, char** argv) {
   // Strip the speedup-floor flags before the harness parses argv.
-  double min_phase = 0.0;
-  double min_degree = 0.0;
-  double min_shard = 0.0;
-  double min_simd = 0.0;
-  {
-    int w = 1;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--min-phase-speedup=", 0) == 0)
-        min_phase = std::stod(arg.substr(20));
-      else if (arg.rfind("--min-degree-speedup=", 0) == 0)
-        min_degree = std::stod(arg.substr(21));
-      else if (arg.rfind("--min-shard-speedup=", 0) == 0)
-        min_shard = std::stod(arg.substr(20));
-      else if (arg.rfind("--min-simd-speedup=", 0) == 0)
-        min_simd = std::stod(arg.substr(19));
-      else
-        argv[w++] = argv[i];
-    }
-    argc = w;
-  }
+  const double min_phase =
+      pb::runtime::take_floor_flag(argc, argv, "--min-phase-speedup", 0.0);
+  const double min_degree =
+      pb::runtime::take_floor_flag(argc, argv, "--min-degree-speedup", 0.0);
+  const double min_shard =
+      pb::runtime::take_floor_flag(argc, argv, "--min-shard-speedup", 0.0);
+  const double min_simd =
+      pb::runtime::take_floor_flag(argc, argv, "--min-simd-speedup", 0.0);
 
   auto& session = session_init(argc, argv, "hotpath");
   std::printf("%s", pb::banner("HOT PATHS — sort-based phase commit and "

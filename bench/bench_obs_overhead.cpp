@@ -22,7 +22,8 @@
 // scheduler noise. For reference, the bench also measures the hook with
 // a live TelemetryObserver attached — informational, not gated.
 //
-// Extra flag (stripped before the harness parses argv):
+// Extra flag (stripped before the harness parses argv; X must be a
+// finite positive number, anything else exits 2):
 //   --max-overhead=X  fail (exit 1) if detached/baseline wall ratio > X
 //                     (default 1.05; tools/run_checks.sh passes it
 //                     explicitly)
@@ -251,18 +252,8 @@ Run run_commits(std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  double max_overhead = 1.05;
-  {
-    int w = 1;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--max-overhead=", 0) == 0)
-        max_overhead = std::stod(arg.substr(15));
-      else
-        argv[w++] = argv[i];
-    }
-    argc = w;
-  }
+  const double max_overhead =
+      pb::runtime::take_floor_flag(argc, argv, "--max-overhead", 1.05);
 
   auto& session = session_init(argc, argv, "obs_overhead");
   std::printf("%s", pb::banner("OBS OVERHEAD — commit loop with detached "

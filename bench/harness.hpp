@@ -164,7 +164,6 @@ class BenchSession {
     if (flags.workers > 0) {
       fleet::FleetConfig cfg;
       cfg.workers = flags.workers;
-      if (flags.fleet_window > 0) cfg.window = flags.fleet_window;
       // The shared cell cache is opt-in: only an explicit --cache-dir
       // makes the fleet memoize (warm replays must be asked for).
       cfg.cache_dir = flags.cache_dir;
@@ -236,13 +235,11 @@ class BenchSession {
       // Fleet health on stderr (never in the report: the JSON must stay
       // byte-identical to an in-process run).
       std::fprintf(
-          stderr, "bench: %s: fleet spawn=%llu exit=%llu retry=%llu reassign=%llu\n",
+          stderr, "bench: %s: fleet spawn=%llu exit=%llu retry=%llu\n",
           report_.bench.c_str(),
           static_cast<unsigned long long>(fleet_->counter("fleet.worker.spawn")),
           static_cast<unsigned long long>(fleet_->counter("fleet.worker.exit")),
-          static_cast<unsigned long long>(fleet_->counter("fleet.worker.retry")),
-          static_cast<unsigned long long>(
-              fleet_->counter("fleet.worker.reassign")));
+          static_cast<unsigned long long>(fleet_->counter("fleet.worker.retry")));
     }
     if (json_path_.empty()) return 0;
     const std::string ops = runtime::ops_path(json_path_);

@@ -198,8 +198,9 @@ class Lexer {
         i_ = text_.size();
         return;
       }
-      const std::string closer =
-          ")" + std::string(text_.substr(i_ + 1, open - i_ - 1)) + "\"";
+      std::string closer = ")";
+      closer += text_.substr(i_ + 1, open - i_ - 1);
+      closer += '"';
       std::size_t end = text_.find(closer, open + 1);
       if (end == std::string_view::npos) end = text_.size();
       for (std::size_t j = i_; j < end && j < text_.size(); ++j)

@@ -95,13 +95,18 @@ std::string MetricsSnapshot::to_text(bool include_zero) const {
     out += m.name;
     out.append(width - m.name.size() + 2, ' ');
     if (m.kind == MetricKind::Histogram) {
-      out += "total=" + u64(m.total());
+      out += "total=";
+      out += u64(m.total());
       for (std::size_t i = 0; i < m.counts.size(); ++i) {
         if (m.counts[i] == 0) continue;
-        out += "  ";
-        out += (i < m.bounds.size()) ? ("<=" + u64(m.bounds[i]))
-                                     : std::string(">last");
-        out += ":" + u64(m.counts[i]);
+        if (i < m.bounds.size()) {
+          out += "  <=";
+          out += u64(m.bounds[i]);
+        } else {
+          out += "  >last";
+        }
+        out += ':';
+        out += u64(m.counts[i]);
       }
     } else {
       out += u64(m.value);

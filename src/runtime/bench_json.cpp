@@ -44,7 +44,9 @@ void append_cell(std::string& out, const CellResult& c) {
     out += ",\"values\":{";
     for (std::size_t i = 0; i < c.values.size(); ++i) {
       if (i > 0) out += ',';
-      out += "\"" + json_escape(c.values[i].first) + "\":";
+      out += '"';
+      out += json_escape(c.values[i].first);
+      out += "\":";
       append_array(out, c.values[i].second);
     }
     out += '}';

@@ -10,12 +10,10 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/span.hpp"
-#include "runtime/fleet/partition.hpp"
 #include "runtime/fleet/worker.hpp"
 
 namespace parbounds::fleet {
@@ -72,7 +70,6 @@ FleetCoordinator::FleetCoordinator(FleetConfig cfg) : cfg_(std::move(cfg)) {
   spawn_id_ = metrics_.counter("fleet.worker.spawn");
   exit_id_ = metrics_.counter("fleet.worker.exit");
   retry_id_ = metrics_.counter("fleet.worker.retry");
-  reassign_id_ = metrics_.counter("fleet.worker.reassign");
   bytes_tx_id_ = metrics_.counter("fleet.bytes_tx");
   bytes_rx_id_ = metrics_.counter("fleet.bytes_rx");
   frames_tx_id_ = metrics_.counter("fleet.frames_tx");
@@ -159,7 +156,6 @@ bool FleetCoordinator::spawn(unsigned slot) {
   w.from_fd = resp[0];
   w.decoder = service::FrameDecoder();
   w.alive = true;
-  w.queue.clear();
   w.inflight.clear();
   w.outq.clear();
 
@@ -192,13 +188,6 @@ bool FleetCoordinator::spawn(unsigned slot) {
   return true;
 }
 
-unsigned FleetCoordinator::alive_count() const {
-  unsigned n = 0;
-  for (const Worker& w : workers_)
-    if (w.alive) ++n;
-  return n;
-}
-
 std::uint64_t FleetCoordinator::counter(const std::string& name) const {
   const obs::MetricsSnapshot snap = metrics_.snapshot();
   const obs::MetricValue* m = snap.find(name);
@@ -218,18 +207,10 @@ std::vector<service::Response> FleetCoordinator::run_requests(
       static_cast<std::uint64_t>(cfg_.request_deadline_ms) * 1000000u;
   std::vector<unsigned> attempts(n, 0);
   std::size_t remaining = n;
-
-  unsigned rr = 0;  // round-robin cursor for redistribution
-  auto next_alive = [&]() -> int {
-    for (unsigned k = 0; k < W; ++k) {
-      const unsigned s = (rr + k) % W;
-      if (workers_[s].alive) {
-        rr = (s + 1) % W;
-        return static_cast<int>(s);
-      }
-    }
-    return -1;
-  };
+  // Every request not yet sent (or sent to a worker that died), in
+  // request order; retries go back to the front.
+  std::deque<std::size_t> pending;
+  for (std::size_t i = 0; i < n; ++i) pending.push_back(i);
 
   auto fleet_dead = [&]() {
     throw std::runtime_error("fleet: all workers dead with " +
@@ -249,37 +230,12 @@ std::vector<service::Response> FleetCoordinator::run_requests(
     return r != WriteQueue::Flush::Error;
   };
 
-  // Fill a worker's credit window from its queue: every slot of credit
-  // becomes an encoded frame in the out-queue, then one flush pushes
-  // the whole burst. A sent index is parked in `inflight` before the
-  // write, so the death path always sees it as an interrupted attempt.
-  auto pump = [&](unsigned slot) -> bool {
-    Worker& w = workers_[slot];
-    if (!w.alive) return true;
-    bool queued_any = false;
-    while (w.inflight.size() < cfg_.window && !w.queue.empty()) {
-      const std::size_t idx = w.queue.front();
-      w.queue.pop_front();
-      if (w.inflight.empty() && cfg_.request_deadline_ms > 0)
-        w.head_deadline_ns = steady_now_ns() + deadline_step;
-      w.inflight.push_back(idx);
-      ++attempts[idx];
-      encode_scratch_.clear();
-      service::encode_request_binary(reqs[idx], encode_scratch_);
-      w.outq.push(encode_scratch_);
-      queued_any = true;
-    }
-    if (queued_any)
-      metrics_.record_max(window_depth_id_, w.inflight.size());
-    return flush(slot);
-  };
-
-  // Reap a dead or wedged worker and redistribute its work: EVERY
-  // request in its in-flight window is RETRIED (bounded by
-  // max_attempts each — a credit window means a single crash can
-  // interrupt up to `window` attempts at once), and its queued
-  // requests are REASSIGNED, both round-robin onto surviving workers.
-  std::function<void(unsigned)> on_death = [&](unsigned slot) {
+  // Reap a dead or wedged worker. EVERY request in its in-flight window
+  // goes back to the front of `pending`, in order, bounded by
+  // max_attempts each: a credit window means a single crash can
+  // interrupt up to `window` attempts at once. The next deal() places
+  // them on survivors.
+  auto on_death = [&](unsigned slot) {
     Worker& w = workers_[slot];
     if (!w.alive) return;
     w.alive = false;
@@ -288,14 +244,10 @@ std::vector<service::Response> FleetCoordinator::run_requests(
     int status = 0;
     ::waitpid(w.pid, &status, 0);
     metrics_.add(exit_id_);
-
-    std::deque<std::size_t> interrupted = std::move(w.inflight);
-    std::deque<std::size_t> queued = std::move(w.queue);
-    w.inflight.clear();
-    w.queue.clear();
     w.outq.clear();
 
-    for (const std::size_t idx : interrupted) {
+    std::vector<std::size_t> retry;
+    for (const std::size_t idx : w.inflight) {
       if (attempts[idx] >= cfg_.max_attempts) {
         service::Response& r = out[idx];
         r.id = reqs[idx].id;
@@ -309,18 +261,58 @@ std::vector<service::Response> FleetCoordinator::run_requests(
       metrics_.add(retry_id_);
       obs::Span span(obs::process_tracer(), "fleet.retry",
                      static_cast<std::uint64_t>(idx));
-      const int s = next_alive();
-      if (s < 0) fleet_dead();
-      workers_[static_cast<unsigned>(s)].queue.push_back(idx);
+      retry.push_back(idx);
     }
-    for (const std::size_t idx : queued) {
-      metrics_.add(reassign_id_);
-      const int s = next_alive();
-      if (s < 0) fleet_dead();
-      workers_[static_cast<unsigned>(s)].queue.push_back(idx);
+    w.inflight.clear();
+    pending.insert(pending.begin(), retry.begin(), retry.end());
+  };
+
+  // Hand the front of `pending` to the workers with credit, one request
+  // per worker per round in slot order, then flush each worker's burst
+  // once. Dealing rounds rather than filling worker 0's window first
+  // spreads a sweep shorter than workers x window over every worker. A
+  // round too short to reach every worker with credit is the tail of
+  // the sweep: it goes to idle workers only, so the last requests wait
+  // for whichever worker drains first instead of queueing behind a long
+  // cell. A sent index is parked in `inflight` before the write, so the
+  // death path always sees it as an interrupted attempt; a worker whose
+  // write fails dies, and its window is dealt again.
+  auto deal = [&]() {
+    for (bool lost = true; lost;) {
+      for (bool dealt = true; dealt && !pending.empty();) {
+        dealt = false;
+        std::size_t open = 0;
+        for (const Worker& w : workers_)
+          if (w.alive && w.inflight.size() < cfg_.window) ++open;
+        const bool tail = pending.size() < open;
+        for (unsigned s = 0; s < W && !pending.empty(); ++s) {
+          Worker& w = workers_[s];
+          if (!w.alive || w.inflight.size() >= cfg_.window ||
+              (tail && !w.inflight.empty()))
+            continue;
+          const std::size_t idx = pending.front();
+          pending.pop_front();
+          if (w.inflight.empty() && cfg_.request_deadline_ms > 0)
+            w.head_deadline_ns = steady_now_ns() + deadline_step;
+          w.inflight.push_back(idx);
+          ++attempts[idx];
+          encode_scratch_.clear();
+          service::encode_request_binary(reqs[idx], encode_scratch_);
+          w.outq.push(encode_scratch_);
+          dealt = true;
+        }
+      }
+      lost = false;
+      for (unsigned s = 0; s < W; ++s) {
+        Worker& w = workers_[s];
+        if (!w.alive || w.outq.empty()) continue;
+        metrics_.record_max(window_depth_id_, w.inflight.size());
+        if (!flush(s)) {
+          on_death(s);
+          lost = true;
+        }
+      }
     }
-    for (unsigned s = 0; s < W; ++s)
-      if (workers_[s].alive && !pump(s)) on_death(s);
   };
 
   // Drain every whole frame buffered for a worker. A worker is a
@@ -359,30 +351,10 @@ std::vector<service::Response> FleetCoordinator::run_requests(
         w.head_deadline_ns = steady_now_ns() + deadline_step;
       out[idx] = std::move(resp);
       --remaining;
-      if (!pump(slot)) {
-        on_death(slot);
-        return;
-      }
     }
   };
 
-  // ----- initial placement: the static partition --------------------------
-  // owner_of() is a pure function of (total, configured width); a dead
-  // slot's block is redistributed, which cannot change any response
-  // byte — only where it is computed.
-  for (std::size_t i = 0; i < n; ++i) {
-    unsigned o = owner_of(static_cast<std::uint64_t>(n), W,
-                          static_cast<std::uint64_t>(i));
-    if (!workers_[o].alive) {
-      const int s = next_alive();
-      if (s < 0) fleet_dead();
-      o = static_cast<unsigned>(s);
-      metrics_.add(reassign_id_);
-    }
-    workers_[o].queue.push_back(i);
-  }
-  for (unsigned s = 0; s < W; ++s)
-    if (!pump(s)) on_death(s);
+  deal();
 
   // ----- the poll loop -----------------------------------------------------
   while (remaining > 0) {
@@ -400,9 +372,9 @@ std::vector<service::Response> FleetCoordinator::run_requests(
         slot_of.push_back(s);
       }
     }
-    // Every unfinished request is either in flight or queued behind one
-    // that is; no pollable worker with work remaining means the fleet
-    // is gone.
+    // deal() leaves a request pending only while every live worker has
+    // one in flight; no pollable worker with work remaining means the
+    // fleet is gone.
     if (fds.empty()) fleet_dead();
 
     int timeout_ms = -1;
@@ -465,6 +437,9 @@ std::vector<service::Response> FleetCoordinator::run_requests(
         }
       }
     }
+    // Refill the windows the responses freed and re-place the windows
+    // of any worker that died in this iteration.
+    deal();
   }
   return out;
 }

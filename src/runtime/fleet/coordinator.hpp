@@ -5,19 +5,26 @@
 // pipe pairs using the service frame codec, and returns responses in
 // request order.
 //
-// Placement follows the static partition (partition.hpp): request i is
-// initially assigned to owner_of(total, workers, i). Each worker holds
-// a CREDIT WINDOW of up to `window` requests in flight (default 8), so
-// a small-cell sweep pays one pipe round-trip per WINDOW instead of
-// one per cell — the BSP lesson (PAPER.md) that latency `L` charges
-// per superstep, not per message. Workers answer strictly in dispatch
-// order (a worker is a serial loop), and responses land in `out` by
-// request index — the partition placement — never by arrival order, so
-// windowing cannot change a single report byte. The coordinator stays
-// a single poll() loop on the caller's thread (no coordinator threads
-// to sanitize); request pipes are non-blocking and pending frames are
-// batched through one writev(2) per poll iteration (transport.hpp
-// WriteQueue), with buffers recycled rather than reallocated.
+// Placement is one queue of pending requests dealt to whichever
+// workers have credit. Each worker holds a CREDIT WINDOW of up to
+// `window` requests in flight (default 8), so a small-cell sweep pays
+// one pipe round-trip per WINDOW instead of one per cell — the BSP
+// lesson (PAPER.md) that latency `L` charges per superstep, not per
+// message. The deal hands out one request per worker per round in slot
+// order, so a short sweep spreads over every worker, and a worker that
+// answers gets the next pending request. A round too short to reach
+// every worker with credit (the tail of a sweep) goes to idle workers
+// only, so no worker idles while another has cells queued behind a
+// long one. Every request's result is a pure function of its content
+// (spec, seed, trial block), fixed before any worker exists, so where
+// and when it runs cannot change a byte. Workers answer strictly in
+// dispatch order (a worker is a serial loop), and responses land in
+// `out` by request index, never by arrival order. The coordinator
+// stays a single poll() loop on the caller's thread (no coordinator
+// threads to sanitize); request pipes are non-blocking and pending
+// frames are batched through one writev(2) per worker per deal
+// (transport.hpp WriteQueue), with buffers recycled rather than
+// reallocated.
 //
 // Every frame on the pipes uses the binary codec (protocol.hpp);
 // worker and coordinator are the same binary, so there is no version to
@@ -29,23 +36,22 @@
 // partial frame), a write to its request pipe fails, or the HEAD of
 // its in-flight window exceeds the per-request deadline (the worker is
 // then SIGKILLed). On death the worker is reaped (exit status
-// collected), EVERY in-flight request of its window is RETRIED on
-// surviving workers — bounded by max_attempts per request — and its
-// queued requests are REASSIGNED round-robin over survivors. Requests
-// are pure functions of their content, so a retried request returns
-// the same bytes any attempt would have; a typed Error response from a
-// live worker is final and never retried (it is deterministic too).
+// collected) and EVERY in-flight request of its window goes back to
+// the front of the pending queue, in order, to be dealt to survivors —
+// bounded by max_attempts per request. Requests are pure functions of
+// their content, so a retried request returns the same bytes any
+// attempt would have; a typed Error response from a live worker is
+// final and never retried (it is deterministic too).
 // When every worker is dead and work remains, run_requests throws.
 //
 // Observability: a private MetricsRegistry (the SweepService
 // discipline — never the bench session's, so fleet reports carry
 // exactly the in-process metric families) with counters
-// fleet.worker.spawn / fleet.worker.exit / fleet.worker.retry /
-// fleet.worker.reassign, data-plane traffic counters fleet.bytes_tx /
-// fleet.bytes_rx / fleet.frames_tx / fleet.frames_rx, a
-// fleet.window.depth high-water gauge (deepest in-flight window
-// observed), plus fleet.run / fleet.spawn / fleet.retry spans through
-// the process tracer.
+// fleet.worker.spawn / fleet.worker.exit / fleet.worker.retry,
+// data-plane traffic counters fleet.bytes_tx / fleet.bytes_rx /
+// fleet.frames_tx / fleet.frames_rx, a fleet.window.depth high-water
+// gauge (deepest in-flight window observed), plus fleet.run /
+// fleet.spawn / fleet.retry spans through the process tracer.
 
 #include <sys/types.h>
 
@@ -107,7 +113,6 @@ class FleetCoordinator {
     int from_fd = -1;  ///< worker -> coordinator responses
     service::FrameDecoder decoder;
     bool alive = false;
-    std::deque<std::size_t> queue;     ///< assigned, not yet sent
     std::deque<std::size_t> inflight;  ///< sent, unanswered (FIFO)
     /// Deadline for inflight.front(); armed when a request reaches the
     /// head of the window (sent into an empty window, or promoted when
@@ -117,11 +122,10 @@ class FleetCoordinator {
   };
 
   bool spawn(unsigned slot);
-  unsigned alive_count() const;
 
   FleetConfig cfg_;
   obs::MetricsRegistry metrics_;
-  obs::MetricsRegistry::Id spawn_id_, exit_id_, retry_id_, reassign_id_;
+  obs::MetricsRegistry::Id spawn_id_, exit_id_, retry_id_;
   obs::MetricsRegistry::Id bytes_tx_id_, bytes_rx_id_;
   obs::MetricsRegistry::Id frames_tx_id_, frames_rx_id_;
   obs::MetricsRegistry::Id window_depth_id_;

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <iterator>
 #include <limits>
@@ -19,6 +22,35 @@ bool parse_count(std::string_view text, std::uint64_t max,
   if (ec != std::errc() || stop != end || v > max) return false;
   out = v;
   return true;
+}
+
+double take_floor_flag(int& argc, char** argv, std::string_view flag,
+                       double fallback) {
+  double value = fallback;
+  int kept = 1;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.substr(0, flag.size()) != flag ||
+        (arg.size() > flag.size() && arg[flag.size()] != '=')) {
+      argv[kept++] = argv[i];  // not this flag: left for the harness
+      continue;
+    }
+    std::string_view text = arg.substr(flag.size());  // "" or "=X"
+    if (!text.empty()) text.remove_prefix(1);
+    double v = 0.0;
+    const char* end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || stop != end || !std::isfinite(v) || v <= 0.0) {
+      std::fprintf(stderr,
+                   "bench: %s: a gate floor must be a finite positive number "
+                   "(spelled %.*s=X)\n",
+                   argv[i], static_cast<int>(flag.size()), flag.data());
+      std::exit(2);
+    }
+    value = v;
+  }
+  argc = kept;
+  return value;
 }
 
 std::size_t edit_distance(const std::string& a, const std::string& b) {
@@ -41,11 +73,11 @@ namespace {
 /// Every flag the harness accepts, in did-you-mean preference order.
 const char* const kFlags[] = {"--jobs",      "--threads",   "--json",
                               "--trace",     "--cache-dir", "--cache-bytes",
-                              "--workers",   "--fleet-window"};
+                              "--workers"};
 
 /// Reject a token no branch of the parser recognised, naming the flag
 /// it most likely meant: the first flag that contains the token's name
-/// (`--worker`, `--window`), else the nearest by edit distance.
+/// (`--worker`, `--cache`), else the nearest by edit distance.
 void reject_unknown(const std::string& arg, HarnessFlags& out) {
   const std::string name = arg.substr(0, arg.find('='));
   const std::string bare =
@@ -143,13 +175,6 @@ HarnessFlags parse_harness_flags(int& argc, char** argv,
                    "(omit --workers for in-process execution)",
                    out.workers, out);
        }},
-      {"--fleet-window",
-       [&](const char* v) {
-         set_count("--fleet-window", v, 1,
-                   "credit window must be a positive integer "
-                   "(omit --fleet-window for the default of 8)",
-                   out.fleet_window, out);
-       }},
   };
   for (int i = 1; i < argc && !out.error; ++i) {
     const std::string arg = argv[i];
@@ -183,10 +208,9 @@ HarnessFlags parse_harness_flags(int& argc, char** argv,
   if (!out.error && out.workers == 0) {
     // Each of these configures the fleet; without one it would be
     // silently ignored.
-    const char* orphan = out.fleet_window > 0     ? "--fleet-window"
-                         : !out.cache_dir.empty() ? "--cache-dir"
-                         : out.cache_bytes > 0    ? "--cache-bytes"
-                                                  : nullptr;
+    const char* orphan = !out.cache_dir.empty() ? "--cache-dir"
+                         : out.cache_bytes > 0  ? "--cache-bytes"
+                                                : nullptr;
     if (orphan != nullptr) {
       out.error = true;
       out.error_message = std::string(orphan) +

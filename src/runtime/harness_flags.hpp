@@ -20,20 +20,17 @@
 //                   byte-identical to an in-process run. N must be
 //                   >= 1: there is no "auto" fleet width, so
 //                   --workers 0 is rejected rather than remapped.
-//   --fleet-window K  per-worker credit window: each fleet worker holds
-//                   up to K cells in flight (default 8; 1 = lock-step).
 //   --cache-dir P   the fleet's shared content-addressed cell cache
 //                   directory (default: no cache)
 //   --cache-bytes N that cache's size bound (default: library default)
 //
-// The last three only mean something with --workers: any of them
-// without it is a typed error, as is a zero --fleet-window or
-// --cache-bytes.
+// The last two only mean something with --workers: either of them
+// without it is a typed error, as is a zero --cache-bytes.
 //
 // Every token must be one of these flags or the value of one: anything
 // else — a typo, a positional token — is rejected with a did-you-mean
 // hint naming the flag that contains the token's name (`--worker`,
-// `--window`) or else the nearest one by edit distance. A silently
+// `--cache`) or else the nearest one by edit distance. A silently
 // dropped flag would run the sweep some other way (in-process instead
 // of on the fleet, without the cache) and look like it worked. A bare
 // --json/--trace followed by another `--flag` takes the default path;
@@ -56,7 +53,6 @@ struct HarnessFlags {
   std::string cache_dir;    ///< fleet cell cache dir; empty = no cache
   std::uint64_t cache_bytes = 0;  ///< fleet cache bound; 0 = default
   unsigned workers = 0;     ///< fleet worker processes; 0 = fleet off
-  unsigned fleet_window = 0; ///< per-worker credit window; 0 = default (8)
   bool error = false;
   std::string error_message;
 
@@ -79,6 +75,15 @@ HarnessFlags parse_harness_flags(int& argc, char** argv,
 /// value is rejected instead of read as some other number. Returns false
 /// (and leaves `out` alone) on any such input.
 bool parse_count(std::string_view text, std::uint64_t max, std::uint64_t& out);
+
+/// Strip every `FLAG=X` token from argv and return the last X, or
+/// `fallback` when there is none; a bench calls this for each of its gate
+/// floors (`--min-*-speedup`, `--max-overhead`) before the harness parses
+/// what is left. All of X must be a finite positive decimal number: a
+/// bare FLAG, or an X such as `abc`, `1.5x`, `0` or `inf`, prints a
+/// message naming the flag and exits 2, like a malformed harness flag.
+double take_floor_flag(int& argc, char** argv, std::string_view flag,
+                       double fallback);
 
 /// Plain Levenshtein distance — small strings, tiny table. Shared by
 /// every did-you-mean rejection (unknown harness flags here,

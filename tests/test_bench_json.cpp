@@ -743,65 +743,64 @@ TEST(HarnessFlags, WorkersTyposGetADidYouMeanHint) {
       << f.error_message;
 }
 
-TEST(HarnessFlags, FleetWindowBothSpellingsRequireWorkers) {
+TEST(HarnessFlags, FleetWindowIsAnUnknownFlag) {
+  // The fleet's credit window is FleetConfig::window alone; there is no
+  // harness flag for it, so --fleet-window is rejected like any typo
+  // rather than silently dropped.
   Argv split({"bench", "--workers", "2", "--fleet-window", "4"});
-  const auto a = split.parse();
-  EXPECT_FALSE(a.error) << a.error_message;
-  EXPECT_EQ(a.fleet_window, 4u);
-  EXPECT_EQ(split.argc, 1);  // stripped
-
-  Argv equals({"bench", "--workers=2", "--fleet-window=1"});
-  const auto b = equals.parse();
-  EXPECT_FALSE(b.error);
-  EXPECT_EQ(b.fleet_window, 1u);
-
-  Argv absent({"bench", "--workers", "2"});
-  EXPECT_EQ(absent.parse().fleet_window, 0u);  // 0 = library default (8)
-
-  // The window only means something for fleet worker processes: without
-  // --workers it would silently do nothing, so it is a typed error.
-  Argv alone({"bench", "--fleet-window", "4"});
-  const auto f = alone.parse();
-  EXPECT_TRUE(f.error);
-  EXPECT_NE(f.error_message.find("--fleet-window without --workers"),
-            std::string::npos)
-      << f.error_message;
-  EXPECT_NE(f.error_message.find("add --workers"), std::string::npos)
-      << f.error_message;
-}
-
-TEST(HarnessFlags, FleetWindowRejectsZeroAndGarbage) {
-  // A window of 0 could never make progress; the default is spelled by
-  // omitting the flag, so 0 is always a mistake — as is anything that
-  // is not a positive integer.
-  for (const char* v : {"0", "eight", "8x"}) {
-    Argv argv({"bench", "--workers", "2", "--fleet-window", v});
-    const auto f = argv.parse();
-    EXPECT_TRUE(f.error) << v;
-    EXPECT_NE(f.error_message.find("--fleet-window"), std::string::npos)
-        << f.error_message;
-    EXPECT_NE(f.error_message.find("positive integer"), std::string::npos)
-        << f.error_message;
-  }
-  Argv missing({"bench", "--workers", "2", "--fleet-window"});
-  EXPECT_TRUE(missing.parse().error);
-  Argv equals_zero({"bench", "--workers=2", "--fleet-window=0"});
-  EXPECT_TRUE(equals_zero.parse().error);
-}
-
-TEST(HarnessFlags, FleetWindowTyposGetADidYouMeanHint) {
-  // --fleet-windw is a near-miss; --window is the tempting short
-  // spelling (edit distance 7, caught by name). Both must be named
-  // errors — silently dropped, the sweep would run lock-step and look
-  // like the requested pipelined run.
-  for (const char* typo :
-       {"--fleet-windw", "--fleet-wndow=4", "--window", "--window=8"}) {
-    Argv argv({"bench", typo});
-    const auto f = argv.parse();
-    EXPECT_TRUE(f.error) << typo;
-    EXPECT_NE(f.error_message.find("did you mean '--fleet-window'"),
+  Argv equals({"bench", "--workers=2", "--fleet-window=4"});
+  for (Argv* argv : {&split, &equals}) {
+    const auto f = argv->parse();
+    EXPECT_TRUE(f.error);
+    EXPECT_NE(f.error_message.find("unknown argument '--fleet-window'"),
               std::string::npos)
         << f.error_message;
+  }
+}
+
+TEST(HarnessFlags, TakeFloorFlagStripsOnlyItsOwnFlag) {
+  Argv argv({"bench", "--min-phase-speedup=1.5", "--jobs", "2",
+             "--min-phase-speedup-x=3", "--min-degree-speedup=2.5e0"});
+  EXPECT_DOUBLE_EQ(
+      take_floor_flag(argv.argc, argv.ptrs.data(), "--min-phase-speedup", 0.0),
+      1.5);
+  EXPECT_DOUBLE_EQ(take_floor_flag(argv.argc, argv.ptrs.data(),
+                                   "--min-degree-speedup", 0.0),
+                   2.5);
+  // Absent: the fallback. What is left goes to the harness, which
+  // rejects the near-miss by name.
+  EXPECT_DOUBLE_EQ(
+      take_floor_flag(argv.argc, argv.ptrs.data(), "--max-overhead", 1.05),
+      1.05);
+  ASSERT_EQ(argv.argc, 4);
+  EXPECT_STREQ(argv.ptrs[1], "--jobs");
+  EXPECT_STREQ(argv.ptrs[3], "--min-phase-speedup-x=3");
+  EXPECT_TRUE(argv.parse().error);
+
+  // The last spelling wins, as with every other harness flag.
+  Argv twice({"bench", "--max-overhead=2", "--max-overhead=1.25"});
+  EXPECT_DOUBLE_EQ(
+      take_floor_flag(twice.argc, twice.ptrs.data(), "--max-overhead", 1.05),
+      1.25);
+  EXPECT_EQ(twice.argc, 1);
+}
+
+TEST(HarnessFlags, MalformedGateFloorsExit2NamingTheFlag) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  // The whole value must be a finite positive number: a trailing unit, a
+  // word, a sign, zero, infinity or no value at all is a typed error,
+  // never an abort or a silently different floor.
+  for (const char* arg :
+       {"--min-pipeline-speedup=abc", "--min-pipeline-speedup=1.5x",
+        "--min-pipeline-speedup=", "--min-pipeline-speedup",
+        "--min-pipeline-speedup=0", "--min-pipeline-speedup=-1",
+        "--min-pipeline-speedup=inf", "--min-pipeline-speedup=nan",
+        "--min-pipeline-speedup= 1.5"}) {
+    Argv argv({"bench", arg});
+    EXPECT_EXIT(take_floor_flag(argv.argc, argv.ptrs.data(),
+                                "--min-pipeline-speedup", 1.0),
+                ::testing::ExitedWithCode(2), "--min-pipeline-speedup")
+        << arg;
   }
 }
 

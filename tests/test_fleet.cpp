@@ -1,5 +1,5 @@
-// Sweep fleet (docs/SERVICE.md#fleet): the static partition, the
-// frame-reassembly decoder, the metrics snapshot wire, and the
+// Sweep fleet (docs/SERVICE.md#fleet): the frame-reassembly decoder,
+// the metrics snapshot wire, the deal of pending requests, and the
 // end-to-end contract — a sweep executed across N worker PROCESSES
 // merges into a report (metrics block included) byte-identical to an
 // in-process --jobs 1 run, at any N, with workers crashing or hanging
@@ -23,7 +23,6 @@
 #include "obs/telemetry.hpp"
 #include "runtime/bench_json.hpp"
 #include "runtime/fleet/coordinator.hpp"
-#include "runtime/fleet/partition.hpp"
 #include "runtime/fleet/snapshot_wire.hpp"
 #include "runtime/fleet/sweep_fleet.hpp"
 #include "runtime/fleet/worker.hpp"
@@ -41,49 +40,6 @@ using fleet::FleetCoordinator;
 using runtime::SweepCell;
 
 constexpr std::uint64_t kBase = 0x5eedf1ee7ULL;
-
-// ----- partition --------------------------------------------------------
-
-TEST(Partition, ShardRangesTileTheTotalExactly) {
-  for (const std::uint64_t total : {0ull, 1ull, 2ull, 7ull, 64ull, 1000ull}) {
-    for (const unsigned shards : {1u, 2u, 3u, 7u, 16u}) {
-      std::uint64_t covered = 0;
-      std::uint64_t prev_end = 0;
-      for (unsigned s = 0; s < shards; ++s) {
-        const auto [lo, hi] = fleet::shard_range(total, shards, s);
-        EXPECT_EQ(lo, prev_end);
-        EXPECT_LE(lo, hi);
-        prev_end = hi;
-        covered += hi - lo;
-      }
-      EXPECT_EQ(prev_end, total);
-      EXPECT_EQ(covered, total);
-    }
-  }
-}
-
-TEST(Partition, OwnerOfInvertsShardRange) {
-  for (const std::uint64_t total : {1ull, 2ull, 7ull, 64ull, 1000ull}) {
-    for (const unsigned shards : {1u, 2u, 3u, 7u, 16u}) {
-      for (std::uint64_t i = 0; i < total; ++i) {
-        const unsigned o = fleet::owner_of(total, shards, i);
-        ASSERT_LT(o, shards);
-        const auto [lo, hi] = fleet::shard_range(total, shards, o);
-        EXPECT_GE(i, lo);
-        EXPECT_LT(i, hi);
-      }
-    }
-  }
-}
-
-TEST(Partition, PlacementIsAPureFunctionOfTheIndex) {
-  // Same (total, shards, i) must always map identically — the property
-  // that lets a retried cell land anywhere without changing any byte.
-  EXPECT_EQ(fleet::owner_of(10, 3, 0), fleet::owner_of(10, 3, 0));
-  EXPECT_EQ(fleet::owner_of(10, 3, 9), 2u);
-  EXPECT_EQ(fleet::owner_of(2, 2, 0), 0u);
-  EXPECT_EQ(fleet::owner_of(2, 2, 1), 1u);
-}
 
 // ----- frame decoder ----------------------------------------------------
 
@@ -287,8 +243,9 @@ std::string fleet_report(FleetCoordinator& fc) {
 }
 
 /// Enough one-trial cells that a window of 8 actually fills: with 2
-/// workers each owns 12, so a mid-window death strands several
-/// in-flight cells at once (the case PR 9's lock-step never had).
+/// workers the first deal puts 8 in flight on each and leaves 8
+/// pending, so a mid-window death strands several in-flight cells at
+/// once (the case a lock-step window never has).
 std::vector<SweepCell> many_cells() {
   std::vector<SweepCell> cells;
   for (unsigned i = 0; i < 24; ++i) {
@@ -362,6 +319,42 @@ TEST(FleetEndToEnd, SigkilledWorkerMidSweepStillReproducesTheBytes) {
   EXPECT_EQ(report, reference);
   EXPECT_EQ(fc.counter("fleet.worker.exit"), 1u);
   EXPECT_GE(fc.counter("fleet.worker.retry"), 1u);
+}
+
+TEST(FleetEndToEnd, ASweepAsShortAsTheFleetReachesEveryWorker) {
+  // Four one-trial cells on four workers: the deal hands out one request
+  // per worker per round, so worker 3 receives (and dies on) its first
+  // request. First-fit would put all four in worker 0's window, and
+  // worker 3 would never crash.
+  std::vector<SweepCell> cells = many_cells();
+  cells.resize(4);
+  const std::string reference = in_process_reference(cells);
+  ::setenv("PARBOUNDS_FLEET_CRASH", "3:1", 1);
+  FleetConfig cfg;
+  cfg.workers = 4;
+  FleetCoordinator fc(cfg);
+  const std::string report = fleet_report(fc, cells);
+  ::unsetenv("PARBOUNDS_FLEET_CRASH");
+
+  EXPECT_EQ(report, reference);
+  EXPECT_EQ(fc.counter("fleet.worker.exit"), 1u);
+  EXPECT_EQ(fc.counter("fleet.worker.retry"), 1u);
+  // The retry is a tail of one request: it waits for an idle worker.
+  EXPECT_EQ(fc.counter("fleet.window.depth"), 1u);
+}
+
+TEST(FleetEndToEnd, TheTailOfASweepWaitsForAnIdleWorker) {
+  // Nine cells on four workers: two full rounds, then a tail of one
+  // that goes to whichever worker drains first. Dealt as a third round,
+  // it would queue behind worker 0's two cells (depth 3).
+  std::vector<SweepCell> cells = many_cells();
+  cells.resize(9);
+  const std::string reference = in_process_reference(cells);
+  FleetConfig cfg;
+  cfg.workers = 4;
+  FleetCoordinator fc(cfg);
+  EXPECT_EQ(fleet_report(fc, cells), reference);
+  EXPECT_EQ(fc.counter("fleet.window.depth"), 2u);
 }
 
 TEST(FleetEndToEnd, HungWorkerIsKilledByTheDeadlineAndRetried) {
@@ -529,8 +522,8 @@ TEST(FleetEndToEnd, EveryWireWorkersWindowComboReproducesTheBytes) {
       EXPECT_GT(fc.counter("fleet.bytes_rx"), 0u);
       EXPECT_GT(fc.counter("fleet.frames_tx"), 0u);
       EXPECT_GT(fc.counter("fleet.frames_rx"), 0u);
-      // 24 cells split evenly, so a worker can hold at most its share
-      // of the sweep in flight.
+      // The deal spreads the 24 cells one per worker per round, so a
+      // worker holds at most its even share of the sweep in flight.
       EXPECT_EQ(fc.counter("fleet.window.depth"),
                 std::min<std::uint64_t>(window, 24 / workers));
       EXPECT_EQ(fc.counter("fleet.worker.retry"), 0u);

@@ -361,6 +361,15 @@ TEST(SharedCache, ConcurrentWritersRacingTheSameKeyBothWin) {
         << e.path();
 }
 
+/// Writer c's k-th key, "w<c>-k<k>".
+std::string writer_key(int c, int k) {
+  std::string key = "w";
+  key += std::to_string(c);
+  key += "-k";
+  key += std::to_string(k);
+  return key;
+}
+
 TEST(SharedCache, ConcurrentWritersOnDistinctKeysAllLand) {
   const fs::path dir = fresh_dir("race_distinct");
   std::vector<pid_t> kids;
@@ -368,8 +377,7 @@ TEST(SharedCache, ConcurrentWritersOnDistinctKeysAllLand) {
     kids.push_back(spawn_child([&, c] {
       ResultCache cache({.dir = dir});
       for (int k = 0; k < 8; ++k)
-        cache.insert("w" + std::to_string(c) + "-k" + std::to_string(k),
-                     std::to_string(c * 100 + k));
+        cache.insert(writer_key(c, k), std::to_string(c * 100 + k));
     }));
   for (const pid_t pid : kids) EXPECT_EQ(wait_child(pid), 0);
 
@@ -378,9 +386,7 @@ TEST(SharedCache, ConcurrentWritersOnDistinctKeysAllLand) {
   std::string got;
   for (int c = 0; c < 4; ++c)
     for (int k = 0; k < 8; ++k) {
-      ASSERT_EQ(parent.fetch(
-                    "w" + std::to_string(c) + "-k" + std::to_string(k), got),
-                FetchResult::Hit);
+      ASSERT_EQ(parent.fetch(writer_key(c, k), got), FetchResult::Hit);
       EXPECT_EQ(got, std::to_string(c * 100 + k));
     }
 }

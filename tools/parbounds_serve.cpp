@@ -188,8 +188,7 @@ void print_fleet_stats(const fleet::FleetCoordinator* fc) {
   std::cerr << "parbounds_serve: fleet spawn="
             << fc->counter("fleet.worker.spawn")
             << " exit=" << fc->counter("fleet.worker.exit")
-            << " retry=" << fc->counter("fleet.worker.retry")
-            << " reassign=" << fc->counter("fleet.worker.reassign") << "\n";
+            << " retry=" << fc->counter("fleet.worker.retry") << "\n";
 }
 
 }  // namespace

@@ -33,7 +33,8 @@
 #      bench_hotpath, a <=1.05x detached-hook ceiling for
 #      bench_obs_overhead; see docs/PERF.md and docs/OBSERVABILITY.md).
 #      Perf under a sanitizer is meaningless, hence the separate
-#      Release build dir;
+#      Release build dir, which also builds with -Werror so a warning
+#      that only appears at -O3 fails the gate;
 #   9. the SIMD dispatch stage: the BoolFn suite re-run under every
 #      PARBOUNDS_SIMD pin the host supports (unsupported tiers and
 #      unknown names must die with the typed startup error), with the
@@ -51,9 +52,9 @@
 #      service subset: the dispatcher thread, admission queue and cache
 #      are concurrent;
 #  11. the sweep-fleet stage (docs/SERVICE.md#fleet): the
-#      `fleet`-labelled subset — the multi-process gtest suite (static
-#      partition, frame reassembly, snapshot wire, SIGKILL/hang
-#      recovery) plus the parbounds_serve daemon smokes that compare
+#      `fleet`-labelled subset — the multi-process gtest suite (the
+#      deal of pending requests, frame reassembly, snapshot wire,
+#      SIGKILL/hang recovery) plus the parbounds_serve daemon smokes that compare
 #      --workers {1,2,4} response bytes against the in-process backend
 #      and force a worker crash mid-sweep with the retry counters
 #      checked on stderr;
@@ -472,8 +473,11 @@ echo "==> runtime-, obs-, intra-, service- and fleet-labelled subsets under TSan
 ctest --test-dir "${BUILD_DIR}-tsan" -L 'runtime|obs|intra|service|fleet' \
   --output-on-failure
 
-echo "==> configure (Release, sanitizer-free) into ${BUILD_DIR}-bench"
-cmake -B "${BUILD_DIR}-bench" -S . -DCMAKE_BUILD_TYPE=Release
+echo "==> configure (Release + Werror, sanitizer-free) into ${BUILD_DIR}-bench"
+# -Werror here too: some warnings (gcc's -Wrestrict on std::string
+# concatenation) only appear at -O3, which no other flavor builds.
+cmake -B "${BUILD_DIR}-bench" -S . -DCMAKE_BUILD_TYPE=Release \
+  -DPARBOUNDS_WERROR=ON
 
 echo "==> build bench_hotpath + bench_obs_overhead + bench_fleet_throughput + the determinism benches"
 cmake --build "${BUILD_DIR}-bench" -j "${JOBS}" \
