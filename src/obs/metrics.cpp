@@ -8,20 +8,8 @@ namespace parbounds::obs {
 
 namespace {
 
-/// Thread-local shard cache. Entries are keyed by the registry's
-/// process-unique uid as well as its address, so a registry that dies
-/// and a new one allocated at the same address can never alias. Stale
-/// entries (dead registries) are never dereferenced — their uid no
-/// longer matches — and are bounded by the number of registries the
-/// thread ever touched.
-struct ShardRef {
-  std::uint64_t uid;
-  const void* registry;
-  std::atomic<std::uint64_t>* slots;
-};
-thread_local std::vector<ShardRef> t_shards;
-
-std::atomic<std::uint64_t> g_next_uid{1};
+/// The calling thread's shards, keyed by registry (thread_cache.hpp).
+thread_local detail::ThreadCache t_shards;
 
 std::string u64(std::uint64_t v) { return std::to_string(v); }
 
@@ -149,8 +137,7 @@ void MetricsSnapshot::merge_from(const MetricsSnapshot& other) {
   }
 }
 
-MetricsRegistry::MetricsRegistry()
-    : uid_(g_next_uid.fetch_add(1, std::memory_order_relaxed)) {}
+MetricsRegistry::MetricsRegistry() = default;
 
 MetricsRegistry::~MetricsRegistry() = default;
 
@@ -203,8 +190,8 @@ std::vector<std::uint64_t> MetricsRegistry::pow2_bounds(unsigned lo,
 }
 
 std::atomic<std::uint64_t>* MetricsRegistry::shard_slots() {
-  for (const auto& ref : t_shards)
-    if (ref.uid == uid_ && ref.registry == this) return ref.slots;
+  if (void* hit = t_shards.find(key_))
+    return static_cast<std::atomic<std::uint64_t>*>(hit);
   std::lock_guard<std::mutex> lock(mu_);
   frozen_ = true;
   auto shard = std::make_unique<Shard>();
@@ -214,7 +201,7 @@ std::atomic<std::uint64_t>* MetricsRegistry::shard_slots() {
     shard->slots[i].store(0, std::memory_order_relaxed);
   std::atomic<std::uint64_t>* slots = shard->slots.get();
   shards_.push_back(std::move(shard));
-  t_shards.push_back({uid_, this, slots});
+  t_shards.insert(key_, slots);
   return slots;
 }
 
@@ -275,5 +262,7 @@ std::size_t MetricsRegistry::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return descs_.size();
 }
+
+std::size_t detail::thread_shard_cache_size() { return t_shards.size(); }
 
 }  // namespace parbounds::obs

@@ -17,7 +17,10 @@
 // Concurrency model: each thread writes its own shard — a flat array of
 // relaxed atomics allocated on the thread's first touch of the registry
 // — so the hot path is one cached shard lookup plus one relaxed
-// fetch_add. snapshot() walks all shards under the registry mutex and
+// fetch_add. The lookup is the thread's ThreadCache (thread_cache.hpp),
+// which drops the entries of destroyed registries, so a thread that
+// works through many short-lived registries scans only the live ones.
+// snapshot() walks all shards under the registry mutex and
 // merges (sum for counters and histogram buckets, max for gauges).
 // Because every merge operator is commutative and associative, metric
 // values derived from deterministic per-trial work are bit-identical at
@@ -36,6 +39,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/thread_cache.hpp"
 
 namespace parbounds::obs {
 
@@ -133,7 +138,12 @@ class MetricsRegistry {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::uint32_t slot_count_ = 0;
   bool frozen_ = false;
-  std::uint64_t uid_;  ///< process-unique, guards the thread-local cache
+  detail::OwnerKey key_;  ///< this registry in every thread's shard cache
 };
+
+namespace detail {
+/// Entries in the calling thread's shard cache (a probe for tests).
+std::size_t thread_shard_cache_size();
+}  // namespace detail
 
 }  // namespace parbounds::obs

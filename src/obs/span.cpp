@@ -6,15 +6,8 @@ namespace parbounds::obs {
 
 namespace {
 
-struct BufferRef {
-  std::uint64_t uid;
-  const void* tracer;
-  Tracer* owner;
-  void* buffer;
-};
-thread_local std::vector<BufferRef> t_buffers;
-
-std::atomic<std::uint64_t> g_next_uid{1};
+/// The calling thread's buffers, keyed by tracer (thread_cache.hpp).
+thread_local detail::ThreadCache t_buffers;
 
 std::atomic<Tracer*> g_process_tracer{nullptr};
 
@@ -29,24 +22,21 @@ std::uint64_t steady_ns() {
 
 Tracer::Tracer(std::size_t capacity_per_thread)
     : capacity_(capacity_per_thread < 4 ? 4 : capacity_per_thread),
-      epoch_ns_(steady_ns()),
-      uid_(g_next_uid.fetch_add(1, std::memory_order_relaxed)) {}
+      epoch_ns_(steady_ns()) {}
 
 Tracer::~Tracer() = default;
 
 std::uint64_t Tracer::now() const { return steady_ns() - epoch_ns_; }
 
 Tracer::Buffer& Tracer::buffer() {
-  for (const auto& ref : t_buffers)
-    if (ref.uid == uid_ && ref.tracer == this)
-      return *static_cast<Buffer*>(ref.buffer);
+  if (void* hit = t_buffers.find(key_)) return *static_cast<Buffer*>(hit);
   std::lock_guard<std::mutex> lock(mu_);
   auto buf = std::make_unique<Buffer>();
   buf->events.resize(capacity_);
   buf->tid = static_cast<std::uint32_t>(buffers_.size() + 1);
   Buffer* raw = buf.get();
   buffers_.push_back(std::move(buf));
-  t_buffers.push_back({uid_, this, this, raw});
+  t_buffers.insert(key_, raw);
   return *raw;
 }
 
@@ -102,5 +92,7 @@ Tracer* process_tracer() {
 void install_process_tracer(Tracer* t) {
   g_process_tracer.store(t, std::memory_order_release);
 }
+
+std::size_t detail::thread_buffer_cache_size() { return t_buffers.size(); }
 
 }  // namespace parbounds::obs

@@ -5,7 +5,9 @@
 // sweep). Construction records a 'B' event, destruction the matching
 // 'E', both into a buffer owned by the calling thread, so the hot path
 // is a cached buffer lookup, a steady_clock read, and one release
-// store — no locks and no allocation after the buffer exists.
+// store — no locks and no allocation after the buffer exists. The
+// lookup is the thread's ThreadCache (thread_cache.hpp), which drops
+// the entries of destroyed tracers at the thread's next first touch.
 //
 // Buffers have fixed capacity. When a buffer cannot guarantee room for
 // both a span's 'B' and every outstanding 'E' (its own included), the
@@ -23,6 +25,8 @@
 #include <memory>
 #include <mutex>
 #include <vector>
+
+#include "obs/thread_cache.hpp"
 
 namespace parbounds::obs {
 
@@ -79,8 +83,13 @@ class Tracer {
   std::vector<std::unique_ptr<Buffer>> buffers_;
   std::size_t capacity_;
   std::uint64_t epoch_ns_;  ///< steady-clock origin
-  std::uint64_t uid_;       ///< process-unique, guards the thread-local cache
+  detail::OwnerKey key_;    ///< this tracer in every thread's buffer cache
 };
+
+namespace detail {
+/// Entries in the calling thread's buffer cache (a probe for tests).
+std::size_t thread_buffer_cache_size();
+}  // namespace detail
 
 /// RAII span. A null tracer makes the span inert (the detached fast
 /// path: one branch, no clock read).

@@ -1,8 +1,9 @@
 // Tests for the observability layer (src/obs): registry semantics and
-// shard merging, metric determinism across worker counts, span-tracer
-// B/E discipline, and the Chrome trace-event exporters — including a
-// golden model-time trace from a hand-driven QSM run, which pins the
-// exporter format byte for byte (docs/OBSERVABILITY.md).
+// shard merging, the bound on the per-thread shard and buffer caches,
+// metric determinism across worker counts, span-tracer B/E discipline,
+// and the Chrome trace-event exporters — including a golden model-time
+// trace from a hand-driven QSM run, which pins the exporter format byte
+// for byte (docs/OBSERVABILITY.md).
 //
 // A small JSON syntax walker lives here on purpose (the repo carries no
 // JSON dependency and tests must not validate a serializer with
@@ -14,6 +15,7 @@
 #include <algorithm>
 #include <cctype>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -314,6 +316,84 @@ TEST(Metrics, MergeFromRejectsMismatchedRegistration) {
 }
 
 // ---------------------------------------------------------------------
+// The per-thread shard cache (obs/thread_cache.hpp) keeps only live
+// registries: a thread that works through many short-lived registries
+// (a fleet worker builds one per cell) must not scan its whole history.
+
+constexpr unsigned kChurn = 10000;
+
+TEST(Metrics, ShardCacheDropsDeadRegistries) {
+  std::uint64_t live_count = 0, churn_total = 0;
+  std::size_t cache_entries = 0;
+  std::thread worker([&] {  // a fresh thread: a cache with no history
+    MetricsRegistry live;
+    const auto c = live.counter("live.count");
+    const auto h = live.histogram("live.dist", {1, 100});
+    for (unsigned i = 0; i < kChurn; ++i) {
+      {
+        MetricsRegistry cell;
+        const auto k = cell.counter("cell.count");
+        cell.add(k, 2);
+        churn_total += cell.snapshot().find("cell.count")->value;
+      }
+      live.add(c);
+      live.observe(h, i % 200);
+    }
+    live_count = live.snapshot().find("live.count")->value;
+    EXPECT_EQ(live.snapshot().find("live.dist")->counts,
+              (std::vector<std::uint64_t>{2 * 50, 99 * 50, 99 * 50}));
+    cache_entries = detail::thread_shard_cache_size();
+  });
+  worker.join();
+  EXPECT_EQ(live_count, kChurn);
+  EXPECT_EQ(churn_total, 2u * kChurn);
+  // The live registry plus the last dead one, which the next first
+  // touch would drop; an unpruned cache holds kChurn + 1.
+  EXPECT_LE(cache_entries, 2u);
+}
+
+TEST(Metrics, NewRegistryAtDeadOnesAddressStartsFromZero) {
+  std::optional<MetricsRegistry> reg;
+  reg.emplace();
+  const MetricsRegistry* first = &*reg;
+  reg->add(reg->counter("c"), 5);
+  reg.reset();
+  reg.emplace();  // same storage, new uid: must not find the old shard
+  ASSERT_EQ(&*reg, first);
+  const auto c = reg->counter("c");  // not frozen by the dead registry
+  reg->add(c);
+  EXPECT_EQ(reg->snapshot().find("c")->value, 1u);
+}
+
+TEST(Metrics, ChurningThreadsKeepSharedCountersExact) {
+  // Four threads each build, touch and destroy registries of their own
+  // while updating one shared registry: shared values stay exact and
+  // no thread's cache outgrows its live registries (TSan-clean).
+  constexpr unsigned kThreads = 4, kPerThread = 2000;
+  MetricsRegistry shared;
+  const auto c = shared.counter("shared.count");
+  const auto g = shared.gauge("shared.high");
+  std::vector<std::size_t> cache_entries(kThreads);
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (unsigned i = 0; i < kPerThread; ++i) {
+        MetricsRegistry own;
+        own.add(own.counter("own"), i);
+        shared.add(c, t + 1);
+        shared.record_max(g, t * kPerThread + i);
+      }
+      cache_entries[t] = detail::thread_shard_cache_size();
+    });
+  for (auto& th : threads) th.join();
+
+  const auto snap = shared.snapshot();
+  EXPECT_EQ(snap.find("shared.count")->value, kPerThread * (1 + 2 + 3 + 4));
+  EXPECT_EQ(snap.find("shared.high")->value, kThreads * kPerThread - 1);
+  for (const std::size_t n : cache_entries) EXPECT_LE(n, 2u);
+}
+
+// ---------------------------------------------------------------------
 // Determinism: telemetry driven by engine runs through the runner must
 // snapshot to identical bytes at any job count (the test_runtime
 // serial-vs-parallel discipline, applied to metrics).
@@ -462,6 +542,48 @@ TEST(Spans, ProcessTracerHookInstallsAndDetaches) {
   EXPECT_EQ(process_tracer(), &tracer);
   install_process_tracer(nullptr);
   EXPECT_EQ(process_tracer(), nullptr);
+}
+
+TEST(Spans, BufferCacheDropsDeadTracers) {
+  std::size_t live_events = 0, cache_entries = 0;
+  std::uint64_t live_dropped = 0, churn_events = 0;
+  std::thread worker([&] {  // a fresh thread: a cache with no history
+    Tracer live(/*capacity_per_thread=*/2 * kChurn + 2);
+    for (unsigned i = 0; i < kChurn; ++i) {
+      {
+        Tracer cell(/*capacity_per_thread=*/4);
+        { Span s(&cell, "cell"); }
+        churn_events += cell.buffers().at(0).count;
+      }
+      Span s(&live, "live", i);
+    }
+    const auto views = live.buffers();
+    ASSERT_EQ(views.size(), 1u);
+    live_events = views[0].count;
+    live_dropped = views[0].dropped;
+    cache_entries = detail::thread_buffer_cache_size();
+  });
+  worker.join();
+  EXPECT_EQ(live_events, 2u * kChurn);
+  EXPECT_EQ(live_dropped, 0u);
+  EXPECT_EQ(churn_events, 2u * kChurn);
+  EXPECT_LE(cache_entries, 2u);  // unpruned: kChurn + 1
+}
+
+TEST(Spans, NewTracerAtDeadOnesAddressStartsFromZero) {
+  std::optional<Tracer> tracer;
+  tracer.emplace();
+  const Tracer* first = &*tracer;
+  for (int i = 0; i < 3; ++i) Span s(&*tracer, "old");
+  tracer.reset();
+  tracer.emplace();  // same storage, new uid: must not find the old buffer
+  ASSERT_EQ(&*tracer, first);
+  { Span s(&*tracer, "new"); }
+  const auto views = tracer->buffers();
+  ASSERT_EQ(views.size(), 1u);
+  EXPECT_EQ(views[0].tid, 1u);
+  ASSERT_EQ(views[0].count, 2u);
+  EXPECT_STREQ(views[0].events[0].name, "new");
 }
 
 // ---------------------------------------------------------------------
