@@ -14,10 +14,20 @@ RandomAdversary::RandomAdversary(GsmAlgorithm algo, GsmConfig cfg,
       cfg_(cfg),
       n_inputs_(n_inputs),
       D_(std::move(D)),
-      rng_(seed) {}
+      rng_(seed),
+      last_map_(0) {}
 
 TraceAnalysis RandomAdversary::analyze(const PartialInputMap& f) const {
   return TraceAnalysis(algo_, cfg_, n_inputs_, f);
+}
+
+std::shared_ptr<const TraceAnalysis> RandomAdversary::analysis_of(
+    const PartialInputMap& f) {
+  if (last_ == nullptr || last_map_ != f) {
+    last_ = std::make_shared<const TraceAnalysis>(algo_, cfg_, n_inputs_, f);
+    last_map_ = f;
+  }
+  return last_;
 }
 
 RefineOutcome RandomAdversary::refine(unsigned t, const PartialInputMap& f) {
@@ -36,7 +46,8 @@ RefineOutcome RandomAdversary::refine(unsigned t, const PartialInputMap& f) {
   // ----- lines (4)-(10): force the busiest processor ------------------------
   bool done = false;
   while (!done && out.inputs_fixed <= budget) {
-    const TraceAnalysis ta = analyze(out.f);
+    const auto analysis = analysis_of(out.f);
+    const TraceAnalysis& ta = *analysis;
     if (t > ta.phases()) break;  // algorithm already finished
 
     // MaxProc: processor with the largest possible rw count this phase.
@@ -80,12 +91,12 @@ RefineOutcome RandomAdversary::refine(unsigned t, const PartialInputMap& f) {
     }
     if (match) {
       // Re-evaluate the now-forced rw count under the refined map.
-      const TraceAnalysis ta2 = analyze(out.f);
+      const auto ta2 = analysis_of(out.f);
       std::uint64_t forced = 0;
-      if (t <= ta2.phases())
-        for (std::size_t v = 0; v < ta2.entities().size(); ++v)
-          if (!ta2.entities()[v].is_cell)
-            forced = std::max(forced, ta2.max_rw(v, t));
+      if (t <= ta2->phases())
+        for (std::size_t v = 0; v < ta2->entities().size(); ++v)
+          if (!ta2->entities()[v].is_cell)
+            forced = std::max(forced, ta2->max_rw(v, t));
       out.forced_rw = forced;
       done = true;
     }
@@ -94,7 +105,8 @@ RefineOutcome RandomAdversary::refine(unsigned t, const PartialInputMap& f) {
   // ----- lines (12)-(21): force the most contended cell ----------------------
   done = false;
   while (!done && out.inputs_fixed <= budget) {
-    const TraceAnalysis ta = analyze(out.f);
+    const auto analysis = analysis_of(out.f);
+    const TraceAnalysis& ta = *analysis;
     if (t > ta.phases()) break;
 
     std::size_t best_v = 0;
@@ -144,12 +156,12 @@ RefineOutcome RandomAdversary::refine(unsigned t, const PartialInputMap& f) {
       if (got != want) match = false;
     }
     if (match) {
-      const TraceAnalysis ta2 = analyze(out.f);
+      const auto ta2 = analysis_of(out.f);
       std::uint64_t forced = 0;
-      if (t <= ta2.phases())
-        for (std::size_t v = 0; v < ta2.entities().size(); ++v)
-          if (ta2.entities()[v].is_cell)
-            forced = std::max(forced, ta2.max_contention(v, t));
+      if (t <= ta2->phases())
+        for (std::size_t v = 0; v < ta2->entities().size(); ++v)
+          if (ta2->entities()[v].is_cell)
+            forced = std::max(forced, ta2->max_contention(v, t));
       out.forced_contention = std::min<std::uint64_t>(
           forced, static_cast<std::uint64_t>(w_cap));
       done = true;

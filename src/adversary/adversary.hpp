@@ -2,7 +2,7 @@
 // The Random Adversary (Sections 4 and 5), executable.
 //
 // RandomAdversary walks a deterministic GSM algorithm phase by phase. At
-// each phase it re-analyzes the algorithm over all refinements of the
+// each phase it analyzes the algorithm over all refinements of the
 // current partial input map (TraceAnalysis) and executes the Section 5
 // REFINE procedure:
 //
@@ -22,12 +22,17 @@
 // RANDOMSET, the final map is distributed exactly per D (Fact 4.1 /
 // Lemma 4.1 — statistically tested).
 //
+// An analysis is a pure function of (algorithm, config, map), so REFINE
+// keeps the analysis of the map it analyzed last and reuses it while the
+// map is unchanged: each map GENERATE passes through is analyzed once.
+//
 // The analyzer enumerates all refinements, so instances must be small
 // (<= 14 unset inputs). That is enough to run the machinery for real and
 // check every invariant exactly; the paper's asymptotic envelopes are
 // evaluated by adversary/goodness.hpp.
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "adversary/input_map.hpp"
@@ -70,15 +75,21 @@ class RandomAdversary {
   GenerateResult generate(std::uint64_t T);
 
   /// The analysis of the algorithm under the current map (for invariant
-  /// checks by callers); rebuilt on demand.
+  /// checks by callers); built afresh on every call.
   TraceAnalysis analyze(const PartialInputMap& f) const;
 
  private:
+  /// The analysis of f: the last one when f is the map it was built for.
+  /// Shared, so a caller's handle outlives the next replacement.
+  std::shared_ptr<const TraceAnalysis> analysis_of(const PartialInputMap& f);
+
   GsmAlgorithm algo_;
   GsmConfig cfg_;
   unsigned n_inputs_;
   BitDistribution D_;
   mutable Rng rng_;
+  PartialInputMap last_map_;
+  std::shared_ptr<const TraceAnalysis> last_;
 };
 
 }  // namespace parbounds

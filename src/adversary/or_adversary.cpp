@@ -80,7 +80,10 @@ OrAdversary::Step OrAdversary::refine(unsigned t, const OrFamily& F) {
   // input (support of the remaining family is unrestricted) and compare
   // the busiest processor / cell against the Section 7 thresholds.
   const auto n = static_cast<unsigned>(dist_.n());
-  TraceAnalysis ta(algo_, cfg_, n, PartialInputMap::all_unset(n));
+  if (analysis_ == nullptr)
+    analysis_ = std::make_shared<const TraceAnalysis>(
+        algo_, cfg_, n, PartialInputMap::all_unset(n));
+  const TraceAnalysis& ta = *analysis_;
   const double lstar = log_star_base(
       std::max(2.0, static_cast<double>(dist_.n()) /
                         static_cast<double>(dist_.gamma())),

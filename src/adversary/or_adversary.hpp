@@ -22,6 +22,7 @@
 // samples of D and reports the success probability.
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -90,6 +91,9 @@ class OrAdversary {
   GsmConfig cfg_;
   OrDistribution dist_;
   Rng rng_;
+  /// The analysis over every input, which refine's threshold test reads
+  /// at each t; built by the first refine.
+  std::shared_ptr<const TraceAnalysis> analysis_;
 };
 
 /// Empirical Theorem 7.1 trade-off: run `fanin`-ary GSM OR truncated to

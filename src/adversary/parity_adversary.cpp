@@ -1,7 +1,7 @@
 #include "adversary/parity_adversary.hpp"
 
 #include <algorithm>
-#include <map>
+#include <memory>
 
 namespace parbounds {
 
@@ -19,8 +19,12 @@ ParityAdversaryRun ParityAdversary::run(unsigned max_phases) {
   PartialInputMap f = PartialInputMap::all_unset(n_);
   const BitDistribution D = BitDistribution::uniform(n_);
 
+  // The analysis of f; each phase's re-analysis is the next phase's.
+  std::unique_ptr<const TraceAnalysis> current;
   for (unsigned phase = 1; phase <= max_phases; ++phase) {
-    TraceAnalysis ta(algo_, cfg_, n_, f);
+    if (current == nullptr)
+      current = std::make_unique<const TraceAnalysis>(algo_, cfg_, n_, f);
+    const TraceAnalysis& ta = *current;
     if (phase > ta.phases()) break;
 
     // Current V: the still-free variables, addressed two ways — by their
@@ -79,7 +83,8 @@ ParityAdversaryRun ParityAdversary::run(unsigned max_phases) {
     f = random_set(f, to_fix, D, rng_);
 
     // Re-analyze under the refined map and check the paper's invariants.
-    TraceAnalysis ta2(algo_, cfg_, n_, f);
+    auto refined = std::make_unique<const TraceAnalysis>(algo_, cfg_, n_, f);
+    const TraceAnalysis& ta2 = *refined;
     const unsigned t2 = std::min(phase, ta2.phases());
     step.invariant_ok = true;
     for (std::size_t v = 0; v < ta2.entities().size(); ++v)
@@ -107,6 +112,7 @@ ParityAdversaryRun ParityAdversary::run(unsigned max_phases) {
 
     out.all_invariants_ok = out.all_invariants_ok && step.invariant_ok;
     out.steps.push_back(std::move(step));
+    current = std::move(refined);
     if (out.steps.back().V.size() <= 1) break;
   }
   out.final_map = f;

@@ -20,13 +20,20 @@
 // writes). Canonicalisation is structural, so two refinements get equal
 // ids iff their traces are equal.
 //
-// Restriction: analyzed algorithms must use single-word GSM writes (the
-// event log records one Word per write), which all in-repo algorithms do.
+// Each run is captured as one flat event array; entities are found
+// through dense id -> index tables, and trace values are interned in one
+// hash table, so ids are first-seen numbers in replay order (runs in
+// mask order; within a phase, processors then cells, each ascending).
+// Results are held in flat [v][t][r] arrays.
+//
+// Restrictions: analyzed algorithms must use single-word GSM writes (the
+// event log records one Word per write), which all in-repo algorithms
+// do; processor ids and cell addresses must lie below kMaxId.
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "adversary/input_map.hpp"
@@ -49,6 +56,11 @@ class TraceAnalysis {
     }
     bool operator==(const Entity& o) const = default;
   };
+
+  /// Bound on processor ids and cell addresses: the id -> index tables
+  /// are dense over [0, kMaxId). A larger id makes the constructor throw
+  /// std::invalid_argument.
+  static constexpr std::uint64_t kMaxId = std::uint64_t{1} << 22;
 
   TraceAnalysis(GsmAlgorithm algo, GsmConfig cfg, unsigned n_inputs,
                 const PartialInputMap& base);
@@ -93,42 +105,42 @@ class TraceAnalysis {
   /// fewer phases).
   std::uint64_t big_steps(unsigned t, std::uint32_t r) const;
 
-  /// Output-cell contents at the end of run r (peek of `addr`).
-  std::vector<Word> final_cell(Addr addr, std::uint32_t r) const;
-
  private:
-  void run_refinement(std::uint32_t r, const GsmAlgorithm& algo,
-                      const GsmConfig& cfg);
+  struct Run;  // one captured algorithm run
+  static Run capture(const GsmAlgorithm& algo, const GsmConfig& cfg,
+                     std::span<const Word> input);
+  void discover_entities(const std::vector<Run>& runs);
+  void replay(const std::vector<Run>& runs, std::uint64_t mu);
   unsigned aff_count(unsigned j, unsigned t, bool cells) const;
+  /// Offset of row (v, t) in the [v][t][r] tables, and of cell v's row
+  /// in contention_.
+  std::size_t row(std::size_t v, unsigned t) const {
+    return (v * (phases_ + 1) + t) * refinements();
+  }
+  std::size_t cell_row(std::size_t v, unsigned t) const {
+    return row(v - proc_count_, t);
+  }
+  std::span<const std::uint32_t> trace_row(std::size_t v, unsigned t) const {
+    return {trace_.data() + row(v, t), refinements()};
+  }
 
-  unsigned n_inputs_;
-  PartialInputMap base_;
   std::vector<unsigned> free_vars_;
   unsigned phases_ = 0;
   std::size_t proc_count_ = 0;
 
   std::vector<Entity> entities_;
-  std::map<Entity, std::size_t> entity_index_;
+  // Entity index by processor id and by cell address; kNoEntity if unseen.
+  static constexpr std::uint32_t kNoEntity = ~std::uint32_t{0};
+  std::vector<std::uint32_t> proc_index_;
+  std::vector<std::uint32_t> cell_index_;
 
-  // trace_[v][t][r] — interned ids; dimensions fixed after construction.
-  std::vector<std::vector<std::vector<std::uint32_t>>> trace_;
-  // rw_[v][t][r] for processors, contention_[v][t][r] for cells.
-  std::vector<std::vector<std::vector<std::uint32_t>>> rw_;
-  std::vector<std::vector<std::vector<std::uint32_t>>> contention_;
-  std::vector<std::vector<std::uint64_t>> big_steps_;  // [t][r]
-  std::vector<std::map<Addr, std::vector<Word>>> final_mem_;  // [r]
-
-  // Structural interning of trace values.
-  std::map<std::vector<std::int64_t>, std::uint32_t> interner_;
-  std::uint32_t intern(const std::vector<std::int64_t>& key);
-
-  // Raw per-run capture before padding, keyed during construction.
-  struct RunCapture {
-    std::vector<PhaseTrace> phases;
-    std::map<Addr, std::vector<Word>> initial;
-    std::map<Addr, std::vector<Word>> final_mem;
-  };
-  std::vector<RunCapture> captures_;
+  // Interned trace ids [v][t][r]; reads+writes [v][t][r] over the
+  // processors (v < proc_count_); contention [v - proc_count_][t][r]
+  // over the cells; big-steps [t][r].
+  std::vector<std::uint32_t> trace_;
+  std::vector<std::uint32_t> rw_;
+  std::vector<std::uint32_t> contention_;
+  std::vector<std::uint64_t> big_steps_;
 };
 
 /// Generalised certificate machinery: minimal number of coordinates that

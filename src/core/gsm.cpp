@@ -48,6 +48,7 @@ void GsmMachine::begin_phase() {
   in_phase_ = true;
   reads_.clear();
   writes_.clear();
+  write_words_.clear();
 }
 
 void GsmMachine::read(ProcId p, Addr a) {
@@ -57,12 +58,14 @@ void GsmMachine::read(ProcId p, Addr a) {
 
 void GsmMachine::write(ProcId p, Addr a, Word v) {
   if (!in_phase_) throw ModelViolation("write outside a phase");
-  writes_.push_back({p, a, {v}});
+  writes_.push_back({p, a, write_words_.size(), 1});
+  write_words_.push_back(v);
 }
 
 void GsmMachine::write_block(ProcId p, Addr a, std::span<const Word> vs) {
   if (!in_phase_) throw ModelViolation("write outside a phase");
-  writes_.push_back({p, a, std::vector<Word>(vs.begin(), vs.end())});
+  writes_.push_back({p, a, write_words_.size(), vs.size()});
+  write_words_.insert(write_words_.end(), vs.begin(), vs.end());
 }
 
 const PhaseTrace& GsmMachine::commit_phase() {
@@ -112,11 +115,13 @@ const PhaseTrace& GsmMachine::commit_phase() {
 
   // Strong queuing: every write appends its information to the cell.
   for (const auto& w : writes_) {
+    const auto words = std::span<const Word>(write_words_).subspan(
+        w.offset, w.length);
     auto& cell = mem_.slot(w.addr);
-    cell.insert(cell.end(), w.values.begin(), w.values.end());
+    cell.insert(cell.end(), words.begin(), words.end());
     if (cfg_.record_detail)
       ph.events.push_back(
-          {w.proc, w.addr, w.values.empty() ? 0 : w.values.front(), true});
+          {w.proc, w.addr, words.empty() ? 0 : words.front(), true});
   }
 
   return detail::publish_phase(trace_, std::move(ph), observer_);

@@ -108,10 +108,13 @@ class GsmMachine {
     ProcId proc;
     Addr addr;
   };
+  // A write's words are [offset, offset + length) of write_words_, the
+  // phase's one word buffer.
   struct WriteReq {
     ProcId proc;
     Addr addr;
-    std::vector<Word> values;
+    std::size_t offset;
+    std::size_t length;
   };
 
   GsmConfig cfg_;
@@ -127,6 +130,7 @@ class GsmMachine {
 
   std::vector<ReadReq> reads_;
   std::vector<WriteReq> writes_;
+  std::vector<Word> write_words_;
   FlatInbox<std::vector<Word>> inboxes_;
 
   // Reusable accounting scratch for commit_phase.

@@ -116,6 +116,29 @@ TEST(Gsm, WriteBlockCountsOnce) {
   EXPECT_EQ(m.peek(a).size(), 4u);
 }
 
+TEST(Gsm, WritesAndBlocksAppendInIssueOrder) {
+  GsmMachine m({.alpha = 4, .beta = 4, .gamma = 1, .record_detail = true});
+  const Addr a = m.alloc(2);
+  m.begin_phase();
+  m.write(0, a, 7);
+  m.write_block(1, a, std::vector<Word>{1, 2});
+  m.write(2, a, 9);
+  m.commit_phase();
+  EXPECT_EQ(std::vector<Word>(m.peek(a).begin(), m.peek(a).end()),
+            (std::vector<Word>{7, 1, 2, 9}));
+  // The next phase's words start afresh; an empty block adds nothing and
+  // records value 0.
+  m.begin_phase();
+  m.write_block(0, a + 1, std::span<const Word>{});
+  m.write(1, a + 1, 5);
+  const auto& ph = m.commit_phase();
+  EXPECT_EQ(std::vector<Word>(m.peek(a + 1).begin(), m.peek(a + 1).end()),
+            (std::vector<Word>{5}));
+  ASSERT_EQ(ph.events.size(), 2u);
+  EXPECT_EQ(ph.events[0].value, 0);
+  EXPECT_EQ(ph.events[1].value, 5);
+}
+
 TEST(Gsm, ParameterValidation) {
   EXPECT_THROW(GsmMachine({.alpha = 0}), std::invalid_argument);
   EXPECT_THROW(GsmMachine({.alpha = 1, .beta = 0}), std::invalid_argument);

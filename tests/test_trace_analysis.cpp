@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <memory>
+#include <stdexcept>
 
+#include "adversary/adversary.hpp"
 #include "adversary/or_adversary.hpp"
+#include "algos/gsm_algos.hpp"
 
 namespace parbounds {
 namespace {
@@ -106,6 +110,145 @@ TEST(TraceAnalysis, PartialBaseRestrictsRefinements) {
   const auto p0 = ta.entity_index({false, 0});
   EXPECT_EQ(ta.states_count(p0, 1), 1u);
   EXPECT_TRUE(ta.know(p0, 1).empty());
+}
+
+TEST(TraceAnalysis, EntityTablesAreBoundedAndExact) {
+  TraceAnalysis ta([](GsmMachine& m, std::span<const Word> in) {
+    copy_algo(m, in);
+  },
+                   GsmConfig{}, 2, PartialInputMap::all_unset(2));
+  EXPECT_THROW((void)ta.entity_index({false, 2}), std::out_of_range);
+  EXPECT_THROW((void)ta.entity_index({true, 1000}), std::out_of_range);
+
+  const auto far_cell = [](GsmMachine& m, std::span<const Word> in) {
+    m.preload(TraceAnalysis::kMaxId, in);
+    m.begin_phase();
+    m.read(0, TraceAnalysis::kMaxId);
+    m.commit_phase();
+  };
+  EXPECT_THROW(TraceAnalysis(far_cell, GsmConfig{}, 1,
+                             PartialInputMap::all_unset(1)),
+               std::invalid_argument);
+}
+
+// ----- golden digest ---------------------------------------------------------
+
+// FNV-1a over 64-bit words, byte by byte.
+struct Fnv {
+  std::uint64_t h = 14695981039346656037ull;
+  void add(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+};
+
+GsmAlgorithm tree_algo(bool parity, unsigned fanin) {
+  if (parity)
+    return [fanin](GsmMachine& m, std::span<const Word> in) {
+      gsm_parity_tree(m, in, fanin);
+    };
+  return [fanin](GsmMachine& m, std::span<const Word> in) {
+    gsm_or_tree(m, in, fanin);
+  };
+}
+
+void digest_analysis(const TraceAnalysis& ta, Fnv& d) {
+  d.add(ta.free_count());
+  d.add(ta.phases());
+  d.add(ta.entities().size());
+  d.add(ta.proc_count());
+  for (const auto& e : ta.entities()) {
+    d.add(e.is_cell ? 1 : 0);
+    d.add(e.id);
+  }
+  const std::uint32_t R = ta.refinements();
+  // Certificates are exponential in u per point: every point while the
+  // cube is small, three fixed points beyond.
+  std::vector<std::uint32_t> cert_points;
+  if (ta.free_count() <= 5)
+    for (std::uint32_t r = 0; r < R; ++r) cert_points.push_back(r);
+  else
+    cert_points = {0, R / 3, R - 1};
+  for (unsigned t = 0; t <= ta.phases(); ++t) {
+    for (std::uint32_t r = 0; r < R; ++r) d.add(ta.big_steps(t, r));
+    for (std::size_t v = 0; v < ta.entities().size(); ++v) {
+      for (std::uint32_t r = 0; r < R; ++r) {
+        d.add(ta.trace_id(v, t, r));
+        d.add(ta.rw_count(v, t, r));
+        d.add(ta.contention(v, t, r));
+      }
+      d.add(ta.states_count(v, t));
+      const auto k = ta.know(v, t);
+      d.add(k.size());
+      for (const unsigned j : k) d.add(j);
+      d.add(ta.deg_states(v, t));
+      for (const std::uint32_t r : cert_points) d.add(ta.cert_at(v, t, r));
+    }
+  }
+}
+
+// One digest over everything TraceAnalysis and GENERATE report, pinned
+// to the value the std::map-based analysis produced. Trace ids are
+// first-seen intern numbers, so the digest also pins the order in which
+// traces are interned.
+TEST(TraceAnalysis, GoldenDigest) {
+  Fnv d;
+  for (const bool parity : {true, false})
+    for (unsigned fanin = 2; fanin <= 4; ++fanin)
+      for (unsigned n = 3; n <= 10; ++n)
+        for (const bool partial : {false, true}) {
+          PartialInputMap base = PartialInputMap::all_unset(n);
+          if (partial)
+            for (unsigned i = 1; i < n; i += 3) base.set(i, (i / 3) & 1);
+          digest_analysis(TraceAnalysis(tree_algo(parity, fanin),
+                                        GsmConfig{}, n, base),
+                          d);
+        }
+  for (unsigned n = 10; n <= 11; ++n)
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      RandomAdversary adv(tree_algo(false, 2 + seed % 2), GsmConfig{}, n,
+                          BitDistribution::uniform(n), seed);
+      const GenerateResult res = adv.generate(2);
+      d.add(res.steps.size());
+      for (const auto& s : res.steps) {
+        for (unsigned i = 0; i < n; ++i)
+          d.add(static_cast<std::uint64_t>(s.f.value(i) + 1));
+        d.add(s.x);
+        d.add(s.forced_rw);
+        d.add(s.forced_contention);
+        d.add(s.randomset_calls);
+        d.add(s.inputs_fixed);
+        d.add(s.success ? 1 : 0);
+      }
+      d.add(res.total_big_steps);
+      d.add(res.total_inputs_fixed_early);
+      d.add(res.final_map.as_mask());
+    }
+  EXPECT_EQ(d.h, 0x2313ae462876eb2eull);
+}
+
+// GENERATE analyses each partial map once: REFINE keeps the analysis of
+// the map it last analysed instead of rebuilding it. Here GENERATE takes
+// one REFINE step, and every analysis in it is of the all-unset map
+// (the certificates of phase-0 states are empty, so RANDOMSET fixes
+// nothing): one analysis of 2^10 runs. Rebuilding the analysis at each
+// use (MaxProc loop, its re-evaluation, MaxCell loop, its
+// re-evaluation) took 4 analyses, 4096 runs.
+TEST(TraceAnalysis, GenerateReusesTheLastAnalysis) {
+  auto runs = std::make_shared<std::uint64_t>(0);
+  RandomAdversary adv(
+      [runs](GsmMachine& m, std::span<const Word> in) {
+        ++*runs;
+        gsm_or_tree(m, in, 2);
+      },
+      GsmConfig{}, 10, BitDistribution::uniform(10), 1);
+  const GenerateResult res = adv.generate(2);
+  EXPECT_TRUE(res.final_map.complete());
+  ASSERT_EQ(res.steps.size(), 1u);
+  EXPECT_EQ(res.steps[0].inputs_fixed, 0u);
+  EXPECT_EQ(*runs, 1024u);
 }
 
 // ----- subcube certificates ----------------------------------------------------

@@ -18,12 +18,13 @@
 #      smoke) on its own, plus a parprof_cli run over a freshly
 #      exported demo trace;
 #   7. a TSan build flavor (PARBOUNDS_TSAN, exclusive with ASan) running
-#      the `runtime`, `obs`, `intra`, `service` and `fleet` labelled
-#      subsets — the ExperimentRunner determinism suite is the
+#      the `runtime`, `obs`, `intra`, `service`, `fleet` and `adversary`
+#      labelled subsets — the ExperimentRunner determinism suite is the
 #      data-race proof for the trial-parallel path, the obs suite
 #      exercises the concurrent metric shards and span buffers, the
 #      intra suite drives the parallel BoolFn transforms and adversary
-#      folds at pool sizes 1/2/8, and the fleet coordinator
+#      folds at pool sizes 1/2/8, the adversary suite's Aff counts and
+#      goodness folds fan out over the pool, and the fleet coordinator
 #      promises a single-threaded poll loop, so all must pass under
 #      ThreadSanitizer;
 #   8. bench_hotpath and bench_obs_overhead smoke runs (--jobs 2
@@ -469,8 +470,8 @@ cmake -B "${BUILD_DIR}-tsan" -S . \
 echo "==> build (TSan)"
 cmake --build "${BUILD_DIR}-tsan" -j "${JOBS}"
 
-echo "==> runtime-, obs-, intra-, service- and fleet-labelled subsets under TSan"
-ctest --test-dir "${BUILD_DIR}-tsan" -L 'runtime|obs|intra|service|fleet' \
+echo "==> runtime-, obs-, intra-, service-, fleet- and adversary-labelled subsets under TSan"
+ctest --test-dir "${BUILD_DIR}-tsan" -L 'runtime|obs|intra|service|fleet|adversary' \
   --output-on-failure
 
 echo "==> configure (Release + Werror, sanitizer-free) into ${BUILD_DIR}-bench"
