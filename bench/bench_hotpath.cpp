@@ -14,23 +14,28 @@
 // workload through the engine and through the replica — same base seed,
 // same cell grid, hence identical per-trial seeds — and the model
 // costs / degree values are asserted equal, so the replicas double as
-// behavioral oracles. The recorded speedup is the wall-clock ratio
-// between the paired sweeps. Cells return model costs/degrees, never
-// wall time, so the report bytes are the same at any --jobs value; the
-// ratios go to the ops file (BENCH_hotpath.ops.json) only.
+// behavioral oracles. Cells return model costs/degrees, never wall
+// time, so the report bytes are the same at any --jobs value.
 //
-// The binary also times a degree(n=26) instance that lands in the
-// chunked Moebius tier at pool sizes 1, 2 and 8 and records the
-// single-instance speedups (the "shard_speedup/degree26/..." ratios).
+// Every speedup is a paired_ratio (src/runtime/paired_ratio.hpp): the
+// replica and the engine repeat trial 0 of their sweep in alternating
+// >= 100 ms regions over 9 pairs, each repetition re-checked against
+// the sweep's value, and the ratio is the median with its spread
+// (docs/PERF.md, "How a wall-clock gate reads"). The ratios go to the
+// ops file (BENCH_hotpath.ops.json) only.
+//
+// The binary also pairs a degree(n=26) instance that lands in the
+// chunked Moebius tier at pool size 1 against pool sizes 2 and 8 (the
+// "shard_speedup/degree26/..." ratios).
 //
 // The dispatch-equivalence oracle covers the full kernel matrix:
 // kernel_digest folds every dispatch-kernel-touched quantity
 // (connective words, popcounts, integer/GF(2) degrees, both sides of
 // the dense/chunked tier boundary, multilinear coefficients, a commit
 // model cost) into one checksum, and that digest must be identical at
-// EVERY supported dispatch level x pool size in {1, 2, 8}. A paired
-// timing pass then pins the word loops at portable and at the highest
-// supported tier and records the ratios ("simd_speedup/..." ratios).
+// EVERY supported dispatch level x pool size in {1, 2, 8}. Two more
+// pairs then pin the word loops at portable and at the highest
+// supported tier ("simd_speedup/..." ratios).
 //
 // Extra flags (stripped before the harness parses argv; X must be a
 // finite positive number, anything else exits 2):
@@ -43,13 +48,15 @@
 //                           speedup over pinned-portable < X for the
 //                           connectives or the chunked-degree workload
 //                           (skipped when the host has no SIMD tier)
-// tools/run_checks.sh passes conservative floors; BENCH_hotpath.ops.json
-// records the actually measured "speedup/...", "shard_speedup/..." and
-// "simd_speedup/..." ratios.
+// Every ratio is measured, and the report and the ops file written
+// (each ratio with its /spread and /pairs), before a failed floor makes
+// the run exit 1. tools/run_checks.sh passes conservative floors.
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
+#include <functional>
+#include <optional>
+#include <type_traits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -68,38 +75,6 @@ namespace pb = parbounds;
 using namespace parbounds::bench;
 
 namespace {
-
-// ----- deterministic phase-commit workload ----------------------------------
-
-constexpr std::uint64_t kProcs = 1024;
-constexpr unsigned kPhases = 64;
-constexpr std::uint64_t kCells = 4096;  // reads in [0, 2048), writes above
-
-struct Op {
-  bool is_write;
-  pb::ProcId proc;
-  pb::Addr addr;
-  pb::Word value;
-};
-
-// One phase's request stream: every processor issues 2 reads and 2
-// writes at random addresses. Read and write halves are disjoint, so the
-// stream is legal on every engine. Generated ONCE per trial and replayed
-// for all kPhases phases, so generation cost stays negligible next to
-// the commit work being measured.
-std::vector<Op> make_ops(pb::Rng& rng) {
-  std::vector<Op> ops;
-  ops.reserve(kProcs * 4);
-  const std::uint64_t half = kCells / 2;
-  for (pb::ProcId p = 0; p < kProcs; ++p) {
-    for (int r = 0; r < 2; ++r)
-      ops.push_back({false, p, rng.next_below(half), 0});
-    for (int w = 0; w < 2; ++w)
-      ops.push_back({true, p, half + rng.next_below(half),
-                     static_cast<pb::Word>(1 + rng.next_below(1000))});
-  }
-  return ops;
-}
 
 // ----- legacy replica: the pre-overhaul QSM commit pipeline ------------------
 
@@ -270,65 +245,32 @@ unsigned degree(const ByteFn& f) {
 
 std::uint64_t qsm_commit_model(std::uint64_t seed) {
   pb::Rng rng(seed);
-  const auto ops = make_ops(rng);
   pb::QsmMachine m({.g = 2});
-  (void)m.alloc(kCells);
-  for (unsigned ph = 0; ph < kPhases; ++ph) {
-    m.begin_phase();
-    for (const auto& op : ops) {
-      if (op.is_write)
-        m.write(op.proc, op.addr, op.value);
-      else
-        m.read(op.proc, op.addr);
-    }
-    m.commit_phase();
-  }
-  return m.time();
+  (void)m.alloc(kCommitCells);
+  return replay_phases(m, make_commit_ops(rng));
 }
 
 std::uint64_t qsm_legacy_commit_model(std::uint64_t seed) {
   pb::Rng rng(seed);
-  const auto ops = make_ops(rng);
   legacy::Qsm m(2);
-  for (unsigned ph = 0; ph < kPhases; ++ph) {
-    m.begin_phase();
-    for (const auto& op : ops) {
-      if (op.is_write)
-        m.write(op.proc, op.addr, op.value);
-      else
-        m.read(op.proc, op.addr);
-    }
-    m.commit_phase();
-  }
-  return m.time();
+  return replay_phases(m, make_commit_ops(rng));
 }
 
 std::uint64_t gsm_commit_model(std::uint64_t seed) {
   pb::Rng rng(seed);
-  const auto ops = make_ops(rng);
   pb::GsmMachine m({.alpha = 2, .beta = 2});
-  (void)m.alloc(kCells);
-  for (unsigned ph = 0; ph < kPhases; ++ph) {
-    m.begin_phase();
-    for (const auto& op : ops) {
-      if (op.is_write)
-        m.write(op.proc, op.addr, op.value);
-      else
-        m.read(op.proc, op.addr);
-    }
-    m.commit_phase();
-  }
-  return m.time();
+  (void)m.alloc(kCommitCells);
+  return replay_phases(m, make_commit_ops(rng));
 }
 
 std::uint64_t bsp_commit_model(std::uint64_t seed) {
   pb::Rng rng(seed);
-  pb::BspMachine m({.p = kProcs, .g = 2, .L = 8});
-  for (unsigned ph = 0; ph < kPhases; ++ph) {
+  pb::BspMachine m({.p = kCommitProcs, .g = 2, .L = 8});
+  for (unsigned ph = 0; ph < kCommitPhases; ++ph) {
     m.begin_superstep();
-    for (pb::ProcId p = 0; p < kProcs; ++p)
+    for (pb::ProcId p = 0; p < kCommitProcs; ++p)
       for (int s = 0; s < 4; ++s)
-        m.send(p, rng.next_below(kProcs),
+        m.send(p, rng.next_below(kCommitProcs),
                static_cast<pb::Word>(rng.next_below(1000)));
     m.commit_superstep();
   }
@@ -337,18 +279,13 @@ std::uint64_t bsp_commit_model(std::uint64_t seed) {
 
 std::uint64_t crcw_commit_model(std::uint64_t seed) {
   pb::Rng rng(seed);
-  const auto ops = make_ops(rng);
+  const auto ops = make_commit_ops(rng);
   pb::CrcwMachine m({.rule = pb::CrcwWriteRule::Arbitrary});
-  (void)m.alloc(kCells);
+  (void)m.alloc(kCommitCells);
   std::uint64_t kappa_sum = 0;
-  for (unsigned ph = 0; ph < kPhases; ++ph) {
+  for (unsigned ph = 0; ph < kCommitPhases; ++ph) {
     m.begin_step();
-    for (const auto& op : ops) {
-      if (op.is_write)
-        m.write(op.proc, op.addr, op.value);
-      else
-        m.read(op.proc, op.addr);
-    }
+    issue_ops(m, ops);
     // Contention is recorded but not charged on a CRCW; fold it into the
     // returned value so the bit-identity check covers the kappa scan too.
     kappa_sum += m.commit_step().stats.kappa();
@@ -436,28 +373,6 @@ double degree_and22in24(std::uint64_t) {
   return static_cast<double>(pb::degree(f));
 }
 
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-// degree(n = 26) instance that defeats every early tier (AND of the
-// first 24 of 26 inputs) and lands in the chunked Moebius transform —
-// the tier the pool parallelizes. Table construction is excluded from
-// the timing; only the transform is being swept.
-double degree26_wall_ms(const pb::BoolFn& f) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const unsigned d = pb::degree(f);
-  const auto t1 = std::chrono::steady_clock::now();
-  if (d != 24) {
-    std::fprintf(stderr, "bench_hotpath: degree(26) oracle got %u, want 24\n",
-                 d);
-    std::exit(1);
-  }
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
 // ----- dispatch-equivalence oracle -------------------------------------------
 
 // Folds every quantity a dispatch kernel touches into one checksum: the
@@ -496,20 +411,19 @@ std::uint64_t kernel_digest(std::uint64_t seed) {
   return h;
 }
 
-// ----- pinned-dispatch word-loop timings -------------------------------------
+// ----- pinned-dispatch word loops ---------------------------------------------
 
-// One timed pass of the connective/fix/counting word loops at the
-// ACTIVE dispatch level: repeated rounds of (f & g) ^ (~f | g) over
-// 2^24-entry tables, a low-variable fix, and popcounts of all the
-// intermediates, folded into a checksum so the work cannot be elided.
-// Counting passes outnumber connective passes on purpose: the adversary
-// hot loops (Know/Aff tallies, certificate scans) are count-heavy, and
+// One repetition of the connective/fix/counting word loops at the
+// ACTIVE dispatch level: rounds of (f & g) ^ (~f | g) over 2^24-entry
+// tables, a low-variable fix, and popcounts of all the intermediates,
+// folded into a checksum that must not depend on the level. Counting
+// passes outnumber connective passes on purpose: the adversary hot
+// loops (Know/Aff tallies, certificate scans) are count-heavy, and
 // counting is also where the scalar fallback is furthest from the
 // vector tiers (scalar std::popcount vs a full-width vector popcount),
 // so a connective-only mix would understate the dispatch win.
-double connectives24_wall_ms(const pb::BoolFn& f, const pb::BoolFn& g,
-                             std::uint64_t& sink) {
-  const auto t0 = std::chrono::steady_clock::now();
+std::uint64_t connectives24(const pb::BoolFn& f, const pb::BoolFn& g) {
+  std::uint64_t sink = 0;
   for (int r = 0; r < 16; ++r) {
     const pb::BoolFn h = (f & g) ^ (~f | g);
     const pb::BoolFn hf = h.fix(5, (r & 1) != 0);
@@ -518,22 +432,7 @@ double connectives24_wall_ms(const pb::BoolFn& f, const pb::BoolFn& g,
     sink = sink * 31 + (h ^ f).count_ones();
     sink = sink * 31 + (h | g).count_ones();
   }
-  return ms_since(t0);
-}
-
-// One timed chunked-tier degree: n = 23, AND of the first 21 inputs —
-// the true degree 21 defeats every fast tier, so the whole slice scan
-// runs. Construction happens in main; only the transform is timed.
-double degree23_wall_ms(const pb::BoolFn& f) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const unsigned d = pb::degree(f);
-  const double ms = ms_since(t0);
-  if (d != 21) {
-    std::fprintf(stderr, "bench_hotpath: degree(23) oracle got %u, want 21\n",
-                 d);
-    std::exit(1);
-  }
-  return ms;
+  return sink;
 }
 
 // ----- pairing / verification ------------------------------------------------
@@ -545,6 +444,21 @@ bool same_costs(const pb::runtime::SweepResult& a,
     if (a.cells[i].costs != b.cells[i].costs) return false;
   return true;
 }
+
+// A timed side whose every repetition must reproduce `want`: the
+// replicas and the degree oracles stay checks inside the timed regions,
+// and the measured work cannot be elided.
+template <class Fn>
+pb::runtime::TimedSide checked(Fn fn, std::invoke_result_t<Fn> want,
+                               bool& diverged,
+                               std::function<void()> setup = {}) {
+  return {.setup = std::move(setup),
+          .body = [fn, want, &diverged] { diverged |= fn() != want; }};
+}
+
+// Every ratio below is time(A) / time(B) over kPairs alternating pairs
+// of >= 100 ms regions (src/runtime/paired_ratio.hpp).
+constexpr unsigned kPairs = 9;
 
 }  // namespace
 
@@ -564,12 +478,12 @@ int main(int argc, char** argv) {
                                "packed BoolFn vs the legacy pipelines")
                         .c_str());
 
-  // The paired sweeps time the rewritten hot paths against their serial
-  // legacy replicas; pin the intra-trial pool to one thread so the
-  // ratio isolates the algorithmic rewrite (on an oversubscribed box a
-  // --threads-sized pool would slow only the new side). Pool scaling is
-  // measured separately by the thread sweep below, which restores the
-  // session's --threads value when it finishes.
+  // The paired timings compare the rewritten hot paths against their
+  // serial legacy replicas; pin the intra-trial pool to one thread so
+  // the ratio isolates the algorithmic rewrite (on an oversubscribed box
+  // a --threads-sized pool would slow only the new side). Pool scaling
+  // is measured separately by the thread pairs below; the session's
+  // --threads value is restored at the end.
   auto& pool = pb::runtime::ParallelFor::pool();
   const unsigned session_threads = pool.threads();
   pool.set_threads(1);
@@ -579,7 +493,7 @@ int main(int argc, char** argv) {
   // Paired sweeps share one base seed and one cell grid, so trial t sees
   // the same op stream / sampled function on both sides and the model
   // results must agree exactly. Keep local copies: references returned
-  // by record() don't survive later record() calls.
+  // by sweep() don't survive later sweeps.
   // SweepCells return doubles; the model kernels are integer-exact, so
   // each wrapper is a single final conversion.
   const auto as_cell = [](std::uint64_t (*model)(std::uint64_t)) {
@@ -587,75 +501,66 @@ int main(int argc, char** argv) {
   };
 
   const std::uint64_t commit_base = session.next_base_seed();
-  const auto qsm_new = pb::runtime::run_sweep(
-      session.runner(), "phase_commit", commit_base,
-      {{.key = "qsm/p1024x64",
-        .trials = kTrials,
-        .run = as_cell(qsm_commit_model)}});
-  const auto qsm_old = pb::runtime::run_sweep(
-      session.runner(), "phase_commit_legacy", commit_base,
-      {{.key = "qsm/p1024x64",
-        .trials = kTrials,
-        .run = as_cell(qsm_legacy_commit_model)}});
-  const auto engines = pb::runtime::run_sweep(
-      session.runner(), "phase_commit_other_engines",
-      session.next_base_seed(),
-      {{.key = "gsm/p1024x64",
-        .trials = kTrials,
-        .run = as_cell(gsm_commit_model)},
-       {.key = "bsp/p1024x64",
-        .trials = kTrials,
-        .run = as_cell(bsp_commit_model)},
-       {.key = "crcw/p1024x64",
-        .trials = kTrials,
-        .run = as_cell(crcw_commit_model)}});
+  const auto qsm_new = sweep("phase_commit",
+                             {{.key = "qsm/p1024x64",
+                               .trials = kTrials,
+                               .run = as_cell(qsm_commit_model)}},
+                             commit_base);
+  const auto qsm_old = sweep("phase_commit_legacy",
+                             {{.key = "qsm/p1024x64",
+                               .trials = kTrials,
+                               .run = as_cell(qsm_legacy_commit_model)}},
+                             commit_base);
+  sweep("phase_commit_other_engines",
+        {{.key = "gsm/p1024x64",
+          .trials = kTrials,
+          .run = as_cell(gsm_commit_model)},
+         {.key = "bsp/p1024x64",
+          .trials = kTrials,
+          .run = as_cell(bsp_commit_model)},
+         {.key = "crcw/p1024x64",
+          .trials = kTrials,
+          .run = as_cell(crcw_commit_model)}});
 
   constexpr unsigned kDegTrials = 2;
   const std::uint64_t degree_base = session.next_base_seed();
-  const auto fn_new = pb::runtime::run_sweep(
-      session.runner(), "boolfn_degree", degree_base,
+  const auto fn_new = sweep(
+      "boolfn_degree",
       {{.key = "degree/parity20", .trials = kDegTrials, .run = degree_parity20},
        {.key = "degree/and18in20",
         .trials = kDegTrials,
         .run = degree_and18in20},
        {.key = "degree/random20",
         .trials = kDegTrials,
-        .run = degree_random20}});
-  const auto fn_old = pb::runtime::run_sweep(
-      session.runner(), "boolfn_degree_legacy", degree_base,
-      {{.key = "degree/parity20",
-        .trials = kDegTrials,
-        .run = legacy_degree_parity20},
-       {.key = "degree/and18in20",
-        .trials = kDegTrials,
-        .run = legacy_degree_and18in20},
-       {.key = "degree/random20",
-        .trials = kDegTrials,
-        .run = legacy_degree_random20}});
+        .run = degree_random20}},
+      degree_base);
+  const auto fn_old = sweep("boolfn_degree_legacy",
+                            {{.key = "degree/parity20",
+                              .trials = kDegTrials,
+                              .run = legacy_degree_parity20},
+                             {.key = "degree/and18in20",
+                              .trials = kDegTrials,
+                              .run = legacy_degree_and18in20},
+                             {.key = "degree/random20",
+                              .trials = kDegTrials,
+                              .run = legacy_degree_random20}},
+                            degree_base);
   const std::uint64_t conn_base = session.next_base_seed();
-  const auto conn_new = pb::runtime::run_sweep(
-      session.runner(), "boolfn_connectives", conn_base,
-      {{.key = "connectives/n20", .trials = kTrials, .run = connectives20}});
-  const auto conn_old = pb::runtime::run_sweep(
-      session.runner(), "boolfn_connectives_legacy", conn_base,
-      {{.key = "connectives/n20",
-        .trials = kTrials,
-        .run = legacy_connectives20}});
+  const auto conn_new = sweep(
+      "boolfn_connectives",
+      {{.key = "connectives/n20", .trials = kTrials, .run = connectives20}},
+      conn_base);
+  const auto conn_old = sweep("boolfn_connectives_legacy",
+                              {{.key = "connectives/n20",
+                                .trials = kTrials,
+                                .run = legacy_connectives20}},
+                              conn_base);
 
-  // Packed-only arities: correctness plus a timing record.
-  const auto extended = pb::runtime::run_sweep(
-      session.runner(), "boolfn_extended", session.next_base_seed(),
+  // Packed-only arities: correctness only.
+  const auto extended = sweep(
+      "boolfn_extended",
       {{.key = "degree/parity28", .trials = 1, .run = degree_parity28},
        {.key = "degree/and22in24", .trials = 1, .run = degree_and22in24}});
-
-  session.record(qsm_new);
-  session.record(qsm_old);
-  session.record(engines);
-  session.record(fn_new);
-  session.record(fn_old);
-  session.record(conn_new);
-  session.record(conn_old);
-  session.record(extended);
 
   // ----- behavioral cross-checks (the replicas are oracles) ---------------
   if (!same_costs(qsm_new, qsm_old) || !same_costs(fn_new, fn_old) ||
@@ -669,93 +574,66 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_hotpath: packed degree self-check failed\n");
     return 1;
   }
-
-  // ----- speedups ---------------------------------------------------------
-  const double phase_speedup =
-      qsm_old.wall_ms / std::max(1e-9, qsm_new.wall_ms);
-  const double degree_speedup =
-      fn_old.wall_ms / std::max(1e-9, fn_new.wall_ms);
-
-  pb::TextTable t({"pair", "legacy ms", "new ms", "speedup"});
-  t.add_row({"phase_commit qsm/p1024x64",
-             pb::TextTable::num(qsm_old.wall_ms, 1),
-             pb::TextTable::num(qsm_new.wall_ms, 1),
-             pb::TextTable::num(phase_speedup, 2)});
-  t.add_row({"boolfn degree n=20", pb::TextTable::num(fn_old.wall_ms, 1),
-             pb::TextTable::num(fn_new.wall_ms, 1),
-             pb::TextTable::num(degree_speedup, 2)});
-  t.add_row({"boolfn connectives n=20",
-             pb::TextTable::num(conn_old.wall_ms, 1),
-             pb::TextTable::num(conn_new.wall_ms, 1),
-             pb::TextTable::num(conn_old.wall_ms /
-                                   std::max(1e-9, conn_new.wall_ms),
-                               2)});
-  std::printf("%s\n", t.render().c_str());
   std::printf("degree(parity(28)) = %.0f, degree(and22 at n=24) = %.0f\n\n",
               extended.cells[0].mean, extended.cells[1].mean);
 
-  session.ratio("speedup/phase_commit/qsm_p1024x64", phase_speedup);
-  session.ratio("speedup/boolfn/degree_n20", degree_speedup);
+  // ----- speedups over the legacy replicas --------------------------------
+  // Each side repeats trial 0 of its sweep (op stream / sampled function
+  // of the same seed) and must reproduce the cost the sweep recorded.
+  bool diverged = false;
+  const std::uint64_t commit_seed = pb::runtime::derive_seed(commit_base, 0);
+  const auto commit_want =
+      static_cast<std::uint64_t>(qsm_new.cells[0].costs[0]);
+  session.gate_floor(
+      "speedup/phase_commit/qsm_p1024x64",
+      pb::runtime::paired_ratio(
+          checked([=] { return qsm_legacy_commit_model(commit_seed); },
+                  commit_want, diverged),
+          checked([=] { return qsm_commit_model(commit_seed); }, commit_want,
+                  diverged),
+          kPairs),
+      min_phase);
+  // One repetition: trial 0 of every degree cell (random20's is trial 4).
+  const std::uint64_t random_seed = pb::runtime::derive_seed(degree_base, 4);
+  const double degree_want = fn_new.cells[0].costs[0] +
+                             fn_new.cells[1].costs[0] +
+                             fn_new.cells[2].costs[0];
+  session.gate_floor(
+      "speedup/boolfn/degree_n20",
+      pb::runtime::paired_ratio(
+          checked(
+              [=] {
+                return legacy_degree_parity20(0) + legacy_degree_and18in20(0) +
+                       legacy_degree_random20(random_seed);
+              },
+              degree_want, diverged),
+          checked(
+              [=] {
+                return degree_parity20(0) + degree_and18in20(0) +
+                       degree_random20(random_seed);
+              },
+              degree_want, diverged),
+          kPairs),
+      min_degree);
 
-  if (min_phase > 0.0 && phase_speedup < min_phase) {
-    std::fprintf(stderr,
-                 "bench_hotpath: phase-commit speedup %.2f below floor "
-                 "%.2f\n",
-                 phase_speedup, min_phase);
-    return 1;
-  }
-  if (min_degree > 0.0 && degree_speedup < min_degree) {
-    std::fprintf(stderr,
-                 "bench_hotpath: degree speedup %.2f below floor %.2f\n",
-                 degree_speedup, min_degree);
-    return 1;
-  }
-
-  // ----- intra-trial thread sweep ----------------------------------------
-  // One chunked-tier degree instance at pool sizes 1, 2 and 8 on the
-  // main thread, where the pool fans out. The degree oracle inside
-  // degree26_wall_ms must hold at every pool size.
+  // ----- intra-trial thread pairs -----------------------------------------
+  // One chunked-tier degree instance at pool size 1 against 2 and
+  // against 8, on the main thread, where the pool fans out. The degree
+  // (AND of the first 24 of 26 inputs: it defeats every early tier)
+  // must come out exact at every pool size.
   const pb::BoolFn deg26 = pb::BoolFn::from(26, [](std::uint32_t x) {
-    return (x & 0xFFFFFFu) == 0xFFFFFFu;  // AND of the first 24 of 26
+    return (x & 0xFFFFFFu) == 0xFFFFFFu;
   });
-
-  constexpr unsigned kPools[3] = {1, 2, 8};
-  double deg_wall[3] = {};
-  for (int i = 0; i < 3; ++i) {
-    pool.set_threads(kPools[i]);
-    for (int rep = 0; rep < 2; ++rep) {  // best-of-2 per pool size
-      const double d = degree26_wall_ms(deg26);
-      deg_wall[i] = (rep == 0) ? d : std::min(deg_wall[i], d);
-    }
-  }
-  pool.set_threads(session_threads);
-
-  const auto ratio = [](double base, double x) {
-    return base / std::max(1e-9, x);
+  const auto at_pool = [&](unsigned threads) {
+    return checked([&deg26] { return pb::degree(deg26); }, 24u, diverged,
+                   [&pool, threads] { pool.set_threads(threads); });
   };
-  const double shard_deg2 = ratio(deg_wall[0], deg_wall[1]);
-  const double shard_deg8 = ratio(deg_wall[0], deg_wall[2]);
-
-  pb::TextTable st({"pool-parallel instance", "1 thr ms", "2 thr ms",
-                    "8 thr ms", "x2", "x8"});
-  st.add_row({"boolfn degree n=26 (chunked tier)",
-              pb::TextTable::num(deg_wall[0], 1),
-              pb::TextTable::num(deg_wall[1], 1),
-              pb::TextTable::num(deg_wall[2], 1),
-              pb::TextTable::num(shard_deg2, 2),
-              pb::TextTable::num(shard_deg8, 2)});
-  std::printf("%s\n", st.render().c_str());
-
-  session.ratio("shard_speedup/degree26/threads2", shard_deg2);
-  session.ratio("shard_speedup/degree26/threads8", shard_deg8);
-
-  if (min_shard > 0.0 && shard_deg8 < min_shard) {
-    std::fprintf(stderr,
-                 "bench_hotpath: 8-thread degree26 speedup %.2f below "
-                 "floor %.2f\n",
-                 shard_deg8, min_shard);
-    return 1;
-  }
+  session.ratio("shard_speedup/degree26/threads2",
+                pb::runtime::paired_ratio(at_pool(1), at_pool(2), kPairs));
+  session.gate_floor("shard_speedup/degree26/threads8",
+                     pb::runtime::paired_ratio(at_pool(1), at_pool(8), kPairs),
+                     min_shard);
+  pool.set_threads(1);
 
   // ----- dispatch-equivalence oracle: every level x pool sizes ------------
   // One digest seed, evaluated at every dispatch level the host supports
@@ -765,25 +643,23 @@ int main(int argc, char** argv) {
   const pb::runtime::SimdLevel entry_level = pb::runtime::active_simd_level();
   const auto levels = pb::runtime::supported_simd_levels();
   const std::uint64_t oracle_seed = session.next_base_seed();
-  std::uint64_t oracle_ref = 0;
-  bool oracle_first = true;
+  std::optional<std::uint64_t> oracle;
   bool dispatch_ok = true;
   for (const auto level : levels) {
     pb::runtime::set_simd_level(level);
     for (const unsigned threads : {1u, 2u, 8u}) {
       pool.set_threads(threads);
       const std::uint64_t d = kernel_digest(oracle_seed);
-      if (oracle_first) {
-        oracle_ref = d;
-        oracle_first = false;
-      } else if (d != oracle_ref) {
+      if (!oracle) {
+        oracle = d;
+      } else if (d != *oracle) {
         dispatch_ok = false;
         std::fprintf(stderr,
                      "bench_hotpath: kernel digest DIVERGED at level %s, "
                      "pool %u (%016llx vs %016llx)\n",
                      pb::runtime::simd_level_name(level), threads,
                      static_cast<unsigned long long>(d),
-                     static_cast<unsigned long long>(oracle_ref));
+                     static_cast<unsigned long long>(*oracle));
       }
     }
   }
@@ -792,88 +668,64 @@ int main(int argc, char** argv) {
   if (!dispatch_ok) return 1;
   std::printf("dispatch oracle: kernel digest %016llx identical across %zu "
               "level(s) x pools {1,2,8}\n\n",
-              static_cast<unsigned long long>(oracle_ref), levels.size());
+              static_cast<unsigned long long>(*oracle), levels.size());
 
   // The digest (truncated to double-exact range) and the lane count go
   // into the JSON report so a run archives which matrix it proved equal.
   const double digest53 =
-      static_cast<double>(oracle_ref & ((std::uint64_t{1} << 53) - 1));
+      static_cast<double>(*oracle & ((std::uint64_t{1} << 53) - 1));
   const double oracle_lanes = static_cast<double>(levels.size() * 3);
-  session.record(pb::runtime::run_sweep(
-      session.runner(), "dispatch_oracle", session.next_base_seed(),
-      {{.key = "kernel_digest/low53",
-        .trials = 1,
-        .run = [digest53](std::uint64_t) { return digest53; }},
-       {.key = "kernel_digest/lanes",
-        .trials = 1,
-        .run = [oracle_lanes](std::uint64_t) { return oracle_lanes; }}}));
+  sweep("dispatch_oracle",
+        {{.key = "kernel_digest/low53",
+          .trials = 1,
+          .run = [digest53](std::uint64_t) { return digest53; }},
+         {.key = "kernel_digest/lanes",
+          .trials = 1,
+          .run = [oracle_lanes](std::uint64_t) { return oracle_lanes; }}});
 
-  // ----- SIMD word-loop speedup: pinned portable vs best tier -------------
+  // ----- SIMD word loops: pinned portable vs best tier --------------------
   const auto max_level = pb::runtime::max_supported_simd_level();
   if (max_level == pb::runtime::SimdLevel::kPortable) {
     std::printf("simd speedup: host has no SIMD tier (portable only) — "
-                "sweep and floor skipped\n\n");
+                "pairs and floor skipped\n\n");
   } else {
     pb::Rng srng(session.next_base_seed());
     const pb::BoolFn cf = pb::BoolFn::random(24, srng);
     const pb::BoolFn cg = pb::BoolFn::random(24, srng);
+    // n = 23, AND of the first 21 inputs: the true degree 21 defeats
+    // every fast tier, so the whole chunked slice scan runs.
     const pb::BoolFn d23 = pb::BoolFn::from(23, [](std::uint32_t x) {
-      return (x & 0x1FFFFFu) == 0x1FFFFFu;  // AND of the first 21 inputs
+      return (x & 0x1FFFFFu) == 0x1FFFFFu;
     });
-
-    const pb::runtime::SimdLevel lv[2] = {pb::runtime::SimdLevel::kPortable,
-                                          max_level};
-    double conn_wall23[2] = {};
-    double deg_wall23[2] = {};
-    std::uint64_t sinks[2] = {};
-    for (int i = 0; i < 2; ++i) {
-      pb::runtime::set_simd_level(lv[i]);
-      for (int rep = 0; rep < 2; ++rep) {  // best-of-2 per level
-        std::uint64_t s = 0;
-        const double c = connectives24_wall_ms(cf, cg, s);
-        conn_wall23[i] = (rep == 0) ? c : std::min(conn_wall23[i], c);
-        sinks[i] = s;
-        const double d = degree23_wall_ms(d23);
-        deg_wall23[i] = (rep == 0) ? d : std::min(deg_wall23[i], d);
-      }
-    }
+    // Every timed repetition must reproduce the checksum computed at
+    // the entry level: it must not depend on the level.
+    const auto conn = [&cf, &cg] { return connectives24(cf, cg); };
+    const auto deg = [&d23] { return pb::degree(d23); };
+    const std::uint64_t conn_want = conn();
+    const auto at = [&](pb::runtime::SimdLevel level, auto fn, auto want) {
+      return checked(fn, want, diverged,
+                     [level] { pb::runtime::set_simd_level(level); });
+    };
+    const auto portable = pb::runtime::SimdLevel::kPortable;
+    session.gate_floor("simd_speedup/connectives/n24",
+                       pb::runtime::paired_ratio(at(portable, conn, conn_want),
+                                                 at(max_level, conn, conn_want),
+                                                 kPairs),
+                       min_simd);
+    session.gate_floor("simd_speedup/degree23/chunked",
+                       pb::runtime::paired_ratio(at(portable, deg, 21u),
+                                                 at(max_level, deg, 21u),
+                                                 kPairs),
+                       min_simd);
     pb::runtime::set_simd_level(entry_level);
-    if (sinks[0] != sinks[1]) {
-      std::fprintf(stderr,
-                   "bench_hotpath: connective checksum DIVERGED between "
-                   "portable and %s\n",
-                   pb::runtime::simd_level_name(max_level));
-      return 1;
-    }
-
-    const double simd_conn = ratio(conn_wall23[0], conn_wall23[1]);
-    const double simd_deg = ratio(deg_wall23[0], deg_wall23[1]);
-    pb::TextTable sm({"word loop", "portable ms",
-                      std::string(pb::runtime::simd_level_name(max_level)) +
-                          " ms",
-                      "speedup"});
-    sm.add_row({"connectives+fix+count n=24",
-                pb::TextTable::num(conn_wall23[0], 1),
-                pb::TextTable::num(conn_wall23[1], 1),
-                pb::TextTable::num(simd_conn, 2)});
-    sm.add_row({"degree n=23 (chunked tier)",
-                pb::TextTable::num(deg_wall23[0], 1),
-                pb::TextTable::num(deg_wall23[1], 1),
-                pb::TextTable::num(simd_deg, 2)});
-    std::printf("%s\n", sm.render().c_str());
-
-    session.ratio("simd_speedup/connectives/n24", simd_conn);
-    session.ratio("simd_speedup/degree23/chunked", simd_deg);
-
-    if (min_simd > 0.0 && std::min(simd_conn, simd_deg) < min_simd) {
-      std::fprintf(stderr,
-                   "bench_hotpath: simd speedup (connectives %.2f, degree23 "
-                   "%.2f) below floor %.2f\n",
-                   simd_conn, simd_deg, min_simd);
-      return 1;
-    }
   }
   pool.set_threads(session_threads);
 
+  if (diverged) {
+    std::fprintf(stderr,
+                 "bench_hotpath: a timed repetition diverged from its oracle "
+                 "value\n");
+    return 1;
+  }
   return session.finish();
 }

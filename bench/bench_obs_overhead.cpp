@@ -17,24 +17,25 @@
 //   costs are asserted equal, so the replica doubles as a behavioral
 //   oracle, and the wall-clock ratio is the measured hook overhead.
 //
-// Runs are timed serially (never through the runner) and the ratio uses
-// the min over interleaved repetitions on each side, which strips
-// scheduler noise. For reference, the bench also measures the hook with
-// a live TelemetryObserver attached, and — after the gated loop, so it
-// cannot perturb it — with a registry first touched after 10,000
-// registries have lived and died on this thread (what a fleet worker,
-// one registry per cell, does). Both are informational, not gated; the
-// second shows that the thread's shard cache (obs/thread_cache.hpp)
-// scans only live registries.
+// Each ratio is a paired_ratio (src/runtime/paired_ratio.hpp): the
+// engine and the replica alternate in >= 100 ms regions over 11 pairs,
+// and the gate reads the median with its spread (docs/PERF.md, "How a
+// wall-clock gate reads"). For reference, the bench also measures the
+// hook with a live TelemetryObserver attached, and — after the gated
+// ratio, so it cannot perturb it — with a registry first touched after
+// 10,000 registries have lived and died on this thread (what a fleet
+// worker, one registry per cell, does). Both are informational, not
+// gated; the second shows that the thread's shard cache
+// (obs/thread_cache.hpp) scans only live registries.
 //
 // Extra flag (stripped before the harness parses argv; X must be a
 // finite positive number, anything else exits 2):
-//   --max-overhead=X  fail (exit 1) if detached/baseline wall ratio > X
-//                     (default 1.05; tools/run_checks.sh passes it
-//                     explicitly)
+//   --max-overhead=X  fail (exit 1) if the detached/baseline ratio is
+//                     above the ceiling X (default 1.05;
+//                     tools/run_checks.sh passes it explicitly). The
+//                     report and the ops file are written either way.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -52,36 +53,8 @@ using namespace parbounds::bench;
 
 namespace {
 
-constexpr std::uint64_t kProcs = 1024;
-constexpr unsigned kPhases = 64;
-constexpr std::uint64_t kCells = 4096;  // reads in [0, 2048), writes above
-constexpr unsigned kGuardReps = 9;
-constexpr unsigned kWarmupReps = 2;
+constexpr unsigned kPairs = 11;
 constexpr unsigned kDeadRegistries = 10000;
-
-struct Op {
-  bool is_write;
-  pb::ProcId proc;
-  pb::Addr addr;
-  pb::Word value;
-};
-
-// One phase's request stream (the bench_hotpath workload): every
-// processor issues 2 reads and 2 writes, halves disjoint so the stream
-// is legal. Generated once and replayed for all kPhases phases.
-std::vector<Op> make_ops(pb::Rng& rng) {
-  std::vector<Op> ops;
-  ops.reserve(kProcs * 4);
-  const std::uint64_t half = kCells / 2;
-  for (pb::ProcId p = 0; p < kProcs; ++p) {
-    for (int r = 0; r < 2; ++r)
-      ops.push_back({false, p, rng.next_below(half), 0});
-    for (int w = 0; w < 2; ++w)
-      ops.push_back({true, p, half + rng.next_below(half),
-                     static_cast<pb::Word>(1 + rng.next_below(1000))});
-  }
-  return ops;
-}
 
 // ----- baseline replica: today's QSM commit pipeline, hook-free --------------
 
@@ -219,40 +192,11 @@ class Qsm {
 
 }  // namespace baseline
 
-// ----- paired timed runs -----------------------------------------------------
-
-// Integer nanoseconds + integer model cost: the commit loop itself is
-// float-free (detlint det.float-accum watches commit-named functions),
-// and the ratio math happens once in main on the integer minima.
-struct Run {
-  std::uint64_t wall_ns = 0;
-  std::uint64_t cost = 0;
-};
-
-std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-}
-
+// One timed repetition: the op stream's phases on a fresh machine.
 template <class Machine>
-Run run_commits(std::uint64_t seed) {
-  pb::Rng rng(seed);
-  const auto ops = make_ops(rng);
+std::uint64_t run_commits(const std::vector<CommitOp>& ops) {
   Machine m({.g = 4});
-  const auto t0 = std::chrono::steady_clock::now();
-  for (unsigned p = 0; p < kPhases; ++p) {
-    m.begin_phase();
-    for (const Op& op : ops) {
-      if (op.is_write)
-        m.write(op.proc, op.addr, op.value);
-      else
-        m.read(op.proc, op.addr);
-    }
-    m.commit_phase();
-  }
-  return {ns_since(t0), m.time()};
+  return replay_phases(m, ops);
 }
 
 }  // namespace
@@ -266,91 +210,55 @@ int main(int argc, char** argv) {
                                "phase hook vs hook-free replica")
                         .c_str());
 
-  // The guard measures the DETACHED fast path: whatever the session
-  // installed for --json/--trace must come off before timing starts.
-  pb::obs::install_process_telemetry(nullptr);
-  pb::obs::install_process_tracer(nullptr);
+  pb::Rng rng(session.next_base_seed());
+  const std::vector<CommitOp> ops = make_commit_ops(rng);
 
-  const std::uint64_t seed = session.next_base_seed();
-  constexpr std::uint64_t kNever = ~std::uint64_t{0};
-  std::uint64_t best_engine = kNever, best_base = kNever,
-                best_attached = kNever;
+  // Every repetition's model cost must match the replica's: the replica
+  // is a behavioral oracle as well as the baseline.
+  const std::uint64_t want = run_commits<baseline::Qsm>(ops);
+  bool diverged = false;
+  const auto side = [&](auto run, pb::AnalysisObserver* telemetry) {
+    return pb::runtime::TimedSide{
+        .setup = [telemetry] { pb::obs::install_process_telemetry(telemetry); },
+        .body = [&, run] { diverged |= run(ops) != want; }};
+  };
+  const auto engine = [](const std::vector<CommitOp>& o) {
+    return run_commits<pb::QsmMachine>(o);
+  };
+  const auto base = side(
+      [](const std::vector<CommitOp>& o) { return run_commits<baseline::Qsm>(o); },
+      nullptr);
+
   pb::obs::MetricsRegistry attached_registry;
   pb::obs::TelemetryObserver attached_obs(attached_registry);
-  for (unsigned rep = 0; rep < kWarmupReps + kGuardReps; ++rep) {
-    const Run engine = run_commits<pb::QsmMachine>(seed);
-    const Run base = run_commits<baseline::Qsm>(seed);
-    pb::obs::install_process_telemetry(&attached_obs);
-    const Run attached = run_commits<pb::QsmMachine>(seed);
-    pb::obs::install_process_telemetry(nullptr);
-    if (engine.cost != base.cost || engine.cost != attached.cost) {
-      std::fprintf(stderr,
-                   "bench_obs_overhead: replica diverged (engine %llu, "
-                   "baseline %llu, attached %llu)\n",
-                   static_cast<unsigned long long>(engine.cost),
-                   static_cast<unsigned long long>(base.cost),
-                   static_cast<unsigned long long>(attached.cost));
-      return 1;
-    }
-    if (rep < kWarmupReps) continue;
-    best_engine = std::min(best_engine, engine.wall_ns);
-    best_base = std::min(best_base, base.wall_ns);
-    best_attached = std::min(best_attached, attached.wall_ns);
-  }
+  const auto detached =
+      pb::runtime::paired_ratio(side(engine, nullptr), base, kPairs);
+  const auto attached =
+      pb::runtime::paired_ratio(side(engine, &attached_obs), base, kPairs);
 
   for (unsigned i = 0; i < kDeadRegistries; ++i) {
     pb::obs::MetricsRegistry dead;
     dead.add(dead.counter("dead"));
   }
-  std::uint64_t best_aged = kNever;
   pb::obs::MetricsRegistry aged_registry;
   pb::obs::TelemetryObserver aged_obs(aged_registry);
-  pb::obs::install_process_telemetry(&aged_obs);
-  for (unsigned rep = 0; rep < kWarmupReps + kGuardReps; ++rep) {
-    const Run aged = run_commits<pb::QsmMachine>(seed);
-    if (rep >= kWarmupReps) best_aged = std::min(best_aged, aged.wall_ns);
-  }
+  const auto aged =
+      pb::runtime::paired_ratio(side(engine, &aged_obs), base, kPairs);
   pb::obs::install_process_telemetry(nullptr);
 
-  const auto to_ms = [](std::uint64_t ns) {
-    return static_cast<double>(ns) / 1e6;
-  };
-  const double detached_ratio =
-      static_cast<double>(best_engine) / static_cast<double>(best_base);
-  const double attached_ratio =
-      static_cast<double>(best_attached) / static_cast<double>(best_base);
-  const double aged_ratio =
-      static_cast<double>(best_aged) / static_cast<double>(best_base);
-  pb::TextTable t({"path", "best wall (ms)", "vs baseline"});
-  t.add_row(
-      {"replica (no hook)", pb::TextTable::num(to_ms(best_base), 3), "1.00"});
-  t.add_row({"engine, hook detached", pb::TextTable::num(to_ms(best_engine), 3),
-             pb::TextTable::num(detached_ratio, 3)});
-  t.add_row({"engine, telemetry attached",
-             pb::TextTable::num(to_ms(best_attached), 3),
-             pb::TextTable::num(attached_ratio, 3)});
-  t.add_row({"attached, after 10,000 dead registries",
-             pb::TextTable::num(to_ms(best_aged), 3),
-             pb::TextTable::num(aged_ratio, 3)});
-  std::printf("%s\n", t.render().c_str());
-
-  // Wall ratios are measurements, not model data: ops file only.
-  session.ratio("obs_overhead/qsm_commit/detached_vs_baseline",
-                detached_ratio);
-  session.ratio("obs_overhead/qsm_commit/attached_vs_baseline",
-                attached_ratio);
-  session.ratio("obs_overhead/qsm_commit/attached_after_dead_vs_baseline",
-                aged_ratio);
-
-  if (detached_ratio > max_overhead) {
+  if (diverged) {
     std::fprintf(stderr,
-                 "bench_obs_overhead: detached hook overhead %.3fx exceeds "
-                 "--max-overhead=%.2f\n",
-                 detached_ratio, max_overhead);
+                 "bench_obs_overhead: a run's model cost diverged from the "
+                 "replica's %llu\n",
+                 static_cast<unsigned long long>(want));
     return 1;
   }
-  std::printf("detached hook overhead %.3fx (limit %.2fx) — ok\n",
-              detached_ratio, max_overhead);
 
+  // Wall ratios are measurements, not model data: ops file only.
+  session.gate_ceiling("obs_overhead/qsm_commit/detached_vs_baseline",
+                       detached, max_overhead);
+  session.ratio("obs_overhead/qsm_commit/attached_vs_baseline", attached);
+  session.ratio("obs_overhead/qsm_commit/attached_after_dead_vs_baseline",
+                aged);
   return session.finish();
 }

@@ -16,16 +16,19 @@
 // documented in src/runtime/harness_flags.hpp and docs/RUNTIME.md. The
 // session below gives them their bench meaning: --json defaults to
 // BENCH_<name>.json and --trace to TRACE_<name>.json (--trace implies
-// --json, and either installs the process TelemetryObserver so the
-// report carries a "metrics" block); --workers routes sweeps of
-// ServiceSpec cells across re-exec'd worker processes
-// (docs/SERVICE.md#fleet).
+// --json); --workers routes sweeps of ServiceSpec cells across
+// re-exec'd worker processes (docs/SERVICE.md#fleet).
 //
 // --json writes two files (src/runtime/bench_json.hpp): the report,
 // whose bytes are the same at any --jobs, --threads or --workers, and
 // next to it the ops file (BENCH_<name>.ops.json) with the settings,
-// the host block, the wall times and the wall-clock ratios a bench
-// recorded with ratio().
+// the host block, the wall times and the paired wall-clock ratios a
+// bench recorded with ratio() or gated with gate_floor()/gate_ceiling().
+//
+// The report's "metrics" block has one path: every sweep, local or on
+// the fleet, is observed on its own registry and merged into the
+// session. Nothing is installed process-wide, so a machine that runs
+// outside a sweep (an oracle, a timed region) never reaches the report.
 //
 // The PARBOUNDS_SIMD environment variable (portable|avx2|avx512) pins
 // the BoolFn kernel dispatch level for the whole run; unknown values or
@@ -71,6 +74,7 @@
 #include "runtime/fleet/sweep_fleet.hpp"
 #include "runtime/fleet/worker.hpp"
 #include "runtime/harness_flags.hpp"
+#include "runtime/paired_ratio.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/simd_level.hpp"
 #include "runtime/runner.hpp"
@@ -150,13 +154,6 @@ class BenchSession {
         flags.workers > 0 ? 1u : flags.resolved_threads(runner_->jobs()));
     report_.threads = runtime::ParallelFor::pool().threads();
     report_.workers = flags.workers;
-    // Fleet runs keep the metrics block, but it is reassembled from
-    // per-cell worker snapshots (run_sweep_fleet), never observed in
-    // this process.
-    if (!json_path_.empty() && flags.workers == 0) {
-      telemetry_ = std::make_unique<obs::TelemetryObserver>(registry_);
-      obs::install_process_telemetry(telemetry_.get());
-    }
     if (!trace_path_.empty()) {
       tracer_ = std::make_unique<obs::Tracer>();
       obs::install_process_tracer(tracer_.get());
@@ -182,45 +179,56 @@ class BenchSession {
   bool via_fleet() const { return fleet_ != nullptr; }
   fleet::FleetCoordinator& fleet() { return *fleet_; }
 
-  /// Fold one sweep's reassembled worker telemetry into the report's
-  /// metrics block (fleet mode only; merge order cannot change the
-  /// bytes — every operator is commutative and associative).
-  void merge_fleet_metrics(const obs::MetricsSnapshot& snap) {
-    if (json_path_.empty()) return;
-    if (!fleet_metrics_valid_) {
-      fleet_metrics_ = snap;
-      fleet_metrics_valid_ = true;
-    } else {
-      fleet_metrics_.merge_from(snap);
-    }
-    report_.metrics_json = fleet_metrics_.to_json();
-  }
-
   /// Fresh base seed for the next sweep, derived from the root
   /// seed and a per-binary ordinal (decouples sweeps from each other).
   std::uint64_t next_base_seed() {
     return runtime::derive_seed(kSeed, 0x5eedULL + sweep_ordinal_++);
   }
 
-  /// Append a sweep to the report and re-snapshot the registry into it,
-  /// so the metrics block counts exactly the sweeps' executions.
-  const runtime::SweepResult& record(runtime::SweepResult s) {
+  /// Append a sweep to the report and fold what it was observed to do
+  /// into the metrics block (with --json; merge order cannot change the
+  /// bytes — every operator is commutative and associative).
+  const runtime::SweepResult& record(runtime::SweepResult s,
+                                     const obs::MetricsSnapshot& observed) {
     report_.sweeps.push_back(std::move(s));
-    if (telemetry_ != nullptr)
-      report_.metrics_json = registry_.snapshot().to_json();
+    if (!json_path_.empty()) {
+      if (report_.sweeps.size() == 1)
+        metrics_ = observed;
+      else
+        metrics_.merge_from(observed);
+      report_.metrics_json = metrics_.to_json();
+    }
     return report_.sweeps.back();
   }
 
-  /// Record a measured wall-clock ratio (a speedup, an overhead). It
-  /// goes to the ops file only: the report holds model data alone.
-  void ratio(std::string name, double value) {
-    report_.ratios.emplace_back(std::move(name), value);
+  /// Record a paired wall-clock ratio and print it. The ops file gets
+  /// the median under `name`, next to `name`/spread and `name`/pairs
+  /// (the report holds model data alone).
+  void ratio(const std::string& name, const runtime::PairedRatio& r) {
+    gate(name, r, true, "-");
+  }
+
+  /// Record a ratio and gate it on a floor (runtime::holds_floor); a
+  /// floor of 0 records only. A failed gate makes finish() exit 1 after
+  /// the report and the ops file are written.
+  void gate_floor(const std::string& name, const runtime::PairedRatio& r,
+                  double bound) {
+    if (bound <= 0.0) return ratio(name, r);
+    gate(name, r, runtime::holds_floor(r, bound),
+         ">= " + TextTable::num(bound, 2));
+  }
+
+  /// Record a ratio and gate it on a ceiling (runtime::holds_ceiling).
+  void gate_ceiling(const std::string& name, const runtime::PairedRatio& r,
+                    double bound) {
+    gate(name, r, runtime::holds_ceiling(r, bound),
+         "<= " + TextTable::num(bound, 2));
   }
 
   /// Write the JSON report and span trace if requested. Returns the
-  /// process exit code.
+  /// process exit code: 1 when a gate failed, each failure named on
+  /// stderr.
   int finish() {
-    obs::install_process_telemetry(nullptr);
     obs::install_process_tracer(nullptr);
     if (tracer_ != nullptr) {
       if (!obs::write_text_file(trace_path_, obs::chrome_trace_json(*tracer_))) {
@@ -241,7 +249,7 @@ class BenchSession {
           static_cast<unsigned long long>(fleet_->counter("fleet.worker.exit")),
           static_cast<unsigned long long>(fleet_->counter("fleet.worker.retry")));
     }
-    if (json_path_.empty()) return 0;
+    if (json_path_.empty()) return gate_exit();
     const std::string ops = runtime::ops_path(json_path_);
     if (!obs::write_text_file(json_path_, runtime::to_json(report_)) ||
         !obs::write_text_file(ops, runtime::ops_json(report_))) {
@@ -252,23 +260,45 @@ class BenchSession {
     std::fprintf(stderr, "bench: %s: jobs=%u threads=%u sweeps=%zu -> %s, %s\n",
                  report_.bench.c_str(), report_.jobs, report_.threads,
                  report_.sweeps.size(), json_path_.c_str(), ops.c_str());
-    return 0;
+    return gate_exit();
   }
 
  private:
   BenchSession() = default;
+
+  void gate(const std::string& name, const runtime::PairedRatio& r, bool ok,
+            const std::string& bound) {
+    report_.ratios.emplace_back(name, r.ratio.median);
+    report_.ratios.emplace_back(name + "/spread", r.spread);
+    report_.ratios.emplace_back(name + "/pairs",
+                                static_cast<double>(r.pairs.size()));
+    char line[320];
+    std::snprintf(line, sizeof line,
+                  "%s: median %.3f, spread %.3f, %zu pairs (A %.3f ms, "
+                  "B %.3f ms), gate %s",
+                  name.c_str(), r.ratio.median, r.spread, r.pairs.size(),
+                  r.a_ms, r.b_ms, bound.c_str());
+    std::printf("%s%s\n", line, ok ? "" : " FAILED");
+    if (!ok) failed_gates_.emplace_back(line);
+  }
+
+  int gate_exit() const {
+    for (const auto& g : failed_gates_)
+      std::fprintf(stderr, "bench: %s: gate failed: %s\n",
+                   report_.bench.c_str(), g.c_str());
+    return failed_gates_.empty() ? 0 : 1;
+  }
+
   std::string json_path_;
   std::string trace_path_;
   std::unique_ptr<runtime::ExperimentRunner> runner_ =
       std::make_unique<runtime::ExperimentRunner>();
   runtime::BenchReport report_;
   std::uint64_t sweep_ordinal_ = 0;
-  obs::MetricsRegistry registry_;
-  std::unique_ptr<obs::TelemetryObserver> telemetry_;
+  obs::MetricsSnapshot metrics_;  ///< merged across the recorded sweeps
+  std::vector<std::string> failed_gates_;
   std::unique_ptr<obs::Tracer> tracer_;
   std::unique_ptr<fleet::FleetCoordinator> fleet_;
-  obs::MetricsSnapshot fleet_metrics_;  ///< merged across sweeps
-  bool fleet_metrics_valid_ = false;
 };
 
 /// Bench-main bootstrap: parse/strip harness flags.
@@ -291,15 +321,33 @@ inline std::function<runtime::Trial(std::uint64_t)> spec_body(
   };
 }
 
-/// Run a sweep through the session runner. A cell that carries a
+/// Run `fn` with a fresh TelemetryObserver installed process-wide and
+/// return what it observed: every engine phase `fn` commits, on any
+/// thread.
+template <class Fn>
+obs::MetricsSnapshot observe(Fn&& fn) {
+  obs::MetricsRegistry registry;
+  obs::TelemetryObserver telemetry(registry);
+  obs::install_process_telemetry(&telemetry);
+  struct Detach {
+    ~Detach() { obs::install_process_telemetry(nullptr); }
+  } detach;
+  fn();
+  return registry.snapshot();
+}
+
+/// Run a sweep at `base_seed` and record it. A cell that carries a
 /// ServiceSpec must not also set `run`: its body is spec_body(). Under
 /// --workers a sweep of such cells runs across the process fleet (same
 /// derived seeds, same kernels, same aggregation). A sweep with no
 /// ServiceSpec at all (audits, multi-value replays) runs on the session
 /// runner either way; one that mixes routable and closure-only cells is
-/// a hard error on the fleet, not a silent fallback.
-inline const runtime::SweepResult& sweep(
-    std::string title, std::vector<runtime::SweepCell> cells) {
+/// a hard error on the fleet, not a silent fallback. With --json the
+/// sweep is observed on its own registry, here or in the workers, and
+/// merged into the report's metrics block.
+inline const runtime::SweepResult& sweep(std::string title,
+                                         std::vector<runtime::SweepCell> cells,
+                                         std::uint64_t base_seed) {
   auto& s = BenchSession::get();
   try {
     bool routable = false;
@@ -311,34 +359,89 @@ inline const runtime::SweepResult& sweep(
       c.run = spec_body(c);
       routable = true;
     }
+    runtime::SweepResult res;
+    obs::MetricsSnapshot observed;
     if (routable && s.via_fleet()) {
-      obs::MetricsSnapshot snap;
-      const auto& res = s.record(fleet::run_sweep_fleet(
-          s.fleet(), std::move(title), s.next_base_seed(), std::move(cells),
-          s.json_enabled() ? &snap : nullptr));
-      if (s.json_enabled()) s.merge_fleet_metrics(snap);
-      return res;
+      res = fleet::run_sweep_fleet(s.fleet(), std::move(title), base_seed,
+                                   std::move(cells),
+                                   s.json_enabled() ? &observed : nullptr);
+    } else {
+      const auto run = [&] {
+        res = runtime::run_sweep(s.runner(), std::move(title), base_seed,
+                                 std::move(cells));
+      };
+      if (s.json_enabled())
+        observed = observe(run);
+      else
+        run();
     }
-    if (s.via_fleet() && s.json_enabled()) {
-      // The fleet's metrics block is merged from per-sweep snapshots, so
-      // a sweep run here contributes its own, observed on a fresh
-      // registry.
-      obs::MetricsRegistry registry;
-      obs::TelemetryObserver telemetry(registry);
-      obs::install_process_telemetry(&telemetry);
-      const auto& res = s.record(runtime::run_sweep(
-          s.runner(), std::move(title), s.next_base_seed(), std::move(cells)));
-      obs::install_process_telemetry(nullptr);
-      s.merge_fleet_metrics(registry.snapshot());
-      return res;
-    }
-    return s.record(runtime::run_sweep(s.runner(), std::move(title),
-                                       s.next_base_seed(), std::move(cells)));
+    return s.record(std::move(res), observed);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench: %s%s\n", s.via_fleet() ? "--workers: " : "",
                  e.what());
     std::exit(2);
   }
+}
+
+/// Run a sweep at the session's next base seed and record it.
+inline const runtime::SweepResult& sweep(
+    std::string title, std::vector<runtime::SweepCell> cells) {
+  const std::uint64_t base_seed = BenchSession::get().next_base_seed();
+  return sweep(std::move(title), std::move(cells), base_seed);
+}
+
+// ----- the phase-commit op stream (bench_hotpath, bench_obs_overhead) ------
+
+inline constexpr std::uint64_t kCommitProcs = 1024;
+inline constexpr unsigned kCommitPhases = 64;
+/// Reads land in [0, kCommitCells / 2), writes above.
+inline constexpr std::uint64_t kCommitCells = 4096;
+
+struct CommitOp {
+  bool is_write;
+  ProcId proc;
+  Addr addr;
+  Word value;
+};
+
+/// One phase's request stream: every processor issues 2 reads and 2
+/// writes at random addresses, halves disjoint so the stream is legal
+/// on every engine. Generated once and replayed for every phase, so
+/// generation stays negligible next to the commit work.
+inline std::vector<CommitOp> make_commit_ops(Rng& rng) {
+  std::vector<CommitOp> ops;
+  ops.reserve(kCommitProcs * 4);
+  const std::uint64_t half = kCommitCells / 2;
+  for (ProcId p = 0; p < kCommitProcs; ++p) {
+    for (int r = 0; r < 2; ++r)
+      ops.push_back({false, p, rng.next_below(half), 0});
+    for (int w = 0; w < 2; ++w)
+      ops.push_back({true, p, half + rng.next_below(half),
+                     static_cast<Word>(1 + rng.next_below(1000))});
+  }
+  return ops;
+}
+
+/// Issue one phase's ops on `m`.
+template <class Machine>
+void issue_ops(Machine& m, const std::vector<CommitOp>& ops) {
+  for (const CommitOp& op : ops) {
+    if (op.is_write)
+      m.write(op.proc, op.addr, op.value);
+    else
+      m.read(op.proc, op.addr);
+  }
+}
+
+/// kCommitPhases phases of `ops` on `m`; returns its model time.
+template <class Machine>
+std::uint64_t replay_phases(Machine& m, const std::vector<CommitOp>& ops) {
+  for (unsigned ph = 0; ph < kCommitPhases; ++ph) {
+    m.begin_phase();
+    issue_ops(m, ops);
+    m.commit_phase();
+  }
+  return m.time();
 }
 
 // ----- formatting ----------------------------------------------------------------

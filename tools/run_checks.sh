@@ -32,7 +32,11 @@
 #      self-verify the hot paths against replicas of the uninstrumented
 #      implementations and enforce conservative floors (speedups for
 #      bench_hotpath, a <=1.05x detached-hook ceiling for
-#      bench_obs_overhead; see docs/PERF.md and docs/OBSERVABILITY.md).
+#      bench_obs_overhead). Every gated ratio is a paired median:
+#      alternating >= 100 ms regions, and the median plus two thirds of
+#      the pairs must clear the bound (docs/PERF.md, "How a wall-clock
+#      gate reads"). A red gate still writes the report and the ops file
+#      (each ratio with its /spread and /pairs) before the bench exits 1.
 #      Perf under a sanitizer is meaningless, hence the separate
 #      Release build dir, which also builds with -Werror so a warning
 #      that only appears at -O3 fails the gate;
@@ -63,13 +67,15 @@
 #      parbounds_serve --stdio sweep answered by a --workers 2 fleet
 #      and by the in-process runner, each on its own cold cache, with
 #      the response bytes cmp'd (the execution backend must never leak
-#      into a result), and the bench_fleet_throughput smoke —
-#      credit-window pipelining
-#      vs lock-step with an in-process identity oracle on every
-#      configuration and a pipeline_speedup floor that scales with the
-#      host (>=4 cores gates at 1.5x; 1-core CI boxes gate at 1.0 and
-#      lean on the oracle; see docs/PERF.md, "Fleet throughput").
-#  13. the determinism stage (full mode only): Release bench reports
+#      into a result), and the bench_fleet_throughput smoke — a paired
+#      median of credit window 8 against lock-step at workers=4, with
+#      every timed sweep byte-compared to an in-process identity oracle,
+#      and a pipeline_speedup floor that scales with the host (>=4
+#      cores gates at 1.5x; 1-core CI boxes gate at 1.0 and lean on the
+#      oracle; see docs/PERF.md, "Fleet throughput");
+#  13. the determinism stage (full mode only; it runs before the
+#      wall-clock smokes of stages 8 and 12, so a red speed gate cannot
+#      keep it from running): Release bench reports
 #      must be byte-identical under a plain cmp, metrics block included
 #      — bench_table4_rounds twice at --jobs 2 and once at --jobs 1,
 #      bench_mapping at --jobs 1 and at --jobs 4, and Tables 1-3
@@ -129,7 +135,10 @@ fi
 # window from 1 to 8 must pay for itself when there are real cores for
 # the worker processes. On 1-core CI boxes everything is oversubscribed
 # and the in-binary identity oracle stays the correctness gate, so the
-# floor only demands "no slower than lock-step".
+# floor only demands "no slower than lock-step". The 4-core reference
+# host's paired median reads about 1.1-1.3x, so this gate is red there
+# (docs/PERF.md, "How a wall-clock gate reads"); the floor is the
+# target, not a reading to be tuned down to.
 if [[ "${JOBS}" -ge 4 ]]; then
   MIN_PIPELINE=1.5
 else
@@ -486,6 +495,10 @@ cmake --build "${BUILD_DIR}-bench" -j "${JOBS}" \
   bench_table4_rounds bench_mapping bench_table1_qsm_time \
   bench_table2_sqsm_time bench_table3_bsp_time
 
+# Determinism first: it gates correctness, and the wall-clock smokes
+# below may stop the script on a red speed gate.
+run_determinism_stage "${BUILD_DIR}-bench"
+
 echo "==> bench_hotpath smoke (self-verified, speedup floors)"
 # Shard floor per host size (see MIN_SHARD above); the replica and
 # dispatch equivalence oracles inside bench_hotpath are the correctness
@@ -504,7 +517,5 @@ echo "==> bench_fleet_throughput smoke (pipeline floor + identity oracle)"
 "${BUILD_DIR}-bench/bench/bench_fleet_throughput" --jobs 2 \
   --json "${BUILD_DIR}-bench/BENCH_fleet.json" \
   --min-pipeline-speedup="${MIN_PIPELINE}"
-
-run_determinism_stage "${BUILD_DIR}-bench"
 
 echo "==> all checks passed"
