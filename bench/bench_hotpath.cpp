@@ -378,11 +378,12 @@ double degree_and22in24(std::uint64_t) {
 // Folds every quantity a dispatch kernel touches into one checksum: the
 // word-parallel connectives and fix (op_* / fix_low), population
 // counts, the integer degree on BOTH sides of the dense/chunked tier
-// boundary (scatter01 / slice_accum / max_degree_scan / moebius_level /
-// signed_sum_words), the GF(2) transform (gf2_inword / gf2_cross), the
-// full Moebius coefficient vector, and a phase-commit model cost. A
-// pure function of the seed — so it must come out bit-identical at
-// every supported dispatch level and every pool size.
+// boundary (scatter01 / slice_accum / max_degree_scan / moebius_low /
+// moebius_level / signed_sum_words), the GF(2) transform (gf2_inword /
+// gf2_cross), the full Moebius coefficient vector (the same scatter and
+// transform), and a phase-commit model cost. A pure function of the
+// seed — so it must come out bit-identical at every supported dispatch
+// level and every pool size.
 std::uint64_t kernel_digest(std::uint64_t seed) {
   std::uint64_t h = 0x243f6a8885a308d3ull;
   const auto fold = [&h](std::uint64_t v) {

@@ -89,40 +89,72 @@ std::int64_t signed_sum_without(std::span<const std::uint64_t> w, unsigned i) {
   return s;
 }
 
-// In-place integer Moebius transform over t variables with unit-stride
-// inner loops: after the pass, c[S] = alpha_S. Each level performs
-// size/2 independent updates (the written index base+h+j has the h bit
-// set, the read index base+j has it clear and is never written this
-// level), so levels fan out over the pool as flattened index ranges —
-// every update happens exactly once, results bit-identical at any
-// thread count.
-void moebius_i32(std::vector<std::int32_t>& c, unsigned t) {
-  const std::uint32_t size = std::uint32_t{1} << t;
-  const std::uint64_t half = size / 2;
-  const auto& k = simd::kernels();
-  auto& pool = runtime::ParallelFor::pool();
-  if (half < kParWords || !pool.fans_out()) {
-    for (std::uint32_t h = 1; h < size; h <<= 1)
-      k.moebius_level(c.data(), 0, half, h);
+// Leaf of the depth-first Moebius transform: 2^16 coefficients
+// (256 KiB) stay in cache while every level inside them runs.
+constexpr std::uint32_t kMoebiusLeaf = std::uint32_t{1} << 16;
+
+// Transform the size-coefficient block at c (size a power of two, >= 16)
+// depth-first: a leaf runs moebius_low (levels 1..8 in registers) and
+// then its levels 16 .. size/2 while it is in cache; a larger block
+// transforms its two halves, then joins them with its one top level.
+void moebius_block(std::int32_t* c, std::uint32_t size,
+                   const simd::KernelDispatch& k) {
+  const std::uint32_t half = size / 2;
+  if (size <= kMoebiusLeaf) {
+    k.moebius_low(c, 0, size);
+    for (std::uint32_t h = 16; h < size; h <<= 1)
+      k.moebius_level(c, 0, half, h);
     return;
   }
-  for (std::uint32_t h = 1; h < size; h <<= 1) {
-    pool.for_shards(half, kParShards,
+  moebius_block(c, half, k);
+  moebius_block(c + half, half, k);
+  k.moebius_level(c, 0, half, half);
+}
+
+// In-place integer Moebius transform over t variables: after the pass,
+// c[S] = alpha_S. Level h performs size/2 independent updates (the
+// written index has the h bit set, the read index has it clear and is
+// never written that level), and the levels commute, so any order of
+// levels and blocks applies every update exactly once in exact int32
+// arithmetic: the result is bit-identical at every dispatch level and
+// pool size. Tables under 16 entries run level by level. Above one leaf,
+// when the pool fans out, aligned subtrees of size/shards coefficients
+// are transformed depth-first on the pool, then each remaining top
+// level shards its flattened updates.
+void moebius_i32(std::vector<std::int32_t>& c, unsigned t) {
+  const std::uint32_t size = std::uint32_t{1} << t;
+  const auto& k = simd::kernels();
+  if (size < 16) {
+    for (std::uint32_t h = 1; h < size; h <<= 1)
+      k.moebius_level(c.data(), 0, size / 2, h);
+    return;
+  }
+  auto& pool = runtime::ParallelFor::pool();
+  if (size <= kMoebiusLeaf || !pool.fans_out()) {
+    moebius_block(c.data(), size, k);
+    return;
+  }
+  // Both powers of two, so every shard's range is one aligned subtree.
+  const unsigned shards = std::min(size / kMoebiusLeaf, kParShards);
+  const std::uint32_t sub = size / shards;
+  pool.for_shards(shards, shards,
+                  [&](unsigned s, std::uint64_t, std::uint64_t) {
+                    moebius_block(c.data() + std::size_t{s} * sub, sub, k);
+                  });
+  for (std::uint32_t h = sub; h < size; h <<= 1) {
+    pool.for_shards(size / 2, kParShards,
                     [&](unsigned, std::uint64_t lo, std::uint64_t hi) {
                       k.moebius_level(c.data(), lo, hi, h);
                     });
   }
 }
 
-// Exact degree via the full dense transform (arity <= the seam's cap).
-// Scatter (one word fills its own 64 coefficients), transform, and the
-// max-scan all shard over disjoint / commutatively-combined ranges.
-unsigned dense_degree_impl(const BoolFn& f) {
-  const std::uint32_t size = f.table_size();
-  std::vector<std::int32_t> c(size, 0);
+// The 2^n int32 table of f's 0/1 values, Moebius-transformed in place:
+// c[S] = alpha_S. |alpha_S| <= 2^n, so int32 is exact up to n = 30.
+std::vector<std::int32_t> moebius_coeffs(const BoolFn& f) {
+  std::vector<std::int32_t> c(f.table_size(), 0);
   const auto w = f.words();
-  const auto& k = simd::kernels();
-  if (size < 64) {
+  if (c.size() < 64) {
     // Sub-word table (n < 6): scatter the set bits directly; bits at
     // positions >= 2^n are zero by the class invariant.
     std::uint64_t bits = w[0];
@@ -132,13 +164,23 @@ unsigned dense_degree_impl(const BoolFn& f) {
       c[j] = 1;
     }
   } else {
+    const auto& k = simd::kernels();
     for_ranges(w.size(), [&](unsigned, std::size_t lo, std::size_t hi) {
       k.scatter01(c.data(), w.data(), lo, hi);
     });
   }
   moebius_i32(c, f.arity());
+  return c;
+}
+
+// Exact degree via the full dense transform (arity <= the seam's cap).
+// Scatter (one word fills its own 64 coefficients), transform, and the
+// max-scan all shard over disjoint / commutatively-combined ranges.
+unsigned dense_degree_impl(const BoolFn& f) {
+  const std::vector<std::int32_t> c = moebius_coeffs(f);
+  const auto& k = simd::kernels();
   std::array<unsigned, kParShards> part{};
-  for_ranges(size, [&](unsigned sh, std::size_t lo, std::size_t hi) {
+  for_ranges(c.size(), [&](unsigned sh, std::size_t lo, std::size_t hi) {
     part[sh] = k.max_degree_scan(c.data(), static_cast<std::uint32_t>(lo),
                                  static_cast<std::uint32_t>(hi));
   });
@@ -190,16 +232,18 @@ unsigned chunked_degree_impl(const BoolFn& f, unsigned t) {
   std::array<unsigned, kParShards> part{};
   const auto run = [&](unsigned shard, std::uint32_t sh_lo,
                        std::uint32_t sh_hi) {
-    std::vector<std::int32_t> g(std::uint32_t{1} << t);
+    // Zeroed on a subset's first nonzero slice only: a shard whose
+    // subsets are all pruned or all zero never touches the 2^t buffer.
+    std::vector<std::int32_t> g;
     unsigned best = 0;  // shard-local prune bound
     for (std::uint32_t sh = sh_lo; sh < sh_hi; ++sh) {
       const unsigned hi_pc = static_cast<unsigned>(std::popcount(sh));
       if (hi_pc + t <= best) continue;  // cannot beat the shard maximum
-      std::fill(g.begin(), g.end(), 0);
       bool any = false;
       std::uint32_t th = sh;
       while (true) {
         if (slice_nonzero[th] != 0) {
+          if (!any) g.assign(std::size_t{1} << t, 0);
           const std::int32_t sgn = (std::popcount(sh ^ th) & 1u) ? -1 : 1;
           k.slice_accum(g.data(),
                         w.data() + std::size_t{th} * slice_words,
@@ -459,25 +503,10 @@ std::vector<std::int64_t> multilinear_coeffs(const BoolFn& f) {
     throw std::invalid_argument(
         "multilinear_coeffs materialises 2^n int64 values; use degree() "
         "beyond n = 24");
-  const std::uint32_t size = f.table_size();
-  std::vector<std::int64_t> c(size, 0);
-  const auto w = f.words();
-  for (std::size_t wi = 0; wi < w.size(); ++wi) {
-    std::uint64_t bits = w[wi];
-    while (bits != 0) {
-      const unsigned j = static_cast<unsigned>(std::countr_zero(bits));
-      bits &= bits - 1;
-      c[(static_cast<std::uint32_t>(wi) << 6) | j] = 1;
-    }
-  }
-  // In-place subset Moebius transform: alpha_S = sum_{T subseteq S}
-  // (-1)^{|S\T|} f(1_T). Uniqueness of the representation is Fact 2.1.
-  // Blocked so every inner loop is unit-stride.
-  for (std::uint32_t h = 1; h < size; h <<= 1)
-    for (std::uint32_t base = 0; base < size; base += 2 * h)
-      for (std::uint32_t j = 0; j < h; ++j)
-        c[base + h + j] -= c[base + j];
-  return c;
+  // alpha_S = sum_{T subseteq S} (-1)^{|S\T|} f(1_T), the transform
+  // degree() runs; uniqueness of the representation is Fact 2.1.
+  const std::vector<std::int32_t> c = moebius_coeffs(f);
+  return std::vector<std::int64_t>(c.begin(), c.end());
 }
 
 unsigned gf2_degree(const BoolFn& f) {

@@ -93,13 +93,26 @@ void p_gf2_cross(std::uint64_t* w, std::size_t lo, std::size_t hi,
     if ((i & blk) != 0) w[i] ^= w[i ^ blk];
 }
 
+// Update k of level h (a power of two) reads coefficient
+// moebius_source(k, h) and writes that index + h: the index is k with a
+// zero bit inserted at position log2(h).
+std::uint64_t moebius_source(std::uint64_t k, std::uint32_t h) {
+  return ((k & ~std::uint64_t{h - 1}) << 1) | (k & (h - 1));
+}
+
 void p_moebius_level(std::int32_t* c, std::uint64_t lo, std::uint64_t hi,
                      std::uint32_t h) {
   for (std::uint64_t k = lo; k < hi; ++k) {
-    const auto j = static_cast<std::uint32_t>(k % h);
-    const auto base = static_cast<std::uint32_t>(k / h) * 2 * h;
-    c[base + h + j] -= c[base + j];
+    const std::uint64_t src = moebius_source(k, h);
+    c[src + h] -= c[src];
   }
+}
+
+// Coefficients [lo, hi) hold the level-h updates [lo/2, hi/2) for every
+// h <= 8, since lo and hi are multiples of 16.
+void p_moebius_low(std::int32_t* c, std::uint64_t lo, std::uint64_t hi) {
+  for (std::uint32_t h = 1; h < 16; h <<= 1)
+    p_moebius_level(c, lo / 2, hi / 2, h);
 }
 
 void p_scatter01(std::int32_t* c, const std::uint64_t* w, std::size_t wlo,
@@ -294,17 +307,12 @@ PB_TGT_AVX2 void v2_gf2_cross(std::uint64_t* w, std::size_t lo,
 
 PB_TGT_AVX2 void v2_moebius_level(std::int32_t* c, std::uint64_t lo,
                                   std::uint64_t hi, std::uint32_t h) {
-  if (h < 8) {  // strided updates narrower than a vector: scalar level
-    p_moebius_level(c, lo, hi, h);
-    return;
-  }
   std::uint64_t k = lo;
   while (k < hi) {
-    const auto j = static_cast<std::uint32_t>(k % h);
-    const auto base = static_cast<std::uint32_t>(k / h) * 2 * h;
-    const std::uint64_t run = std::min<std::uint64_t>(hi - k, h - j);
-    std::int32_t* dst = c + base + h + j;
-    const std::int32_t* src = c + base + j;
+    const std::uint64_t run =
+        std::min<std::uint64_t>(hi - k, h - (k & (h - 1)));
+    std::int32_t* src = c + moebius_source(k, h);
+    std::int32_t* dst = src + h;
     std::size_t x = 0;
     for (; x + 8 <= run; x += 8)
       _mm256_storeu_si256(
@@ -315,6 +323,32 @@ PB_TGT_AVX2 void v2_moebius_level(std::int32_t* c, std::uint64_t lo,
                   reinterpret_cast<const __m256i*>(src + x))));
     for (; x < run; ++x) dst[x] -= src[x];
     k += run;
+  }
+}
+
+// One 16-coefficient group is two vectors, a = lanes 0..7 and b = lanes
+// 8..15. Levels 1, 2 and 4 run in each vector: the shuffle or the
+// 128-bit permute brings lane i - h into lane i, and the blend (or the
+// zeroed low half) keeps only the lanes whose h bit is set. Level 8 is
+// b -= a.
+PB_TGT_AVX2 __m256i v2_moebius_low_lanes(__m256i v) {
+  const __m256i zero = _mm256_setzero_si256();
+  v = _mm256_sub_epi32(
+      v, _mm256_blend_epi32(zero, _mm256_shuffle_epi32(v, 0xB1), 0xAA));
+  v = _mm256_sub_epi32(
+      v, _mm256_blend_epi32(zero, _mm256_shuffle_epi32(v, 0x4E), 0xCC));
+  return _mm256_sub_epi32(v, _mm256_permute2x128_si256(v, v, 0x08));
+}
+
+PB_TGT_AVX2 void v2_moebius_low(std::int32_t* c, std::uint64_t lo,
+                                std::uint64_t hi) {
+  for (std::uint64_t g = lo; g < hi; g += 16) {
+    auto* pa = reinterpret_cast<__m256i*>(c + g);
+    auto* pb = reinterpret_cast<__m256i*>(c + g + 8);
+    const __m256i a = v2_moebius_low_lanes(_mm256_loadu_si256(pa));
+    const __m256i b = v2_moebius_low_lanes(_mm256_loadu_si256(pb));
+    _mm256_storeu_si256(pa, a);
+    _mm256_storeu_si256(pb, _mm256_sub_epi32(b, a));
   }
 }
 
@@ -565,17 +599,12 @@ PB_TGT_AVX512 void v5_gf2_cross(std::uint64_t* w, std::size_t lo,
 
 PB_TGT_AVX512 void v5_moebius_level(std::int32_t* c, std::uint64_t lo,
                                     std::uint64_t hi, std::uint32_t h) {
-  if (h < 16) {
-    p_moebius_level(c, lo, hi, h);
-    return;
-  }
   std::uint64_t k = lo;
   while (k < hi) {
-    const auto j = static_cast<std::uint32_t>(k % h);
-    const auto base = static_cast<std::uint32_t>(k / h) * 2 * h;
-    const std::uint64_t run = std::min<std::uint64_t>(hi - k, h - j);
-    std::int32_t* dst = c + base + h + j;
-    const std::int32_t* src = c + base + j;
+    const std::uint64_t run =
+        std::min<std::uint64_t>(hi - k, h - (k & (h - 1)));
+    std::int32_t* src = c + moebius_source(k, h);
+    std::int32_t* dst = src + h;
     std::size_t x = 0;
     for (; x + 16 <= run; x += 16)
       _mm512_storeu_si512(dst + x,
@@ -583,6 +612,23 @@ PB_TGT_AVX512 void v5_moebius_level(std::int32_t* c, std::uint64_t lo,
                                            _mm512_loadu_si512(src + x)));
     for (; x < run; ++x) dst[x] -= src[x];
     k += run;
+  }
+}
+
+// One 16-coefficient group is one vector. Level h brings lane i - h
+// into lane i (in-lane shuffle for h = 1, 2; 128-bit block shuffle for
+// h = 4, 8) and subtracts it under the mask of lanes whose h bit is set.
+PB_TGT_AVX512 void v5_moebius_low(std::int32_t* c, std::uint64_t lo,
+                                  std::uint64_t hi) {
+  const auto swap1 = static_cast<_MM_PERM_ENUM>(0xB1);
+  const auto swap2 = static_cast<_MM_PERM_ENUM>(0x4E);
+  for (std::uint64_t g = lo; g < hi; g += 16) {
+    __m512i v = _mm512_loadu_si512(c + g);
+    v = _mm512_mask_sub_epi32(v, 0xAAAA, v, _mm512_shuffle_epi32(v, swap1));
+    v = _mm512_mask_sub_epi32(v, 0xCCCC, v, _mm512_shuffle_epi32(v, swap2));
+    v = _mm512_mask_sub_epi32(v, 0xF0F0, v, _mm512_shuffle_i32x4(v, v, 0xB1));
+    v = _mm512_mask_sub_epi32(v, 0xFF00, v, _mm512_shuffle_i32x4(v, v, 0x4E));
+    _mm512_storeu_si512(c + g, v);
   }
 }
 
@@ -654,8 +700,8 @@ PB_TGT_AVX512 unsigned v5_max_deg_scan(const std::int32_t* c,
 constexpr KernelDispatch kPortableTable = {
     "portable",       p_not,         p_and,         p_or,
     p_xor,            p_fix_low,     p_popcount,    p_signed_sum,
-    p_gf2_inword,     p_gf2_cross,   p_moebius_level, p_scatter01,
-    p_slice_accum,    p_max_deg_scan,
+    p_gf2_inword,     p_gf2_cross,   p_moebius_level, p_moebius_low,
+    p_scatter01,      p_slice_accum,  p_max_deg_scan,
 };
 
 #if PARBOUNDS_SIMD_X86
@@ -665,15 +711,15 @@ constexpr KernelDispatch kPortableTable = {
 constexpr KernelDispatch kAvx2Table = {
     "avx2",           v2_not,        v2_and,        v2_or,
     v2_xor,           v2_fix_low,    v2_popcount,   p_signed_sum,
-    v2_gf2_inword,    v2_gf2_cross,  v2_moebius_level, v2_scatter01,
-    v2_slice_accum,   p_max_deg_scan,
+    v2_gf2_inword,    v2_gf2_cross,  v2_moebius_level, v2_moebius_low,
+    v2_scatter01,     v2_slice_accum, p_max_deg_scan,
 };
 
 constexpr KernelDispatch kAvx512Table = {
     "avx512",         v5_not,        v5_and,        v5_or,
     v5_xor,           v5_fix_low,    v5_popcount,   v5_signed_sum,
-    v5_gf2_inword,    v5_gf2_cross,  v5_moebius_level, v5_scatter01,
-    v5_slice_accum,   v5_max_deg_scan,
+    v5_gf2_inword,    v5_gf2_cross,  v5_moebius_level, v5_moebius_low,
+    v5_scatter01,     v5_slice_accum, v5_max_deg_scan,
 };
 #endif
 

@@ -3,8 +3,9 @@
 // (docs/PERF.md, "SIMD kernel dispatch").
 //
 // Every hot loop in boolfn.cpp — connectives, fix, counting, the GF(2)
-// zeta levels and the integer Moebius transform — funnels through the
-// function-pointer table below. Three variants exist: portable scalar
+// zeta levels and the integer Moebius transform (moebius_low for the
+// four levels inside a 16-coefficient group, moebius_level for each
+// wider one) — funnels through the function-pointer table below. Three variants exist: portable scalar
 // (the reference semantics, always compiled), AVX2 and AVX-512,
 // selected by runtime::active_simd_level() (cpuid probe, pinnable via
 // PARBOUNDS_SIMD). The wide variants are compiled with per-function
@@ -17,12 +18,14 @@
 // bit-identical to portable at any pool size. bench_hotpath's
 // dispatch-equivalence oracle and the intra-label gtest enforce this
 // on every level the host supports; there is deliberately no kernel
-// whose result could depend on lane order.
+// whose result could depend on lane order. The Moebius kernels apply
+// each update exactly once in int32, and the transform's levels
+// commute, so any order of levels and blocks gives the same table.
 //
 // Range convention: [lo, hi) are WORD indices (64 truth-table entries
-// per word) except moebius_level (flattened update indices) and
-// max_degree_scan (coefficient indices). Callers shard ranges with
-// runtime::ParallelFor; kernels never spawn work themselves.
+// per word) except moebius_level (flattened update indices),
+// moebius_low and max_degree_scan (coefficient indices). Callers shard
+// ranges with runtime::ParallelFor; kernels never spawn work themselves.
 
 #include <cstdint>
 
@@ -105,6 +108,10 @@ struct KernelDispatch {
   /// with j = k % h and base = (k / h) * 2h, c[base+h+j] -= c[base+j].
   void (*moebius_level)(std::int32_t* c, std::uint64_t lo, std::uint64_t hi,
                         std::uint32_t h);
+  /// Levels h = 1, 2, 4, 8 of the transform over each aligned
+  /// 16-coefficient group in [lo, hi) (coefficient indices, multiples
+  /// of 16): the in-register start of every table of >= 16 entries.
+  void (*moebius_low)(std::int32_t* c, std::uint64_t lo, std::uint64_t hi);
   /// c[64*wi + j] = bit j of w[wi], as 0/1 int32, for wi in [wlo, whi).
   void (*scatter01)(std::int32_t* c, const std::uint64_t* w, std::size_t wlo,
                     std::size_t whi);

@@ -90,11 +90,22 @@ FleetCoordinator::FleetCoordinator(FleetConfig cfg) : cfg_(std::move(cfg)) {
       ::setenv(kCacheBytesEnv, std::to_string(cfg_.cache_bytes).c_str(), 1);
   }
 
+  // Launch every worker before waiting on any readiness frame, so the
+  // workers start up side by side. A worker that fails either step
+  // fails the fleet. The destructor does not run for a throwing
+  // constructor, so every worker already launched is killed and reaped
+  // here, and its pipe ends are closed.
+  const auto fail = [this](unsigned slot) {
+    for (Worker& w : workers_)
+      if (w.alive) kill_and_reap(w);
+    throw std::runtime_error("fleet: failed to spawn worker " +
+                             std::to_string(slot));
+  };
   workers_.resize(cfg_.workers);
   for (unsigned s = 0; s < cfg_.workers; ++s)
-    if (!spawn(s))
-      throw std::runtime_error("fleet: failed to spawn worker " +
-                               std::to_string(s));
+    if (!launch(s)) fail(s);
+  for (unsigned s = 0; s < cfg_.workers; ++s)
+    if (!await_ready(s)) fail(s);
 }
 
 FleetCoordinator::~FleetCoordinator() {
@@ -113,7 +124,16 @@ FleetCoordinator::~FleetCoordinator() {
   }
 }
 
-bool FleetCoordinator::spawn(unsigned slot) {
+void FleetCoordinator::kill_and_reap(Worker& w) {
+  ::kill(w.pid, SIGKILL);
+  close_quiet(w.to_fd);
+  close_quiet(w.from_fd);
+  int status = 0;
+  ::waitpid(w.pid, &status, 0);
+  w.alive = false;
+}
+
+bool FleetCoordinator::launch(unsigned slot) {
   int req[2] = {-1, -1};
   int resp[2] = {-1, -1};
   if (::pipe2(req, O_CLOEXEC) != 0) return false;
@@ -159,30 +179,28 @@ bool FleetCoordinator::spawn(unsigned slot) {
   w.inflight.clear();
   w.outq.clear();
 
-  // Block for the readiness frame before any work flows (the worker
-  // sends it immediately after exec, long before any kernel runs).
-  // Anything else — EOF, a different frame — is a stillborn worker.
-  const auto abort_spawn = [&]() {
-    ::kill(pid, SIGKILL);
-    close_quiet(w.to_fd);
-    close_quiet(w.from_fd);
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-    w.alive = false;
-    return false;
-  };
-  std::string ready;
-  if (!read_frame_blocking(w.from_fd, w.decoder, ready) ||
-      ready != kReadyFrame)
-    return abort_spawn();
-
   // The data plane writes through a non-blocking fd so a full pipe
   // parks frames in the WriteQueue for the next POLLOUT instead of
   // stalling the whole poll loop.
   const int fl = ::fcntl(w.to_fd, F_GETFL);
-  if (fl < 0 || ::fcntl(w.to_fd, F_SETFL, fl | O_NONBLOCK) < 0)
-    return abort_spawn();
+  if (fl < 0 || ::fcntl(w.to_fd, F_SETFL, fl | O_NONBLOCK) < 0) {
+    kill_and_reap(w);
+    return false;
+  }
+  return true;
+}
 
+bool FleetCoordinator::await_ready(unsigned slot) {
+  // Block for the readiness frame before any work flows (the worker
+  // sends it immediately after exec, long before any kernel runs).
+  // Anything else — EOF, a different frame — is a stillborn worker.
+  Worker& w = workers_[slot];
+  std::string ready;
+  if (!read_frame_blocking(w.from_fd, w.decoder, ready) ||
+      ready != kReadyFrame) {
+    kill_and_reap(w);
+    return false;
+  }
   metrics_.add(spawn_id_);
   obs::Span span(obs::process_tracer(), "fleet.spawn", slot);
   return true;

@@ -28,8 +28,9 @@
 //
 // Every frame on the pipes uses the binary codec (protocol.hpp);
 // worker and coordinator are the same binary, so there is no version to
-// negotiate. Spawn blocks for the worker's readiness frame (worker.hpp)
-// so a worker that dies on startup is caught before any work is placed.
+// negotiate. The constructor launches every worker, then blocks for
+// each one's readiness frame (worker.hpp), so a worker that dies on
+// startup is caught before any work is placed.
 //
 // Failure handling. Three signals mean a dead or wedged worker: its
 // response pipe reaches EOF (clean or mid-frame — a crash leaves a
@@ -121,7 +122,14 @@ class FleetCoordinator {
     WriteQueue outq;  ///< pending request frames, flushed via writev
   };
 
-  bool spawn(unsigned slot);
+  /// Fork and exec the worker for `slot`; false (nothing left running)
+  /// when a pipe, the fork or the fcntl fails.
+  bool launch(unsigned slot);
+  /// Block for a launched worker's readiness frame; on anything else the
+  /// worker is killed and reaped and the result is false.
+  bool await_ready(unsigned slot);
+  /// SIGKILL the worker, close both pipe ends and collect its status.
+  void kill_and_reap(Worker& w);
 
   FleetConfig cfg_;
   obs::MetricsRegistry metrics_;

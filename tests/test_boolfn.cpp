@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "runtime/simd_level.hpp"
+
 namespace parbounds {
 namespace {
 
@@ -38,14 +43,45 @@ TEST(BoolFn, AddressFunction) {
 
 // ----- Fact 2.1: unique integer multilinear representation --------------------
 
+// f(x) = sum over S subseteq x of alpha_S: the inverse (zeta) transform,
+// a plain int64 loop that shares no code with the kernels under test.
+std::vector<std::int64_t> zeta(std::vector<std::int64_t> c) {
+  for (std::size_t h = 1; h < c.size(); h <<= 1)
+    for (std::size_t x = 0; x < c.size(); ++x)
+      if ((x & h) != 0) c[x] += c[x ^ h];
+  return c;
+}
+
+// Arities below, at and above the 16-coefficient register group and
+// the 2^16-coefficient depth-first leaf of the transform.
+constexpr unsigned kRoundTripArities[] = {3, 4, 5, 12, 16, 17, 18};
+
+// RAII: restore the kernel dispatch level when the scope ends.
+struct DispatchRestore {
+  runtime::SimdLevel saved = runtime::active_simd_level();
+  ~DispatchRestore() { runtime::set_simd_level(saved); }
+};
+
 class MoebiusRoundTrip : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(MoebiusRoundTrip, PolynomialAgreesOnEveryInput) {
-  Rng rng(GetParam());
-  const auto f = BoolFn::random(8, rng);
-  const auto coeffs = multilinear_coeffs(f);
-  for (std::uint32_t x = 0; x < f.table_size(); ++x)
-    ASSERT_EQ(eval_multilinear(coeffs, x), f(x) ? 1 : 0) << "x=" << x;
+  const DispatchRestore restore;
+  for (const runtime::SimdLevel level : runtime::supported_simd_levels()) {
+    runtime::set_simd_level(level);
+    Rng rng(GetParam());
+    for (const unsigned n : kRoundTripArities) {
+      const auto f = BoolFn::random(n, rng);
+      const auto coeffs = multilinear_coeffs(f);
+      const auto values = zeta(coeffs);
+      const char* name = runtime::simd_level_name(level);
+      for (std::uint32_t x = 0; x < f.table_size(); ++x) {
+        ASSERT_EQ(values[x], f(x) ? 1 : 0) << name << " n=" << n << " x=" << x;
+        if (n <= 5) {
+          ASSERT_EQ(eval_multilinear(coeffs, x), values[x]) << name;
+        }
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MoebiusRoundTrip,

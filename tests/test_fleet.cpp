@@ -10,8 +10,10 @@
 // maybe_run_worker before gtest ever sees argv.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -438,6 +440,24 @@ TEST(FleetEndToEnd, WorkerThatDiesBeforeReadyFailsTheSpawn) {
   cfg.cache_dir = file / "cache";
   EXPECT_THROW(FleetCoordinator fc(cfg), std::runtime_error);
   ::unsetenv("PARBOUNDS_FLEET_CACHE_DIR");
+}
+
+TEST(FleetEndToEnd, FailedSpawnReapsEveryLaunchedWorker) {
+  // Every worker is launched before the coordinator waits on any of
+  // them. When one fails to come up, the constructor throws, so the
+  // destructor never runs: the constructor itself must kill and reap
+  // the others, leaving this process no child at all.
+  const std::filesystem::path file = fresh_dir("not_a_dir_4");
+  std::ofstream(file) << "x";
+  FleetConfig cfg;
+  cfg.workers = 4;
+  cfg.cache_dir = file / "cache";
+  EXPECT_THROW(FleetCoordinator fc(cfg), std::runtime_error);
+  ::unsetenv("PARBOUNDS_FLEET_CACHE_DIR");
+  int status = 0;
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
 }
 
 TEST(FleetEndToEnd, ClosureOnlyCellsAreRefused) {

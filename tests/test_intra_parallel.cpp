@@ -530,6 +530,20 @@ TEST(ParallelBoolFn, ChunkedDegreeTierStableAcrossPoolSizes) {
   }
 }
 
+TEST(ParallelBoolFn, DenseAndChunkedTiersAgreeAcrossPoolSizes) {
+  // OR of the first 21 of 23 inputs, through both degree tiers. At 2^23
+  // coefficients the dense tier's transform runs its depth-first
+  // subtrees on the pool and shards its top levels; the chunked tier
+  // runs two serial 2^22 transforms.
+  const BoolFn f = BoolFn::from(
+      23, [](std::uint32_t x) { return (x & 0x1FFFFFu) != 0; });
+  for (const unsigned t : kPoolSizes) {
+    PoolGuard pg(t);
+    EXPECT_EQ(detail::degree_via_dense(f), 21u) << "threads=" << t;
+    EXPECT_EQ(detail::degree_via_chunked(f), 21u) << "threads=" << t;
+  }
+}
+
 // RAII: pin the kernel dispatch level for one scope.
 struct DispatchGuard {
   explicit DispatchGuard(runtime::SimdLevel l)

@@ -199,11 +199,13 @@ run_simd_stage() {
   echo "==> simd: BoolFn suite under every PARBOUNDS_SIMD pin"
   # The dispatch level resolves lazily on first kernel use, so every
   # probe runs the full BoolFn suite (it exercises the word kernels);
-  # a single narrow test could pass without ever reading the pin.
+  # a single narrow test could pass without ever reading the pin. The
+  # Moebius round trip (every arity around the transform's 16-entry
+  # register group and its depth-first leaf) rides along.
   local level out="${1}/simd_stage.log"
   for level in portable avx2 avx512; do
-    if PARBOUNDS_SIMD="${level}" "${tests}" --gtest_filter='BoolFn.*' \
-        >"${out}" 2>&1; then
+    if PARBOUNDS_SIMD="${level}" "${tests}" \
+        --gtest_filter='BoolFn.*:Seeds/MoebiusRoundTrip.*' >"${out}" 2>&1; then
       echo "    PARBOUNDS_SIMD=${level}: BoolFn suite ok"
     elif grep -q "cannot run the ${level} tier" "${out}"; then
       echo "    PARBOUNDS_SIMD=${level}: unsupported here, rejected cleanly"
